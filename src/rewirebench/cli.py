@@ -173,18 +173,23 @@ def cmd_run(args) -> int:
 
     lines = []
     marker = ""
-    if config.method != "baseline" and not report.oor:
+    oor = report.oor
+    if config.method != "baseline" and not oor:
         base = model_select(task, args.model, RewireConfig(seed=args.seed),
                             space, seed=args.seed,
                             budget_seconds=args.budget_seconds, jobs=args.jobs)
         _write_report_csv(base, os.path.join(args.out, "baseline_report.csv"))
         artifacts.append("baseline_report.csv")
-        p, flag = significance([f.metric for f in base.folds],
-                               [f.metric for f in report.folds])
-        marker = {"better": " (+)", "worse": " (-)", "none": ""}[flag]
-        lines.append(f"baseline  {args.model}  {task.name}  "
-                     f"{100 * base.mean:.2f} +/- {100 * base.std:.2f}")
-        lines.append(f"significance p={p:.4g}{marker or ' (none)'}")
+        if base.oor:
+            oor = True
+            lines.append(f"baseline  {args.model}  {task.name}  OOR")
+        else:
+            p, flag = significance([f.metric for f in base.folds],
+                                   [f.metric for f in report.folds])
+            marker = {"better": " (+)", "worse": " (-)", "none": ""}[flag]
+            lines.append(f"baseline  {args.model}  {task.name}  "
+                         f"{100 * base.mean:.2f} +/- {100 * base.std:.2f}")
+            lines.append(f"significance p={p:.4g}{marker or ' (none)'}")
     if report.oor:
         lines.append(f"{config.method}  {args.model}  {task.name}  OOR")
     else:
@@ -204,7 +209,7 @@ def cmd_run(args) -> int:
         "model": args.model, "rewire": config.__dict__, "grid": args.grid,
         "seed": args.seed}, artifacts)
     print(summary, end="")
-    return 3 if report.oor else 0
+    return 3 if oor else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

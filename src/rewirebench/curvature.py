@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _edge_counts
 
 
 @dataclass
@@ -32,47 +32,27 @@ class EdgeCurvature:
     gamma_max: float
 
 
-def _curvature_arrays(g: Graph):
-    a = g.adjacency()
-    us = g.edges[:, 0].astype(np.int64)
-    vs = g.edges[:, 1].astype(np.int64)
-    ric, tri, sq_uv, sq_vu, gamma = kernels.balanced_forman_edges(
-        a.indptr, a.indices, us, vs)
-    return us, vs, ric, tri, sq_uv, sq_vu, gamma
-
-
 def balanced_forman(g: Graph, edge: tuple[int, int]) -> EdgeCurvature:
     """Balanced Forman curvature of a single existing edge."""
     u, v = edge
-    if not g.has_edge(u, v):
-        raise InputError(f"edge ({u}, {v}) not in graph")
-    a = g.adjacency()
-    us = np.array([u], dtype=np.int64)
-    vs = np.array([v], dtype=np.int64)
-    ric, tri, sq_uv, sq_vu, gamma = kernels.balanced_forman_edges(
-        a.indptr, a.indices, us, vs)
+    ric, tri, sq_uv, sq_vu, gamma = _edge_counts(g, u, v)
     deg = g.degrees
-    du, dv = float(deg[u]), float(deg[v])
-    dmax, dmin = max(du, dv), min(du, dv)
-    tree = 2.0 / du + 2.0 / dv - 2.0
-    tri_term = 2.0 * tri[0] / dmax + tri[0] / dmin
-    if gamma[0] > 0:
-        sq_term = (sq_uv[0] + sq_vu[0]) / (gamma[0] * dmax)
-        g_max = float(gamma[0])
-    else:
-        sq_term = 0.0
-        g_max = 1.0
-    return EdgeCurvature(u=u, v=v, total=float(ric[0]), tree_term=tree,
-                         triangle_term=tri_term, square_term=float(sq_term),
-                         triangles=int(tri[0]), squares_uv=int(sq_uv[0]),
-                         squares_vu=int(sq_vu[0]), gamma_max=g_max)
+    tree, tri_term, sq_term = kernels.curvature_terms(
+        deg[[u]], deg[[v]], tri, sq_uv, sq_vu, gamma)
+    return EdgeCurvature(u=u, v=v, total=float(ric[0]), tree_term=float(tree[0]),
+                         triangle_term=float(tri_term[0]),
+                         square_term=float(sq_term[0]), triangles=int(tri[0]),
+                         squares_uv=int(sq_uv[0]), squares_vu=int(sq_vu[0]),
+                         gamma_max=float(gamma[0]) if gamma[0] > 0 else 1.0)
 
 
 def edge_curvatures(g: Graph) -> np.ndarray:
     """Curvature value per stored edge, aligned with g.edges rows."""
     if g.num_edges == 0:
         return np.zeros(0)
-    return _curvature_arrays(g)[2]
+    a = g.adjacency()
+    return kernels.balanced_forman_edges(a.indptr, a.indices, g.edges[:, 0],
+                                         g.edges[:, 1])[0]
 
 
 @dataclass

@@ -13,6 +13,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernels
 from .errors import InputError
 
 
@@ -204,13 +205,17 @@ def shift_operator(g: Graph, kind: OperatorKind | str = OperatorKind.ADJACENCY,
                          self_loops=self_loops, matrix=m)
 
 
-def triangle_count(g: Graph, edge: tuple[int, int]) -> int:
-    """Number of triangles on an existing edge (u, v): |N(u) ∩ N(v)|."""
-    u, v = edge
+def _edge_counts(g: Graph, u: int, v: int):
+    """(ric, tri, sq_uv, sq_vu, gamma) of an existing edge (u, v)."""
     if not g.has_edge(u, v):
         raise InputError(f"edge ({u}, {v}) not in graph")
-    return int(np.intersect1d(g.neighbors(u), g.neighbors(v),
-                              assume_unique=True).size)
+    a = g.adjacency()
+    return kernels.balanced_forman_edges(a.indptr, a.indices, [u], [v])
+
+
+def triangle_count(g: Graph, edge: tuple[int, int]) -> int:
+    """Number of triangles on an existing edge (u, v): |N(u) ∩ N(v)|."""
+    return int(_edge_counts(g, *edge)[1][0])
 
 
 def four_cycle_profile(g: Graph, edge: tuple[int, int]) -> tuple[int, int, float]:
@@ -221,21 +226,8 @@ def four_cycle_profile(g: Graph, edge: tuple[int, int]) -> tuple[int, int, float
     no diagonal (k not adjacent to u), and gamma_max is the maximum number of
     such 4-cycles through any single contributing node (1 when there are none).
     """
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise InputError(f"edge ({u}, {v}) not in graph")
-    from . import kernels
-    a = g.adjacency()
-    us = np.array([min(u, v)], dtype=np.int64)
-    vs = np.array([max(u, v)], dtype=np.int64)
-    # profile is orientation-sensitive: recover the asked orientation
-    sq_lo, sq_hi, gamma = kernels.edge_square_profile(a.indptr, a.indices, us, vs)
-    if u < v:
-        sq_uv, sq_vu = int(sq_lo[0]), int(sq_hi[0])
-    else:
-        sq_uv, sq_vu = int(sq_hi[0]), int(sq_lo[0])
-    g_max = float(gamma[0]) if gamma[0] > 0 else 1.0
-    return sq_uv, sq_vu, g_max
+    _, _, sq_uv, sq_vu, gamma = _edge_counts(g, *edge)
+    return int(sq_uv[0]), int(sq_vu[0]), float(gamma[0]) if gamma[0] > 0 else 1.0
 
 
 def edge_homophily(g: Graph) -> float:

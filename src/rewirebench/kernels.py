@@ -1,161 +1,73 @@
-"""Hot per-edge counting kernels over CSR adjacency arrays.
+"""Balanced Forman curvature counts for a batch of edges, vectorized with
+scipy.sparse.
 
-Two interchangeable backends: a numba @njit implementation (default) and a
-pure-numpy/python fallback. Set REWIREBENCH_NO_NUMBA=1 to force the fallback;
-it is also used automatically when numba is unavailable.
+The input is the CSR (indptr, indices) of a symmetric 0/1 adjacency A with
+sorted indices, plus parallel arrays us/vs of existing edges in either
+orientation. For each edge (u, v):
 
-All functions take the CSR (indptr, indices) of a symmetric 0/1 adjacency
-with sorted indices, plus parallel arrays us/vs of edge endpoints, and return
-per-edge counts:
+    tri      |N(u) ∩ N(v)| = (A²)_uv
+    sq_uv    #w in N(u) \\ N[v] on a diagonal-free 4-cycle u-w-k-v
+    sq_vu    the same count with u and v swapped
+    gamma    the largest number of such 4-cycles through one w (or k);
+             0 means there are none and the square term is 0
 
-    edge_triangles          -> #triangles on each edge, |N(u) ∩ N(v)|
-    edge_square_profile     -> (#sq_uv, #sq_vu, gamma_max) for diagonal-free
-                               4-cycles based on each edge (gamma_max = 0
-                               signals "no 4-cycles")
+A wedge w in N(u) \\ N[v] lies on c_w = (A²)_wv - 1 - |N(u) ∩ N(v) ∩ N(w)|
+such cycles: every k in N(w) ∩ N(v) closes one except k = u and the k
+adjacent to u. That is |N(w) ∩ (N(v) \\ N(u))| - 1, one sparse product for
+all wedges. Both orientations of every edge form one batch of 2m rows.
+Memory grows with the number of 3-paths from the batch's endpoints, so very
+dense graphs are costly.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("REWIREBENCH_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+import scipy.sparse as sp
 
 
-@njit(cache=True)
-def _in_sorted(arr, lo, hi, x):
-    """Binary search for x in arr[lo:hi] (sorted)."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        a = arr[mid]
-        if a == x:
-            return True
-        if a < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return False
-
-
-@njit(cache=True)
-def _edge_triangles_impl(indptr, indices, us, vs):
-    m = us.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    for e in range(m):
-        u, v = us[e], vs[e]
-        i, j = indptr[u], indptr[v]
-        iu, jv = indptr[u + 1], indptr[v + 1]
-        c = 0
-        while i < iu and j < jv:
-            a, b = indices[i], indices[j]
-            if a == b:
-                c += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        out[e] = c
-    return out
-
-
-@njit(cache=True)
-def _square_side(indptr, indices, u, v):
-    """One orientation: count neighbors w of u on a diagonal-free 4-cycle
-    u-w-k-v, and the max number of such cycles through any single w."""
-    count = 0
-    best = 0
-    for i in range(indptr[u], indptr[u + 1]):
-        w = indices[i]
-        if w == v or w == u:
-            continue
-        if _in_sorted(indices, indptr[v], indptr[v + 1], w):
-            continue  # diagonal v-w
-        cw = 0
-        for j in range(indptr[w], indptr[w + 1]):
-            k = indices[j]
-            if k == u or k == v:
-                continue
-            if not _in_sorted(indices, indptr[v], indptr[v + 1], k):
-                continue  # k must close the cycle at v
-            if _in_sorted(indices, indptr[u], indptr[u + 1], k):
-                continue  # diagonal u-k
-            cw += 1
-        if cw > 0:
-            count += 1
-            if cw > best:
-                best = cw
-    return count, best
-
-
-@njit(cache=True)
-def _edge_square_profile_impl(indptr, indices, us, vs):
-    m = us.shape[0]
-    sq_uv = np.zeros(m, dtype=np.int64)
-    sq_vu = np.zeros(m, dtype=np.int64)
-    gamma = np.zeros(m, dtype=np.int64)
-    for e in range(m):
-        u, v = us[e], vs[e]
-        cu, bu = _square_side(indptr, indices, u, v)
-        cv, bv = _square_side(indptr, indices, v, u)
-        sq_uv[e] = cu
-        sq_vu[e] = cv
-        gamma[e] = max(bu, bv)
-    return sq_uv, sq_vu, gamma
-
-
-@njit(cache=True)
-def _balanced_forman_impl(indptr, indices, us, vs):
-    m = us.shape[0]
-    ric = np.zeros(m, dtype=np.float64)
-    tri = _edge_triangles_impl(indptr, indices, us, vs)
-    sq_uv, sq_vu, gamma = _edge_square_profile_impl(indptr, indices, us, vs)
-    for e in range(m):
-        u, v = us[e], vs[e]
-        du = indptr[u + 1] - indptr[u]
-        dv = indptr[v + 1] - indptr[v]
-        dmax = max(du, dv)
-        dmin = min(du, dv)
-        r = 2.0 / du + 2.0 / dv - 2.0
-        r += 2.0 * tri[e] / dmax + tri[e] / dmin
-        if gamma[e] > 0:
-            r += (sq_uv[e] + sq_vu[e]) / (gamma[e] * dmax)
-        ric[e] = r
-    return ric, tri, sq_uv, sq_vu, gamma
-
-
-def _as_arrays(indptr, indices, us, vs):
-    return (np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
-            np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-
-
-def edge_triangles(indptr, indices, us, vs):
-    return _edge_triangles_impl(*_as_arrays(indptr, indices, us, vs))
-
-
-def edge_square_profile(indptr, indices, us, vs):
-    return _edge_square_profile_impl(*_as_arrays(indptr, indices, us, vs))
+def curvature_terms(du, dv, tri, sq_uv, sq_vu, gamma):
+    """(tree, triangle, square) terms of the balanced Forman curvature;
+    their sum, added left to right, is the curvature."""
+    dmax = np.maximum(du, dv)
+    dmin = np.minimum(du, dv)
+    tree = 2.0 / du + 2.0 / dv - 2.0
+    triangle = 2.0 * tri / dmax + tri / dmin
+    square = np.divide(sq_uv + sq_vu, gamma * dmax,
+                       out=np.zeros(np.shape(gamma)), where=gamma > 0)
+    return tree, triangle, square
 
 
 def balanced_forman_edges(indptr, indices, us, vs):
-    """(ric, tri, sq_uv, sq_vu, gamma_max) for each edge; gamma_max = 0 means
-    no 4-cycles (square term contributed 0)."""
-    return _balanced_forman_impl(*_as_arrays(indptr, indices, us, vs))
+    """(ric, tri, sq_uv, sq_vu, gamma) for each edge (us[i], vs[i])."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    n, m = indptr.size - 1, us.size
+    if m == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return np.zeros(0), none, none, none, none
+    a = sp.csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr),
+                      shape=(n, n))
+    near, far = np.concatenate([us, vs]), np.concatenate([vs, us])
+    n_near, n_far = a[near], a[far]
+    common = n_near.multiply(n_far)
+    far_itself = sp.csr_matrix(
+        (np.ones(2 * m, dtype=np.int64), far, np.arange(2 * m + 1)),
+        shape=(2 * m, n))
+    wedges = n_near - common - far_itself       # N(near) \ N[far]
+    c = ((n_far - common) @ a).multiply(wedges)
+    c.data -= 1                                  # k = near closes no cycle
+    c.eliminate_zeros()
+    count = c.getnnz(axis=1).astype(np.int64)
+    best = c.max(axis=1).toarray().reshape(2 * m)
+    tri = common.getnnz(axis=1)[:m].astype(np.int64)
+    sq_uv, sq_vu = count[:m], count[m:]
+    gamma = np.maximum(best[:m], best[m:])
+    deg = np.diff(indptr)
+    tree, triangle, square = curvature_terms(deg[us], deg[vs], tri, sq_uv,
+                                             sq_vu, gamma)
+    return tree + triangle + square, tri, sq_uv, sq_vu, gamma
 
 
 def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "scipy.sparse"

@@ -39,7 +39,6 @@ class RewireConfig:
     removal_enabled: bool = False      # sdrf edge removal (untuned)
     removal_bound: float = 0.5
     diffusion_norm: Normalization = Normalization.RW
-    full_recompute: bool = False       # sdrf debug mode: recompute all curvatures
     budget_seconds: float | None = None
 
     def validate(self) -> None:
@@ -128,8 +127,9 @@ def _local_square_side(adj, u, v):
 
 
 def local_balanced_forman(adj: list[set], u: int, v: int) -> float:
-    """Balanced Forman curvature from set-adjacency; must agree with the
-    CSR kernels (tested)."""
+    """Balanced Forman curvature of one edge from set-adjacency, for graphs
+    that SDRF edits in place; agrees with kernels.balanced_forman_edges on a
+    frozen graph to 1e-12 (tested)."""
     du, dv = len(adj[u]), len(adj[v])
     dmax, dmin = max(du, dv), min(du, dv)
     tri = len(adj[u] & adj[v])
@@ -181,8 +181,6 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
             break
         if deadline is not None and _now() > deadline:
             raise BudgetExceeded(f"sdrf exceeded {config.budget_seconds}s")
-        if config.full_recompute:
-            ric = {e: local_balanced_forman(adj, *e) for e in edges}
         vals = np.array([ric[e] for e in edges])
         w = np.exp(-vals / tau - np.max(-vals / tau))
         probs = w / w.sum()

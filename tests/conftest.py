@@ -1,8 +1,9 @@
 """Shared graph builders and independent brute-force oracles.
 
-The oracles here deliberately avoid the package's CSR kernels: curvature and
-cycle counts come from dense adjacency scans, effective resistance checks from
-series/parallel closed forms, eigen-quantities from dense eigendecompositions.
+The oracles here deliberately avoid the package's curvature engine
+(`rewirebench.kernels`): curvature and cycle counts come from dense adjacency
+scans, effective resistance checks from series/parallel closed forms,
+eigen-quantities from dense eigendecompositions.
 """
 
 import numpy as np

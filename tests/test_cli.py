@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from rewirebench import cli
 from rewirebench.cli import main
 
 from test_datasets import write_canonical
@@ -106,6 +108,33 @@ class TestRun:
                      "--grid", "tiny", "--jobs", "1", "--budget-seconds", "0",
                      "--out", str(out)]) == 3
         assert "OOR" in (out / "summary.txt").read_text()
+
+    def test_baseline_oor_after_method_run_exits_3(self, node_dataset, tmp_path,
+                                                    monkeypatch):
+        real = cli.model_select
+        calls = []
+
+        def second_call_oor(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(report)
+            if len(calls) == 2:   # the baseline: keep two finished folds
+                report.folds = report.folds[:2]
+                report.oor = True
+                report.finalize()
+            return report
+
+        monkeypatch.setattr(cli, "model_select", second_call_oor)
+        out = tmp_path / "run"
+        assert main(["run", "--dataset", node_dataset, "--model", "sgc",
+                     "--rewire", "pagerank", "--grid", "tiny", "--jobs", "1",
+                     "--out", str(out)]) == 3
+        assert len(calls) == 2
+        rows = (out / "baseline_report.csv").read_text().strip().splitlines()
+        assert len(rows) == 3  # header + 2 finished folds
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[0] == f"baseline  sgc  {os.path.basename(node_dataset)}  OOR"
+        assert summary[1].startswith("pagerank  sgc")
+        assert not any("significance" in line for line in summary)
 
     def test_report_deterministic_across_runs(self, node_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

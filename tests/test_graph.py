@@ -120,12 +120,13 @@ class TestLocalCounts:
             for _ in range(10):
                 g = random_graph(10, p, rng)
                 a = g.adjacency().toarray()
-                for u, v in g.edges:
-                    assert triangle_count(g, (u, v)) == brute_triangles(a, u, v)
-                    suv, svu, gm = four_cycle_profile(g, (u, v))
-                    bs_uv, bs_vu, bg = brute_square_profile(a, u, v)
-                    assert (suv, svu) == (bs_uv, bs_vu)
-                    assert gm == (bg if bg > 0 else 1.0)
+                for e in g.edges:
+                    for u, v in (e, e[::-1]):
+                        assert triangle_count(g, (u, v)) == brute_triangles(a, u, v)
+                        suv, svu, gm = four_cycle_profile(g, (u, v))
+                        bs_uv, bs_vu, bg = brute_square_profile(a, u, v)
+                        assert (suv, svu) == (bs_uv, bs_vu)
+                        assert gm == (bg if bg > 0 else 1.0)
 
 
 class TestStats:

@@ -1,66 +1,45 @@
-"""Backend parity: the numba kernels and the pure-python fallback must agree,
-and both must agree with the mutable set-adjacency curvature used inside SDRF."""
+"""The vectorized all-edge curvature engine against the dense brute-force
+oracles, and against the mutable set-adjacency curvature used inside SDRF.
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+One engine call covers every edge of a graph at once, so the cases include
+graphs where a batched wedge scatter could misalign: a single edge, a star
+with isolated nodes, a path and the 4-regular Cayley graphs."""
 
 import numpy as np
 import pytest
 
-import rewirebench
-from rewirebench import kernels
+from rewirebench import build_graph, cayley_graph, kernels
 from rewirebench.rewiring import _adj_sets, local_balanced_forman
 
-from conftest import random_graph
+from conftest import (brute_balanced_forman, brute_square_profile,
+                      brute_triangles, path_graph, random_graph)
 
 
-def _all_edge_curvatures(g):
-    a = g.adjacency()
-    us = g.edges[:, 0].astype(np.int64)
-    vs = g.edges[:, 1].astype(np.int64)
-    return kernels.balanced_forman_edges(a.indptr, a.indices, us, vs)
+def _cases(rng):
+    yield path_graph(2)
+    yield build_graph([(0, k) for k in range(1, 6)], np.zeros((9, 1)))
+    yield path_graph(7)
+    for n in (3, 4, 5):
+        yield cayley_graph(n)
+    for _ in range(20):
+        yield random_graph(12, 0.4, rng)
 
 
 def test_local_curvature_matches_kernel(rng):
-    for _ in range(20):
-        g = random_graph(12, 0.4, rng)
+    for g in _cases(rng):
         if g.num_edges == 0:
             continue
+        a = g.adjacency()
+        ric, tri, sq_uv, sq_vu, gamma = kernels.balanced_forman_edges(
+            a.indptr, a.indices, g.edges[:, 0], g.edges[:, 1])
+        dense = a.toarray()
         adj = _adj_sets(g)
-        ric = _all_edge_curvatures(g)[0]
-        for (u, v), r in zip(g.edges, ric):
-            assert local_balanced_forman(adj, int(u), int(v)) == pytest.approx(
-                r, abs=1e-12)
-
-
-def test_numpy_fallback_matches_numba(tmp_path, rng):
-    """Run the same computation in a subprocess with the pure-python fallback
-    (REWIREBENCH_NO_NUMBA=1) and compare it byte-for-byte with the numba
-    backend in this process. Needs numba: without it both sides would run the
-    fallback. The child imports the same source tree as the parent, whether
-    or not the package is installed."""
-    pytest.importorskip("numba")
-    g = random_graph(25, 0.3, rng)
-    out = tmp_path / "ric.npy"
-    script = (
-        "import numpy as np\n"
-        "from rewirebench import build_graph, kernels\n"
-        f"edges = {[tuple(map(int, e)) for e in g.edges]}\n"
-        f"g = build_graph(edges, np.zeros(({g.num_nodes}, 1)))\n"
-        "a = g.adjacency()\n"
-        "us = g.edges[:, 0].astype(np.int64); vs = g.edges[:, 1].astype(np.int64)\n"
-        "ric, tri, suv, svu, gam = kernels.balanced_forman_edges("
-        "a.indptr, a.indices, us, vs)\n"
-        "assert kernels.backend() == 'numpy', kernels.backend()\n"
-        f"np.save({str(out)!r}, np.stack([ric, tri, suv, svu, gam]))\n"
-    )
-    package_root = str(Path(rewirebench.__file__).resolve().parent.parent)
-    env = dict(os.environ, REWIREBENCH_NO_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
-    fallback = np.load(out)
-    ric, tri, suv, svu, gam = _all_edge_curvatures(g)
-    assert np.array_equal(fallback, np.stack([ric, tri, suv, svu, gam]))
+        for i, (u, v) in enumerate(g.edges):
+            u, v = int(u), int(v)
+            assert tri[i] == brute_triangles(dense, u, v)
+            assert (sq_uv[i], sq_vu[i], gamma[i]) == brute_square_profile(
+                dense, u, v)
+            assert ric[i] == pytest.approx(brute_balanced_forman(dense, u, v),
+                                           abs=1e-12)
+            assert local_balanced_forman(adj, u, v) == pytest.approx(
+                ric[i], abs=1e-12)
