@@ -334,8 +334,7 @@ def _gesn_node_embeddings(graph: Graph, operator, space: SearchSpace,
 
 
 def _graph_task_embeddings(task: GraphTask, rconfig: RewireConfig,
-                           space: SearchSpace, seed: int, budget: _Budget,
-                           jobs: int = 1):
+                           space: SearchSpace, seed: int, budget: _Budget):
     """Pooled per-graph embeddings for the GESN grid on a collection."""
     rewired = []
     for gi, g in enumerate(task.graphs):
@@ -448,5 +447,4 @@ def _all_embeddings(task, model: str, rconfig: RewireConfig,
     else:
         if model != "gesn":
             raise InputError(f"model {model!r} not available for graph tasks")
-        yield from _graph_task_embeddings(task, rconfig, space, seed, budget,
-                                          jobs)
+        yield from _graph_task_embeddings(task, rconfig, space, seed, budget)

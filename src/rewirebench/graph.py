@@ -6,12 +6,12 @@ report directed counts (2 * |E|) to match the usual benchmark convention.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import kernels
 from .errors import InputError
@@ -242,48 +242,29 @@ def edge_homophily(g: Graph) -> float:
 
 
 def connected_components(g: Graph) -> np.ndarray:
-    """Component id per node (BFS order of discovery)."""
-    comp = np.full(g.num_nodes, -1, dtype=np.int64)
-    cid = 0
-    for s in range(g.num_nodes):
-        if comp[s] >= 0:
-            continue
-        comp[s] = cid
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for y in g.neighbors(x):
-                if comp[y] < 0:
-                    comp[y] = cid
-                    q.append(y)
-        cid += 1
-    return comp
+    """Component id per node, numbered in the order of each component's lowest node."""
+    _, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    return labels.astype(np.int64)
 
 
-def _bfs_ecc(g: Graph, source: int, mask: np.ndarray) -> int:
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    far = 0
-    while q:
-        x = q.popleft()
-        for y in g.neighbors(x):
-            if mask[y] and dist[y] < 0:
-                dist[y] = dist[x] + 1
-                far = max(far, dist[y])
-                q.append(y)
-    return far
+# source rows per shortest-path call: memory stays at _SOURCE_BLOCK * n distances
+_SOURCE_BLOCK = 256
 
 
 def diameter(g: Graph) -> int:
-    """Exact diameter of the largest connected component (BFS from every node)."""
+    """Exact diameter of the largest connected component (lowest id on a tie)."""
     if g.num_nodes == 0:
         return 0
     comp = connected_components(g)
-    largest = np.argmax(np.bincount(comp))
-    mask = comp == largest
-    nodes = np.flatnonzero(mask)
-    return max(_bfs_ecc(g, int(s), mask) for s in nodes)
+    nodes = np.flatnonzero(comp == np.argmax(np.bincount(comp)))
+    a = g.adjacency()[nodes][:, nodes]
+    far = 0
+    for start in range(0, len(nodes), _SOURCE_BLOCK):
+        block = np.arange(start, min(start + _SOURCE_BLOCK, len(nodes)))
+        dist = csgraph.shortest_path(a, method="D", directed=False,
+                                     unweighted=True, indices=block)
+        far = max(far, int(dist.max()))
+    return far
 
 
 def dataset_stats(data: Graph | list[Graph]) -> DatasetStats:

@@ -58,9 +58,8 @@ class RewireConfig:
         return max(1, int(round(self.iteration_fraction * num_edges)))
 
     def deadline(self) -> float | None:
-        import time
         return None if self.budget_seconds is None else (
-            time.monotonic() + self.budget_seconds)
+            _now() + self.budget_seconds)
 
 
 @dataclass

@@ -30,14 +30,6 @@ class SpectralRadiusResult:
         return self.value
 
 
-@dataclass
-class SpectralReport:
-    spectral_radius: float
-    spectral_gap: float
-    laplacian: str
-    zero_multiplicity: int
-
-
 def spectral_radius(m, tol: float = 1e-10, max_iter: int = 2000,
                     seed: int = 0, dense_fallback: bool = True) -> SpectralRadiusResult:
     """|lambda_max| by power iteration with a deterministic seeded start.
@@ -127,18 +119,6 @@ def zero_eigenvalue_multiplicity(g: Graph,
     vals = _laplacian_sym_spectrum(g, Normalization(laplacian))
     thresh = zero_tol * max(1.0, float(np.max(np.abs(vals))))
     return int(np.sum(np.abs(vals) <= thresh))
-
-
-def spectral_report(g: Graph,
-                    laplacian: Normalization | str = Normalization.SYM) -> SpectralReport:
-    laplacian = Normalization(laplacian)
-    a = shift_operator(g, OperatorKind.ADJACENCY, Normalization.NONE).matrix
-    return SpectralReport(
-        spectral_radius=float(spectral_radius(a)),
-        spectral_gap=spectral_gap(g, laplacian),
-        laplacian=laplacian.value,
-        zero_multiplicity=zero_eigenvalue_multiplicity(g, laplacian),
-    )
 
 
 def laplacian_pseudoinverse(g: Graph, cutoff: float = 1e-9) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the package's curvature engine
 (`rewirebench.kernels`): curvature and cycle counts come from dense adjacency
-scans, effective resistance checks from series/parallel closed forms,
-eigen-quantities from dense eigendecompositions.
+scans, hop distances from Floyd-Warshall, effective resistance checks from
+series/parallel closed forms, eigen-quantities from dense eigendecompositions.
 """
 
 import numpy as np
@@ -79,6 +79,39 @@ def brute_balanced_forman(a, u, v):
     if gamma > 0:
         ric += (sq_uv + sq_vu) / (gamma * dmax)
     return ric
+
+
+# ---------------------------------------------------------------------------
+# brute-force hop-distance oracle (Floyd-Warshall on the dense adjacency)
+
+def brute_hop_distances(a):
+    """All-pairs hop distances of a dense 0/1 adjacency; inf across components."""
+    d = np.where(a > 0, 1.0, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(a.shape[0]):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return d
+
+
+def brute_components(dist):
+    """Component ids numbered in the order of each component's lowest node."""
+    comp = np.full(dist.shape[0], -1, dtype=np.int64)
+    cid = 0
+    for s in range(dist.shape[0]):
+        if comp[s] < 0:
+            comp[np.isfinite(dist[s])] = cid
+            cid += 1
+    return comp
+
+
+def brute_diameter(dist):
+    """Largest hop distance within the largest component (lowest id on a tie)."""
+    if dist.shape[0] == 0:
+        return 0
+    comp = brute_components(dist)
+    sizes = [np.sum(comp == c) for c in range(comp.max() + 1)]
+    mask = comp == sizes.index(max(sizes))
+    return int(dist[np.ix_(mask, mask)].max())
 
 
 @pytest.fixture

@@ -21,8 +21,7 @@ from rewirebench import (NodeTask, RewireConfig, SearchSpace, balanced_forman,
                          ridge_fit, sgc_embed, spectral_gap, spectral_radius)
 from rewirebench.cli import main as cli_main
 from rewirebench.curvature import edge_curvatures
-from rewirebench.graph import (Normalization, OperatorKind, connected_components,
-                               shift_operator)
+from rewirebench.graph import Normalization, OperatorKind, shift_operator
 from rewirebench.models import one_hot
 
 from conftest import (brute_balanced_forman, brute_square_profile,

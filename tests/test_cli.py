@@ -68,6 +68,16 @@ class TestRewire:
         assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",
                      "--t", "50", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("method", ["sdrf", "grlef"])
+    def test_budget_zero_writes_oor(self, node_dataset, tmp_path, capsys,
+                                    method):
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire", method,
+                     "--budget-seconds", "0", "--out", str(out)]) == 3
+        assert f"method {method} exceeded" in (out / "OOR").read_text()
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not (out / "rewired_edges.tsv").exists()
+
     def test_rewire_deterministic_artifacts(self, node_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from rewirebench import (InputError, Normalization, OperatorKind, build_graph,
                          dataset_stats, edge_homophily, four_cycle_profile,
                          shift_operator, triangle_count)
-from rewirebench.graph import diameter
+from rewirebench.graph import connected_components, diameter
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
+                      brute_components, brute_diameter, brute_hop_distances,
                       brute_triangles, brute_square_profile)
 
 
@@ -149,6 +151,53 @@ class TestStats:
     def test_diameter_largest_component(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (4, 5)], np.zeros((6, 1)))
         assert diameter(g) == 3
+
+    @staticmethod
+    def _oracle_graphs():
+        rng = np.random.default_rng(7)
+        yield build_graph([], np.zeros((0, 1)))
+        yield build_graph([], np.zeros((1, 1)))
+        yield build_graph([], np.zeros((3, 1)))
+        for i in range(20):
+            n = int(rng.integers(2, 301))
+            # mean degree from about 0.5 (many components) to about 6
+            yield random_graph(n, (0.5 + 0.3 * i) / n, rng, features=1)
+        yield path_graph(300)
+
+    def test_components_and_diameter_match_oracle(self):
+        seen_disconnected = False
+        for g in self._oracle_graphs():
+            dist = brute_hop_distances(g.adjacency().toarray())
+            comp = connected_components(g)
+            assert comp.dtype == np.int64
+            np.testing.assert_array_equal(comp, brute_components(dist))
+            assert diameter(g) == brute_diameter(dist)
+            seen_disconnected |= g.num_nodes > 1 and comp.max() > 0
+        assert seen_disconnected
+
+    def test_diameter_crosses_source_block(self, monkeypatch):
+        # a 300-node path 299-0-1-...-298: both ends lie past source row 256
+        edges = [(299, 0)] + [(i, i + 1) for i in range(298)]
+        g = build_graph(edges, np.zeros((300, 1)))
+        rows = []
+        real = csgraph.shortest_path
+
+        def recording(*args, indices, **kwargs):
+            rows.append(len(indices))
+            return real(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", recording)
+        assert diameter(g) == 299
+        assert rows == [256, 44]
+
+    @pytest.mark.parametrize("edges, expected", [
+        ([(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)], 3),  # path + star
+        ([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7)], 2),  # star + path
+    ])
+    def test_diameter_size_tie_takes_lowest_component(self, edges, expected):
+        g = build_graph(edges, np.zeros((8, 1)))
+        dist = brute_hop_distances(g.adjacency().toarray())
+        assert diameter(g) == expected == brute_diameter(dist)
 
     def test_single_graph_stats(self):
         g = build_graph([(0, 1), (1, 2)], np.zeros((3, 2)), [0, 1, 1])
