@@ -55,6 +55,8 @@ def _load_task(path: str, fmt: str):
                 metric = "auroc"   # unbalanced binary node task
         return NodeTask(graph=data, metric=metric, name=name)
     graphs, labels = data
+    if labels is None:
+        raise InputError(f"graph collection {path} has no labels")
     return GraphTask(graphs=graphs, labels=labels, name=name)
 
 
@@ -124,11 +126,11 @@ def cmd_rewire(args) -> int:
     write_edit_log(rewired.edit_log, os.path.join(args.out, "edit_log.tsv"))
     artifacts.append("edit_log.tsv")
 
-    write_histogram_csv(curvature_distribution(g),
-                        os.path.join(args.out, "curvature_before.csv"))
-    write_histogram_csv(curvature_distribution(rewired.graph),
-                        os.path.join(args.out, "curvature_after.csv"))
-    delta = curvature_delta(g, rewired.graph)
+    before = curvature_distribution(g)
+    after = curvature_distribution(rewired.graph)
+    write_histogram_csv(before, os.path.join(args.out, "curvature_before.csv"))
+    write_histogram_csv(after, os.path.join(args.out, "curvature_after.csv"))
+    delta = curvature_delta(g, rewired.graph, before.values, after.values)
     write_delta_csv(delta, os.path.join(args.out, "curvature_delta.csv"))
     artifacts += ["curvature_before.csv", "curvature_after.csv",
                   "curvature_delta.csv"]
@@ -259,6 +261,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise InputError("--config needs a file path")
     path = argv[i + 1]
     defaults = {}
     try:
@@ -273,11 +277,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     parser.set_defaults(**defaults)
     # subparser argument defaults shadow the top-level ones, so push the
-    # config values down to every subcommand as well
+    # config values down to every subcommand as well; argparse converts a
+    # string default with the flag's type but never checks it against choices
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 sub.set_defaults(**defaults)
+                for opt in sub._actions:
+                    if opt.choices and opt.default not in opt.choices:
+                        raise InputError(f"config file {path}: {opt.dest}="
+                                         f"{opt.default!r} is not one of "
+                                         f"{list(opt.choices)}")
     return argv
 
 
@@ -288,12 +298,6 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        # config-file values arrive as strings; coerce the numeric ones
-        for field_name, typ in (("seed", int), ("jobs", int), ("t", float),
-                                ("alpha", float), ("fraction", float),
-                                ("tau", float), ("budget_seconds", float)):
-            if hasattr(args, field_name):
-                setattr(args, field_name, typ(getattr(args, field_name)))
         if args.command == "stats":
             return cmd_stats(args)
         if args.command == "rewire":

@@ -90,8 +90,10 @@ class CurvatureDelta:
         return self.after - self.before
 
 
-def curvature_delta(g_before: Graph, g_after: Graph) -> CurvatureDelta:
-    """Per-edge (before, after) curvature pairs on the common edge set."""
+def curvature_delta(g_before: Graph, g_after: Graph, vb: np.ndarray,
+                    va: np.ndarray) -> CurvatureDelta:
+    """Per-edge (before, after) curvature pairs on the common edge set, from
+    each graph's edge_curvatures (vb, va)."""
     if g_before.num_nodes != g_after.num_nodes:
         raise InputError("graphs must share the same node set")
     eb = {tuple(e) for e in g_before.edges}
@@ -102,8 +104,6 @@ def curvature_delta(g_before: Graph, g_after: Graph) -> CurvatureDelta:
         return CurvatureDelta(np.zeros((0, 2), dtype=np.int64), z, z, 0, 0)
     idx_b = {tuple(e): i for i, e in enumerate(g_before.edges)}
     idx_a = {tuple(e): i for i, e in enumerate(g_after.edges)}
-    vb = edge_curvatures(g_before)
-    va = edge_curvatures(g_after)
     before = np.array([vb[idx_b[e]] for e in common])
     after = np.array([va[idx_a[e]] for e in common])
     delta = after - before

@@ -80,8 +80,17 @@ def load_canonical(path: str):
 
     gids = _read_ints(gid_path)
     glab_path = os.path.join(path, "graph_labels.csv")
-    graph_labels = _read_ints(glab_path) if os.path.exists(glab_path) else None
+    graph_labels = None
+    if os.path.exists(glab_path):
+        graph_labels = _read_ints(glab_path)
+        _check_label_count(graph_labels, np.unique(gids).shape[0], glab_path)
     return _split_collection(edges, features, labels, gids, graph_labels, name)
+
+
+def _check_label_count(graph_labels, num_graphs: int, path) -> None:
+    if graph_labels.shape[0] != num_graphs:
+        raise InputError(f"{path} has {graph_labels.shape[0]} labels for "
+                         f"{num_graphs} graphs")
 
 
 def _split_collection(edges, features, node_labels, gids, graph_labels, name):
@@ -118,6 +127,8 @@ def load_tudataset(path: str, name: str | None = None):
     edges_1b = _read_int_pairs(f("A"))
     indicator = _read_ints(f("graph_indicator"))
     graph_labels = _read_ints(f("graph_labels"))
+    uniq = np.unique(indicator)
+    _check_label_count(graph_labels, uniq.shape[0], f("graph_labels"))
     num_nodes = indicator.shape[0]
 
     node_label_path = f("node_labels")
@@ -129,7 +140,6 @@ def load_tudataset(path: str, name: str | None = None):
     else:
         features = np.zeros((num_nodes, 0))
 
-    uniq = np.unique(indicator)
     graphs = []
     for gi in uniq:
         nodes = np.flatnonzero(indicator == gi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.stats
@@ -306,62 +306,43 @@ def _sgc_embeddings(graph: Graph, operator, space: SearchSpace, budget: _Budget)
                 yield {"operator": name, "hops": hop}, h
 
 
-def _gesn_node_embeddings(graph: Graph, operator, space: SearchSpace,
-                          seed: int, budget: _Budget, jobs: int = 1):
-    if operator is None:
-        operator = shift_operator(graph, OperatorKind.ADJACENCY,
-                                  Normalization.NONE).matrix
-    rho_m = float(spectral_radius(operator, seed=seed))
-    rho_m = rho_m if rho_m > 0 else 1.0
-    x = input_features(graph.features)
+def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
+                     budget: _Budget, jobs: int, pooling: tuple | None = None):
+    """Yield ({config}, embeddings) for the GESN grid over rewired graphs.
+
+    ρ(M) is measured once per graph and the reservoir drawn once per hidden
+    size; a config only rescales that draw. A node task (one graph, no
+    `pooling`) gets node embeddings, a graph task one row per graph and mode.
+    """
+    graphs = []
+    for rw in rewired:
+        op = rw.operator
+        if op is None:
+            op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
+                                Normalization.NONE).matrix
+        rho_m = float(spectral_radius(op, seed=seed))
+        graphs.append((op, rho_m if rho_m > 0 else 1.0,
+                       input_features(rw.graph.features)))
+    draws = {h: gesn_init(graphs[0][2].shape[1], h, 1.0, 1.0, seed=seed)
+             for h in space.gesn_hidden}
     configs = [(h, s, r) for h in space.gesn_hidden
                for s in space.gesn_input_scaling for r in space.gesn_rho]
 
     def compute(cfg):
-        h, s, r = cfg
-        params = gesn_init(x.shape[1], h, s, r / rho_m, seed=seed)
-        return gesn_embed(operator, x, params)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            embs = list(ex.map(compute, configs))
-    else:
-        embs = [compute(c) for c in configs]
-    for cfg, emb in zip(configs, embs):
         budget.check()
         h, s, r = cfg
-        yield {"hidden": h, "input_scaling": s, "rho": r}, emb
+        embs = [gesn_embed(op, x, replace(draws[h], input_scaling=s,
+                                          target_rho=r / rho_m))
+                for op, rho_m, x in graphs]
+        base = {"hidden": h, "input_scaling": s, "rho": r}
+        if pooling is None:
+            return [(base, embs[0])]
+        return [({**base, "pooling": p}, np.stack([pool(e, p) for e in embs]))
+                for p in pooling]
 
-
-def _graph_task_embeddings(task: GraphTask, rconfig: RewireConfig,
-                           space: SearchSpace, seed: int, budget: _Budget):
-    """Pooled per-graph embeddings for the GESN grid on a collection."""
-    rewired = []
-    for gi, g in enumerate(task.graphs):
-        budget.check()
-        cfg_i = RewireConfig(**{**rconfig.__dict__,
-                                "seed": rconfig.seed + 104729 * gi})
-        rewired.append(apply_rewiring(g, cfg_i))
-    x_dim = max(1, task.graphs[0].features.shape[1])
-    configs = [(h, s, r) for h in space.gesn_hidden
-               for s in space.gesn_input_scaling for r in space.gesn_rho]
-    for h, s, r in configs:
-        budget.check()
-        pooled: dict[str, list] = {p: [] for p in space.pooling}
-        for rw in rewired:
-            op = rw.operator
-            if op is None:
-                op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
-                                    Normalization.NONE).matrix
-            rho_m = float(spectral_radius(op, seed=seed))
-            rho_m = rho_m if rho_m > 0 else 1.0
-            params = gesn_init(x_dim, h, s, r / rho_m, seed=seed)
-            emb = gesn_embed(op, input_features(rw.graph.features), params)
-            for p in space.pooling:
-                pooled[p].append(pool(emb, p))
-        for p in space.pooling:
-            yield ({"hidden": h, "input_scaling": s, "rho": r, "pooling": p},
-                   np.stack(pooled[p]))
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
+        for out in ex.map(compute, configs):
+            yield from out
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +421,16 @@ def _all_embeddings(task, model: str, rconfig: RewireConfig,
             yield from _sgc_embeddings(rewired.graph, rewired.operator, space,
                                        budget)
         elif model == "gesn":
-            yield from _gesn_node_embeddings(rewired.graph, rewired.operator,
-                                             space, seed, budget, jobs)
+            yield from _gesn_embeddings([rewired], space, seed, budget, jobs)
         else:
             raise InputError(f"unknown model {model!r}")
     else:
         if model != "gesn":
             raise InputError(f"model {model!r} not available for graph tasks")
-        yield from _graph_task_embeddings(task, rconfig, space, seed, budget)
+        rewired = []
+        for gi, g in enumerate(task.graphs):
+            budget.check()
+            rewired.append(apply_rewiring(
+                g, replace(rconfig, seed=rconfig.seed + 104729 * gi)))
+        yield from _gesn_embeddings(rewired, space, seed, budget, jobs,
+                                    space.pooling)

@@ -42,40 +42,54 @@ def sgc_embed(m, x: np.ndarray, hops: int) -> np.ndarray:
 
 @dataclass
 class ReservoirParams:
-    w_in: np.ndarray        # H x X
-    w_hat: np.ndarray       # H x H, rescaled to the target spectral radius
-    bias: np.ndarray        # H
+    """One reservoir draw; a config rescales it with dataclasses.replace."""
+
+    unit_in: np.ndarray     # H x X, uniform in [-1, 1]
+    w_raw: np.ndarray       # H x H, uniform in [-1, 1]
+    unit_bias: np.ndarray   # H, uniform in [-1, 1]
+    rho_raw: float          # spectral radius of w_raw
     input_scaling: float
     target_rho: float
     seed: int
     iterations: int = 30
 
+    @property
+    def w_in(self) -> np.ndarray:
+        return self.unit_in * self.input_scaling
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.unit_bias * self.input_scaling
+
+    @property
+    def w_hat(self) -> np.ndarray:   # w_raw at the target spectral radius
+        if self.target_rho == 0.0:
+            return np.zeros_like(self.w_raw)
+        return self.w_raw * (self.target_rho / self.rho_raw)
+
 
 def gesn_init(x_dim: int, hidden: int, input_scaling: float, target_rho: float,
               seed: int, iterations: int = 30) -> ReservoirParams:
-    """Draw reservoir weights uniform in [-1, 1] and rescale the recurrent
-    matrix to the requested spectral radius (power iteration estimate with
-    exact fallback)."""
+    """Draw reservoir weights uniform in [-1, 1] and measure the recurrent
+    matrix's spectral radius (power iteration estimate with exact fallback),
+    so that w_hat has the requested one."""
     rng = np.random.default_rng(seed)
-    w_in = rng.uniform(-1.0, 1.0, size=(hidden, x_dim)) * input_scaling
+    unit_in = rng.uniform(-1.0, 1.0, size=(hidden, x_dim))
     w_raw = rng.uniform(-1.0, 1.0, size=(hidden, hidden))
-    bias = rng.uniform(-1.0, 1.0, size=hidden) * input_scaling
-    if target_rho == 0.0:
-        w_hat = np.zeros_like(w_raw)
-    else:
-        rho_raw = spectral_radius(w_raw, tol=1e-12, max_iter=5000, seed=seed)
-        rho_val = float(rho_raw)
-        attempt = 0
-        while rho_val == 0.0 and attempt < 8:  # measure-zero redraw
-            attempt += 1
-            w_raw = np.random.default_rng(seed + 7919 * attempt).uniform(
-                -1.0, 1.0, size=(hidden, hidden))
-            rho_val = float(spectral_radius(w_raw, tol=1e-12, max_iter=5000,
-                                            seed=seed))
-        w_hat = w_raw * (target_rho / rho_val)
-    return ReservoirParams(w_in=w_in, w_hat=w_hat, bias=bias,
-                           input_scaling=input_scaling, target_rho=target_rho,
-                           seed=seed, iterations=iterations)
+    unit_bias = rng.uniform(-1.0, 1.0, size=hidden)
+    rho_raw = float(spectral_radius(w_raw, tol=1e-12, max_iter=5000,
+                                    seed=seed))
+    attempt = 0
+    while rho_raw == 0.0 and attempt < 8:  # measure-zero redraw
+        attempt += 1
+        w_raw = np.random.default_rng(seed + 7919 * attempt).uniform(
+            -1.0, 1.0, size=(hidden, hidden))
+        rho_raw = float(spectral_radius(w_raw, tol=1e-12, max_iter=5000,
+                                        seed=seed))
+    return ReservoirParams(unit_in=unit_in, w_raw=w_raw, unit_bias=unit_bias,
+                           rho_raw=rho_raw, input_scaling=input_scaling,
+                           target_rho=target_rho, seed=seed,
+                           iterations=iterations)
 
 
 def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
@@ -86,15 +100,14 @@ def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     """
     mat = _as_operator(m)
     x = input_features(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    h_dim = params.w_in.shape[0]
     drive = params.w_in @ x.T + params.bias[:, None]   # H x N
-    h = np.zeros((h_dim, n))
+    w_hat = params.w_hat
+    h = np.zeros_like(drive)
     if not sp.issparse(mat):
         mat = np.asarray(mat, dtype=np.float64)
     for _ in range(params.iterations):
         # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu
-        h = np.tanh(drive + (mat @ (params.w_hat @ h).T).T)
+        h = np.tanh(drive + (mat @ (w_hat @ h).T).T)
     return h.T
 
 

@@ -237,11 +237,12 @@ def test_criterion_09_desk_scale_end_to_end():
 def test_criterion_10_curvature_delta_direction():
     task = _cora_task()
     g = task.graph
+    vg = edge_curvatures(g)
     votes = 0
     for seed in range(10):
         cfg = RewireConfig(method="sdrf", iteration_fraction=0.2, seed=seed)
         out = rewire_sdrf(g, cfg)
-        d = curvature_delta(g, out.graph)
+        d = curvature_delta(g, out.graph, vg, edge_curvatures(out.graph))
         frac_neg = np.mean(d.delta < 0)
         if frac_neg > 0.5:
             votes += 1

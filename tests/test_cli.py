@@ -28,6 +28,23 @@ def node_dataset(tmp_path):
     return str(d)
 
 
+@pytest.fixture
+def unlabeled_collection(tmp_path):
+    """Two graphs with a graph id per node and no labels of any kind."""
+    d = tmp_path / "coll"
+    write_canonical(d, [(0, 1), (1, 2), (3, 4), (4, 5)], np.ones((6, 1)),
+                    graph_ids=[0, 0, 0, 1, 1, 1])
+    return str(d)
+
+
+def exit_code(argv):
+    """The process exit code of `rewirebench argv`; argparse exits itself."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestStats:
     def test_prints_table_and_writes_csv(self, node_dataset, tmp_path, capsys):
         out = tmp_path / "stats_out"
@@ -39,6 +56,10 @@ class TestStats:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "stats.csv" in manifest["artifacts"]
         assert len(manifest["config_hash"]) == 16
+
+    def test_unlabeled_collection(self, unlabeled_collection, capsys):
+        assert main(["stats", "--dataset", unlabeled_collection]) == 0
+        assert "graphs           2" in capsys.readouterr().out
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["stats", "--dataset", str(tmp_path / "nope")]) == 2
@@ -146,6 +167,13 @@ class TestRun:
         assert summary[1].startswith("pagerank  sgc")
         assert not any("significance" in line for line in summary)
 
+    def test_unlabeled_collection_exit_2(self, unlabeled_collection, tmp_path,
+                                         capsys):
+        assert main(["run", "--dataset", unlabeled_collection, "--model",
+                     "gesn", "--grid", "tiny", "--jobs", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "has no labels" in capsys.readouterr().err
+
     def test_report_deterministic_across_runs(self, node_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -173,3 +201,32 @@ class TestConfigFile:
     def test_missing_config_file(self, node_dataset):
         assert main(["--config", "/nonexistent", "stats",
                      "--dataset", node_dataset]) == 2
+
+    @pytest.mark.parametrize("config", ["grid=huge\n", "diffusion_norm=xyz\n",
+                                        "diffusion-norm=xyz\n", "model=gcn\n",
+                                        "format=\n", "seed=abc\n",
+                                        "budget_seconds=soon\n"])
+    def test_bad_config_value_exit_2(self, node_dataset, tmp_path, config):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "run"
+        assert exit_code(["--config", str(cfgfile), "run", "--dataset",
+                          node_dataset, "--jobs", "1", "--out", str(out)]) == 2
+        assert not (out / "report.csv").exists()
+
+    def test_config_without_path_exit_2(self, node_dataset, capsys):
+        assert exit_code(["stats", "--dataset", node_dataset, "--config"]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_numeric_config_values_typed(self, node_dataset, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("t=0.5\nbudget-seconds=120\nseed=3\n")
+        out = tmp_path / "rw"
+        assert main(["--config", str(cfgfile), "rewire", "--dataset",
+                     node_dataset, "--rewire", "heat", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rewire = manifest["config"]["rewire"]
+        assert rewire["t"] == 0.5 and isinstance(rewire["t"], float)
+        assert rewire["budget_seconds"] == 120.0
+        assert isinstance(rewire["budget_seconds"], float)
+        assert rewire["seed"] == 3 and isinstance(rewire["seed"], int)

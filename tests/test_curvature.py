@@ -79,7 +79,7 @@ class TestDistribution:
 class TestDelta:
     def test_identical_graphs_zero(self):
         g = cycle_graph(6)
-        d = curvature_delta(g, g)
+        d = curvature_delta(g, g, edge_curvatures(g), edge_curvatures(g))
         assert np.allclose(d.delta, 0.0)
         assert d.improved == 0 and d.worsened == 0
 
@@ -87,7 +87,8 @@ class TestDelta:
         c5 = cycle_graph(5)
         with_chord = build_graph(list(map(tuple, c5.edges)) + [(0, 2)],
                                  np.zeros((5, 1)))
-        d = curvature_delta(c5, with_chord)
+        d = curvature_delta(c5, with_chord, edge_curvatures(c5),
+                            edge_curvatures(with_chord))
         vb = {tuple(e): r for e, r in zip(c5.edges, edge_curvatures(c5))}
         va = {tuple(e): r for e, r in
               zip(with_chord.edges, edge_curvatures(with_chord))}
@@ -97,4 +98,5 @@ class TestDelta:
 
     def test_node_set_mismatch(self):
         with pytest.raises(InputError):
-            curvature_delta(cycle_graph(4), cycle_graph(5))
+            curvature_delta(cycle_graph(4), cycle_graph(5), np.zeros(4),
+                            np.zeros(5))

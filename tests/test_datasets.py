@@ -73,6 +73,22 @@ class TestCanonical:
         assert labels[1] == 0
 
 
+    @pytest.mark.parametrize("graph_labels", [[1], [1, 0, 1]])
+    def test_graph_label_count_mismatch(self, tmp_path, graph_labels):
+        d = tmp_path / "coll"
+        write_canonical(d, [(0, 1), (1, 2), (3, 4)], np.ones((5, 2)),
+                        graph_ids=[0, 0, 0, 1, 1], graph_labels=graph_labels)
+        with pytest.raises(InputError, match="labels for 2 graphs"):
+            load_canonical(str(d))
+
+    def test_unlabeled_collection(self, tmp_path):
+        d = tmp_path / "coll"
+        write_canonical(d, [(0, 1), (2, 3)], np.ones((4, 1)),
+                        graph_ids=[0, 0, 1, 1])
+        graphs, labels = load_canonical(str(d))
+        assert len(graphs) == 2 and labels is None
+
+
 class TestTUDataset:
     def write_tud(self, root, name="TOY"):
         root.mkdir()
@@ -102,6 +118,13 @@ class TestTUDataset:
         assert np.array_equal(graphs[0].features,
                               [[1, 0], [1, 0], [0, 1]])
         assert np.array_equal(graphs[1].features, [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("graph_labels", ["1\n", "1\n-1\n1\n"])
+    def test_graph_label_count_mismatch(self, tmp_path, graph_labels):
+        d = self.write_tud(tmp_path / "TOY")
+        (d / "TOY_graph_labels.txt").write_text(graph_labels)
+        with pytest.raises(InputError, match="labels for 2 graphs"):
+            load_tudataset(str(d))
 
     def test_missing_file(self, tmp_path):
         d = tmp_path / "TOY"

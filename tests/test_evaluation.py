@@ -5,9 +5,13 @@ import pytest
 import scipy.stats
 
 from rewirebench import (BudgetExceeded, CompatibilityError, GraphTask,
-                         InputError, NodeTask, RewireConfig, SearchSpace,
-                         accuracy, auroc, build_graph, make_splits,
-                         model_select, significance, stratified_kfold)
+                         InputError, NodeTask, Normalization, OperatorKind,
+                         RewireConfig, SearchSpace, accuracy, apply_rewiring,
+                         auroc, build_graph, gesn_embed, gesn_init,
+                         input_features, make_splits, model_select, pool,
+                         shift_operator, significance, spectral_radius,
+                         stratified_kfold)
+from rewirebench import evaluation
 from rewirebench.evaluation import check_compatibility, stratified_holdout
 
 from conftest import random_graph
@@ -238,3 +242,102 @@ class TestModelSelect:
         report = model_select(task, "sgc", RewireConfig(method="baseline"),
                               SearchSpace.tiny(), seed=0)
         assert len(report.folds) == 5  # reveal happened exactly at scoring
+
+
+GESN_SPACE = SearchSpace(gesn_hidden=(8, 16), gesn_input_scaling=(0.5, 1.0),
+                         gesn_rho=(0.5, 5.0))
+
+
+def reference_gesn(rewired, space, seed, pooling=None):
+    """The GESN grid with a fresh reservoir for every graph and config."""
+    out = []
+    for h in space.gesn_hidden:
+        for s in space.gesn_input_scaling:
+            for r in space.gesn_rho:
+                embs = []
+                for rw in rewired:
+                    op = rw.operator
+                    if op is None:
+                        op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
+                                            Normalization.NONE).matrix
+                    rho_m = float(spectral_radius(op, seed=seed))
+                    rho_m = rho_m if rho_m > 0 else 1.0
+                    x = input_features(rw.graph.features)
+                    params = gesn_init(x.shape[1], h, s, r / rho_m, seed=seed)
+                    embs.append(gesn_embed(op, x, params))
+                cfg = {"hidden": h, "input_scaling": s, "rho": r}
+                if pooling is None:
+                    out.append((cfg, embs[0]))
+                for p in pooling or ():
+                    out.append(({**cfg, "pooling": p},
+                                np.stack([pool(e, p) for e in embs])))
+    return out
+
+
+def gesn_grid(task, rconfig, jobs=1, seed=2):
+    budget = evaluation._Budget(None)
+    return list(evaluation._all_embeddings(task, "gesn", rconfig, GESN_SPACE,
+                                           seed, budget, jobs))
+
+
+def assert_same_grid(got, want):
+    assert [c for c, _ in got] == [c for c, _ in want]
+    for (cfg, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), cfg
+
+
+class TestGESNGrid:
+    @pytest.mark.parametrize("method", ["baseline", "pagerank"])
+    def test_node_task_equals_per_config_draws(self, method):
+        task = blob_node_task(n_per_class=10)
+        rconfig = RewireConfig(method=method)
+        want = reference_gesn([apply_rewiring(task.graph, rconfig)],
+                              GESN_SPACE, seed=2)
+        for jobs in (1, 2):
+            assert_same_grid(gesn_grid(task, rconfig, jobs), want)
+
+    @pytest.mark.parametrize("method", ["baseline", "sdrf"])
+    def test_graph_task_equals_per_graph_draws(self, method):
+        task = blob_graph_task(n_graphs=6)
+        rconfig = RewireConfig(method=method, seed=3)
+        rewired = [apply_rewiring(g, RewireConfig(method=method,
+                                                  seed=3 + 104729 * gi))
+                   for gi, g in enumerate(task.graphs)]
+        want = reference_gesn(rewired, GESN_SPACE, seed=2,
+                              pooling=GESN_SPACE.pooling)
+        assert_same_grid(gesn_grid(task, rconfig), want)
+
+    @pytest.mark.parametrize("kind", ["node", "graph"])
+    def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):
+        task = blob_node_task(10) if kind == "node" else blob_graph_task(6)
+        calls = {"gesn_init": 0, "spectral_radius": 0}
+
+        def counting(name):
+            real = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counting(name))
+        gesn_grid(task, RewireConfig(), jobs=2)
+        num_graphs = 1 if kind == "node" else len(task.graphs)
+        assert calls == {"gesn_init": len(GESN_SPACE.gesn_hidden),
+                         "spectral_radius": num_graphs}
+
+    def test_graph_task_report_independent_of_jobs(self):
+        task = blob_graph_task(n_graphs=20)
+        a, b = (model_select(task, "gesn", RewireConfig(method="sdrf"),
+                             SearchSpace.tiny(), seed=1, jobs=jobs)
+                for jobs in (1, 2))
+        assert [(f.metric, f.val_metric, f.selected) for f in a.folds] == \
+            [(f.metric, f.val_metric, f.selected) for f in b.folds]
+
+    def test_graph_task_budget_marks_oor(self):
+        report = model_select(blob_graph_task(), "gesn",
+                              RewireConfig(method="baseline"),
+                              SearchSpace.tiny(), seed=0, budget_seconds=0.0)
+        assert report.oor
+        assert report.folds == []

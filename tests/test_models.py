@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,16 @@ class TestReservoir:
         assert np.allclose(b.w_in, 2.0 * a.w_in)
         assert np.allclose(b.bias, 2.0 * a.bias)
         assert np.array_equal(a.w_hat, b.w_hat)  # rho unaffected by scaling
+
+    @pytest.mark.parametrize("scaling, rho", [(0.5, 2.0), (3.0, 0.25),
+                                              (1.0, 0.0)])
+    def test_rescaled_draw_equals_fresh_draw(self, scaling, rho):
+        base = gesn_init(3, 16, 1.0, 1.0, seed=4)
+        got = dataclasses.replace(base, input_scaling=scaling, target_rho=rho)
+        want = gesn_init(3, 16, scaling, rho, seed=4)
+        for name in ("w_in", "bias", "w_hat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b), name
 
     def test_weight_range(self):
         p = gesn_init(4, 128, 1.0, 1.0, seed=3)
