@@ -13,7 +13,7 @@ from .graph import (DatasetStats, Graph, Normalization, OperatorKind,
                     triangle_count)
 from .models import (ReadoutParams, ReservoirParams, gesn_embed, gesn_init,
                      input_features, one_hot, pool, predict, ridge_fit,
-                     sgc_embed)
+                     ridge_path, sgc_embed)
 from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
                        cayley_graph, rewire_diffusion, rewire_diffwire,
                        rewire_egp, rewire_grlef, rewire_sdrf, sl2_order)

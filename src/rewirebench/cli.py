@@ -215,8 +215,9 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: `--conf path` would parse, but only `--config` is read
     parser = argparse.ArgumentParser(
-        prog="rewirebench",
+        prog="rewirebench", allow_abbrev=False,
         description="Graph rewiring benchmark with training-free models")
     parser.add_argument("--config", help="key=value config file (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,13 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The file named by `--config path` or `--config=path`, if any."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise InputError("--config needs a file path")
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg[len("--config="):]
+    return None
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    path = _config_path(argv)
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise InputError("--config needs a file path")
-    path = argv[i + 1]
+    subparsers = [sub for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)
+                  for sub in action.choices.values()]
+    known = {opt.dest for sub in subparsers for opt in sub._actions
+             if opt.option_strings and opt.dest != "help"}
     defaults = {}
     try:
         with open(path) as fh:
@@ -272,22 +287,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = val.strip()
+                dest = key.strip().replace("-", "_")
+                if dest not in known:
+                    raise InputError(f"config file {path}: unknown key "
+                                     f"{key.strip()!r}")
+                defaults[dest] = val.strip()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    parser.set_defaults(**defaults)
-    # subparser argument defaults shadow the top-level ones, so push the
-    # config values down to every subcommand as well; argparse converts a
-    # string default with the flag's type but never checks it against choices
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
-                for opt in sub._actions:
-                    if opt.choices and opt.default not in opt.choices:
-                        raise InputError(f"config file {path}: {opt.dest}="
-                                         f"{opt.default!r} is not one of "
-                                         f"{list(opt.choices)}")
+    # every option a key can name belongs to a subcommand, whose parser fills
+    # its own defaults; argparse converts a string default with the flag's
+    # type but never checks it against choices
+    for sub in subparsers:
+        sub.set_defaults(**defaults)
+        for opt in sub._actions:
+            if opt.choices and opt.default not in opt.choices:
+                raise InputError(f"config file {path}: {opt.dest}="
+                                 f"{opt.default!r} is not one of "
+                                 f"{list(opt.choices)}")
     return argv
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,7 @@ import scipy.stats
 from .errors import BudgetExceeded, CompatibilityError, InputError
 from .graph import Graph, Normalization, OperatorKind, shift_operator
 from .models import (gesn_embed, gesn_init, input_features, pool, predict,
-                     ridge_fit, sgc_embed)
+                     ridge_fit, ridge_path, sgc_embed)
 from .rewiring import RewireConfig, apply_rewiring
 from .spectral import spectral_radius
 
@@ -340,9 +341,17 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         return [({**base, "pooling": p}, np.stack([pool(e, p) for e in embs]))
                 for p in pooling]
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
-        for out in ex.map(compute, configs):
-            yield from out
+    # at most `workers` configs run ahead of the one being consumed, so memory
+    # holds one embedding per worker, not the whole grid
+    workers = max(1, jobs)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        ahead = deque()
+        for cfg in configs:
+            ahead.append(ex.submit(compute, cfg))
+            if len(ahead) > workers:
+                yield from ahead.popleft().result()
+        while ahead:
+            yield from ahead.popleft().result()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +379,9 @@ def model_select(task, model: str, rconfig: RewireConfig,
     """Run the full protocol for one (task, model, rewiring) triple.
 
     For each outer fold the best-validation configuration is refit on
-    train+val and scored once on the sealed test fold. A budget overrun marks
-    the report OOR instead of raising.
+    train+val and scored once on the sealed test fold. Selection is one pass
+    over the grid for all folds, so a budget overrun marks the report OOR with
+    no folds instead of raising.
     """
     check_compatibility(task.kind, model, rconfig.method)
     space = space or SearchSpace()
@@ -381,20 +391,24 @@ def model_select(task, model: str, rconfig: RewireConfig,
                               method=rconfig.method, metric_name=task.metric)
     budget = _Budget(budget_seconds)
     try:
-        embeddings = list(_all_embeddings(task, model, rconfig, space, seed,
-                                          budget, jobs))
-        for split in splits:
-            best = None
-            for cfg, emb in embeddings:
-                for lam in space.ridge_lambdas:
-                    budget.check()
-                    readout = ridge_fit(emb[split.train], labels[split.train], lam)
-                    preds, scores = predict(emb[split.val], readout)
-                    val = _score(preds, scores, labels[split.val], task.metric,
+        # one pass over the grid keeps each fold's best (val, cfg, emb); a
+        # fold compares configs and lambdas in grid order, first one wins ties
+        best = [None] * len(splits)
+        folds = [(s, labels[s.train], labels[s.val]) for s in splits]
+        for cfg, emb in _all_embeddings(task, model, rconfig, space, seed,
+                                        budget, jobs):
+            for i, (split, y_train, y_val) in enumerate(folds):
+                budget.check()
+                e_val = emb[split.val]
+                for readout in ridge_path(emb[split.train], y_train,
+                                          space.ridge_lambdas):
+                    preds, scores = predict(e_val, readout)
+                    val = _score(preds, scores, y_val, task.metric,
                                  readout.classes)
-                    if best is None or val > best[0] + 1e-12:
-                        best = (val, {**cfg, "ridge_lambda": lam}, emb)
-            val_metric, sel_cfg, sel_emb = best
+                    if best[i] is None or val > best[i][0] + 1e-12:
+                        best[i] = (val, {**cfg, "ridge_lambda":
+                                         readout.ridge_lambda}, emb)
+        for split, (val_metric, sel_cfg, sel_emb) in zip(splits, best):
             fit_idx = np.concatenate([split.train, split.val])
             readout = ridge_fit(sel_emb[fit_idx], labels[fit_idx],
                                 sel_cfg["ridge_lambda"])

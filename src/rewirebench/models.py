@@ -137,12 +137,14 @@ def one_hot(labels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return out
 
 
-def ridge_fit(embeddings: np.ndarray, labels: np.ndarray,
-              ridge_lambda: float) -> ReadoutParams:
-    """Closed-form ridge regression of one-hot targets on embeddings.
+def ridge_path(embeddings: np.ndarray, labels: np.ndarray,
+               ridge_lambdas) -> list[ReadoutParams]:
+    """Closed-form ridge regression of one-hot targets on embeddings, one
+    readout per lambda.
 
     Minimizes ||E w + b - Y||^2 + lambda ||w||^2; the bias column is not
-    regularized (augmented normal equations).
+    regularized (augmented normal equations). The Gram matrix and right-hand
+    side are built once; each lambda costs one solve.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -151,17 +153,26 @@ def ridge_fit(embeddings: np.ndarray, labels: np.ndarray,
     n, d = e.shape
     aug = np.concatenate([e, np.ones((n, 1))], axis=1)
     gram = aug.T @ aug
-    reg = np.eye(d + 1) * ridge_lambda
-    reg[d, d] = 0.0
     rhs = aug.T @ y
-    try:
-        sol = np.linalg.solve(gram + reg, rhs)
-    except np.linalg.LinAlgError:
-        log.warning("singular ridge system (lambda=%g); pseudoinverse used",
-                    ridge_lambda)
-        sol = np.linalg.pinv(gram + reg) @ rhs
-    return ReadoutParams(w_out=sol[:d].T, b_out=sol[d], ridge_lambda=ridge_lambda,
-                         classes=classes)
+    out = []
+    for ridge_lambda in ridge_lambdas:
+        reg = np.eye(d + 1) * ridge_lambda
+        reg[d, d] = 0.0
+        try:
+            sol = np.linalg.solve(gram + reg, rhs)
+        except np.linalg.LinAlgError:
+            log.warning("singular ridge system (lambda=%g); pseudoinverse used",
+                        ridge_lambda)
+            sol = np.linalg.pinv(gram + reg) @ rhs
+        out.append(ReadoutParams(w_out=sol[:d].T, b_out=sol[d],
+                                 ridge_lambda=ridge_lambda, classes=classes))
+    return out
+
+
+def ridge_fit(embeddings: np.ndarray, labels: np.ndarray,
+              ridge_lambda: float) -> ReadoutParams:
+    """Ridge readout for one lambda (see ridge_path)."""
+    return ridge_path(embeddings, labels, (ridge_lambda,))[0]
 
 
 def predict(embeddings: np.ndarray, readout: ReadoutParams):

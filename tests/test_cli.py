@@ -214,6 +214,31 @@ class TestConfigFile:
                           node_dataset, "--jobs", "1", "--out", str(out)]) == 2
         assert not (out / "report.csv").exists()
 
+    def test_config_equals_form_read(self, node_dataset, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("format=tudataset\n")
+        assert main([f"--config={cfgfile}", "stats",
+                     "--dataset", node_dataset]) == 2
+        assert "missing TUDataset file" in capsys.readouterr().err
+
+    def test_abbreviated_config_flag_exit_2(self, node_dataset, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("format=tudataset\n")
+        assert exit_code(["--conf", str(cfgfile), "stats",
+                          "--dataset", node_dataset]) == 2
+
+    @pytest.mark.parametrize("config", ["fromat=tudataset\n",
+                                        "seed=1\nhop=3\n", "config=x\n",
+                                        "help=1\n"])
+    def test_unknown_config_key_exit_2(self, node_dataset, tmp_path, capsys,
+                                       config):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(config)
+        assert exit_code(["--config", str(cfgfile), "stats",
+                          "--dataset", node_dataset]) == 2
+        key = config.splitlines()[-1].partition("=")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
     def test_config_without_path_exit_2(self, node_dataset, capsys):
         assert exit_code(["stats", "--dataset", node_dataset, "--config"]) == 2
         assert "input error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from rewirebench import (BudgetExceeded, CompatibilityError, GraphTask,
                          RewireConfig, SearchSpace, accuracy, apply_rewiring,
                          auroc, build_graph, gesn_embed, gesn_init,
                          input_features, make_splits, model_select, pool,
-                         shift_operator, significance, spectral_radius,
-                         stratified_kfold)
+                         predict, ridge_fit, shift_operator, significance,
+                         spectral_radius, stratified_kfold)
 from rewirebench import evaluation
 from rewirebench.evaluation import check_compatibility, stratified_holdout
 
@@ -237,11 +238,49 @@ class TestModelSelect:
         assert report.oor
         assert math.isnan(report.mean)
 
+    @pytest.mark.parametrize("model,kind", [("sgc", "node"),
+                                            ("gesn", "node"),
+                                            ("gesn", "graph")])
+    def test_streamed_selection_equals_per_fold_loop(self, model, kind):
+        task = blob_node_task(12) if kind == "node" else blob_graph_task(20)
+        space = SearchSpace.tiny()
+        report = model_select(task, model, RewireConfig(), space, seed=1)
+        want = reference_selection(task, model, space, seed=1)
+        assert [(f.metric, f.val_metric, f.selected) for f in report.folds] \
+            == want
+
     def test_test_labels_sealed_until_scored(self):
         task = blob_node_task(n_per_class=15)
         report = model_select(task, "sgc", RewireConfig(method="baseline"),
                               SearchSpace.tiny(), seed=0)
         assert len(report.folds) == 5  # reveal happened exactly at scoring
+
+
+def reference_selection(task, model, space, seed):
+    """Per fold, every (config, lambda) with its own ridge fit, in grid
+    order: [(test metric, val metric, selected config)] per fold."""
+    labels = np.asarray(task.labels)
+    embeddings = list(evaluation._all_embeddings(
+        task, model, RewireConfig(), space, seed, evaluation._Budget(None), 1))
+    out = []
+    for split in make_splits(labels, k=5, seed=seed):
+        best = None
+        for cfg, emb in embeddings:
+            for lam in space.ridge_lambdas:
+                readout = ridge_fit(emb[split.train], labels[split.train], lam)
+                preds, scores = predict(emb[split.val], readout)
+                val = evaluation._score(preds, scores, labels[split.val],
+                                        task.metric, readout.classes)
+                if best is None or val > best[0] + 1e-12:
+                    best = (val, {**cfg, "ridge_lambda": lam}, emb)
+        val, cfg, emb = best
+        fit = np.concatenate([split.train, split.val])
+        preds, scores = predict(emb[split.test],
+                                ridge_fit(emb[fit], labels[fit],
+                                          cfg["ridge_lambda"]))
+        out.append((evaluation._score(preds, scores, labels[split.test],
+                                      task.metric, None), val, cfg))
+    return out
 
 
 GESN_SPACE = SearchSpace(gesn_hidden=(8, 16), gesn_input_scaling=(0.5, 1.0),
@@ -334,6 +373,29 @@ class TestGESNGrid:
                 for jobs in (1, 2))
         assert [(f.metric, f.val_metric, f.selected) for f in a.folds] == \
             [(f.metric, f.val_metric, f.selected) for f in b.folds]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_configs_embedded_ahead_of_selection(self, jobs, monkeypatch):
+        embedded, at_first_fit = [], []
+        real_embed, real_path = evaluation.gesn_embed, evaluation.ridge_path
+
+        def counting_embed(*args, **kwargs):
+            embedded.append(1)
+            return real_embed(*args, **kwargs)
+
+        def recording_path(*args, **kwargs):
+            if not at_first_fit:
+                time.sleep(0.2)   # time enough for workers to run far ahead
+                at_first_fit.append(len(embedded))
+            return real_path(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "gesn_embed", counting_embed)
+        monkeypatch.setattr(evaluation, "ridge_path", recording_path)
+        report = model_select(blob_node_task(10), "gesn", RewireConfig(),
+                              GESN_SPACE, seed=2, jobs=jobs)
+        assert len(report.folds) == 5
+        assert len(embedded) == 8   # the whole grid, each config once
+        assert at_first_fit[0] <= jobs + 1
 
     def test_graph_task_budget_marks_oor(self):
         report = model_select(blob_graph_task(), "gesn",

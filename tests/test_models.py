@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rewirebench import (InputError, gesn_embed, gesn_init, input_features,
-                         one_hot, pool, predict, ridge_fit, sgc_embed,
-                         spectral_radius)
+                         one_hot, pool, predict, ridge_fit, ridge_path,
+                         sgc_embed, spectral_radius)
 from rewirebench.graph import OperatorKind, shift_operator
 
 from conftest import path_graph, random_graph
@@ -162,6 +162,22 @@ class TestPooling:
             pool(np.ones((2, 2)), "max")
 
 
+def reference_ridge_fit(embeddings, labels, ridge_lambda):
+    """One lambda, its own Gram matrix: (w_out, b_out, classes)."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    classes = np.unique(labels)
+    y = one_hot(np.asarray(labels), classes)
+    n, d = e.shape
+    aug = np.concatenate([e, np.ones((n, 1))], axis=1)
+    reg = np.eye(d + 1) * ridge_lambda
+    reg[d, d] = 0.0
+    try:
+        sol = np.linalg.solve(aug.T @ aug + reg, aug.T @ y)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.pinv(aug.T @ aug + reg) @ (aug.T @ y)
+    return sol[:d].T, sol[d], classes
+
+
 class TestRidgeReadout:
     def test_one_hot(self):
         y = one_hot(np.array([0, 2, 2, 1]), np.array([0, 1, 2]))
@@ -211,3 +227,33 @@ class TestRidgeReadout:
         y = np.array([0, 1, 0, 1, 0, 1])
         r = ridge_fit(x, y, 0.0)
         assert np.all(np.isfinite(r.w_out))
+
+    @pytest.mark.parametrize("shape", [(240, 20), (12, 40)],
+                             ids=["tall", "wide"])
+    def test_path_equals_one_fit_per_lambda(self, rng, shape):
+        x = rng.normal(size=shape)
+        y = rng.integers(0, 4, size=shape[0]) * 3
+        lams = (1e-5, 1e-2, 0.0, 1.0, 1e3)
+        path = ridge_path(x, y, lams)
+        assert [r.ridge_lambda for r in path] == list(lams)
+        for lam, got in zip(lams, path):
+            w, b, classes = reference_ridge_fit(x, y, lam)
+            assert np.array_equal(got.w_out, w), lam
+            assert np.array_equal(got.b_out, b), lam
+            assert np.array_equal(got.classes, classes)
+            one = ridge_fit(x, y, lam)
+            assert np.array_equal(one.w_out, w) and np.array_equal(one.b_out, b)
+
+    def test_path_singular_lambdas_fall_back(self, caplog):
+        x = np.ones((6, 3))
+        y = np.array([0, 1, 0, 1, 0, 1])
+        lams = (0.0, 0.5, 0.0)
+        with caplog.at_level("WARNING", logger="rewirebench.models"):
+            path = ridge_path(x, y, lams)
+        warned = [r.getMessage() for r in caplog.records
+                  if "pseudoinverse" in r.getMessage()]
+        assert len(warned) == 2
+        assert all("lambda=0" in m for m in warned)
+        for lam, got in zip(lams, path):
+            w, b, _ = reference_ridge_fit(x, y, lam)
+            assert np.array_equal(got.w_out, w) and np.array_equal(got.b_out, b)
