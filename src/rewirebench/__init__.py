@@ -20,7 +20,6 @@ from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
 from .spectral import (ResistanceMatrix, cheeger_bruteforce,
                        effective_resistance, heat_kernel,
                        laplacian_pseudoinverse, pagerank_kernel,
-                       sensitivity_topology_factor, spectral_gap,
-                       spectral_radius)
+                       spectral_gap, spectral_radius)
 
 __version__ = "0.1.0"

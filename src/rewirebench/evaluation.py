@@ -1,10 +1,12 @@
-"""Experimental protocol: stratified splits, metrics, joint grid model
+"""Experimental protocol: stratified splits, metrics, grid model
 selection, and significance testing.
 
 Splits are 5-fold stratified test folds with an inner stratified holdout,
-giving 60:20:20 train/validation/test per outer fold. Model and rewiring
-hyperparameters are selected jointly on each validation fold; test labels
-stay sealed until the final scoring stage.
+giving 60:20:20 train/validation/test per outer fold. Model
+hyperparameters are selected on each validation fold; the rewiring is one
+fixed `RewireConfig` per run (t, alpha, fraction and tau come from the
+caller, not from the grid). Test labels stay sealed until the final
+scoring stage.
 """
 
 from __future__ import annotations

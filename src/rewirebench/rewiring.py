@@ -48,6 +48,11 @@ class RewireConfig:
             raise InputError("heat diffusion requires t in [0.1, 5]")
         if self.method == "pagerank" and not 0.01 <= self.alpha <= 0.99:
             raise InputError("pagerank requires alpha in [0.01, 0.99]")
+        if (self.method == "pagerank"
+                and Normalization(self.diffusion_norm) is Normalization.NONE):
+            raise InputError("pagerank requires a normalized diffusion "
+                             "operator (sym, rw or mean), not 'none': with "
+                             "(1-alpha) rho(A) > 1 its series diverges")
         if self.method in ("sdrf", "grlef") and self.iterations is None:
             if not 0.0 < self.iteration_fraction <= 0.20:
                 raise InputError("iteration fraction must be in (0, 0.20]")
@@ -85,11 +90,11 @@ def rewire_diffusion(g: Graph, kind: str, param: float,
                      norm: Normalization | str = Normalization.RW) -> RewiredGraph:
     """Dense heat/PageRank kernel of a normalized adjacency (node tasks only;
     the evaluation harness enforces the restriction)."""
-    t_op = shift_operator(g, OperatorKind.ADJACENCY, Normalization(norm)).matrix
     if kind == "heat":
-        m = heat_kernel(t_op, param)
+        t_op = shift_operator(g, OperatorKind.ADJACENCY, Normalization(norm))
+        m = heat_kernel(t_op.matrix, param)
     elif kind == "pagerank":
-        m = pagerank_kernel(t_op, param)
+        m = pagerank_kernel(g, param, norm)
     else:
         raise InputError(f"unknown diffusion kind {kind!r}")
     return RewiredGraph(method=kind, graph=g, operator=m)

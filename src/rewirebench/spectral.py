@@ -113,14 +113,6 @@ def spectral_gap(g: Graph, laplacian: Normalization | str = Normalization.SYM,
     return float(pos[0]) if pos.size else 0.0
 
 
-def zero_eigenvalue_multiplicity(g: Graph,
-                                 laplacian: Normalization | str = Normalization.SYM,
-                                 zero_tol: float = 1e-9) -> int:
-    vals = _laplacian_sym_spectrum(g, Normalization(laplacian))
-    thresh = zero_tol * max(1.0, float(np.max(np.abs(vals))))
-    return int(np.sum(np.abs(vals) <= thresh))
-
-
 def laplacian_pseudoinverse(g: Graph, cutoff: float = 1e-9) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the combinatorial Laplacian, by
     eigendecomposition with a relative zero-eigenvalue cutoff."""
@@ -172,26 +164,66 @@ def heat_kernel(t_matrix, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * (np.eye(n) - td))
 
 
-def pagerank_kernel(t_matrix, alpha: float) -> np.ndarray:
-    """Personalized PageRank alpha (I - (1-alpha) T)^{-1}."""
+def _mirror_upper(k: np.ndarray) -> None:
+    """Copy the upper triangle of a square C-ordered array onto its lower
+    triangle in place, one block column at a time."""
+    n, block = k.shape[0], 128
+    for i in range(0, n, block):
+        j = min(i + block, n)
+        diag = k[i:j, i:j]
+        low = np.tril_indices(j - i, -1)
+        diag[low] = diag.T[low]
+        k[j:, i:j] = k[i:j, j:].T
+
+
+def pagerank_kernel(g: Graph, alpha: float,
+                    norm: Normalization | str) -> np.ndarray:
+    """Personalized PageRank alpha (I - (1-alpha) T)^{-1} of the normalized
+    adjacency T, from one in-place Cholesky factorization.
+
+    With D the degree diagonal (1 for isolated nodes, whose columns of A are
+    zero) and K = D - (1-alpha) A, I - (1-alpha) T is K D^{-1} for rw,
+    D^{-1} K for mean and D^{-1/2} K D^{-1/2} for sym, so the kernel is
+    alpha D K^{-1}, alpha K^{-1} D or alpha D^{1/2} K^{-1} D^{1/2}. K is
+    symmetric positive definite, because the eigenvalues of
+    D^{-1/2} K D^{-1/2} are at least alpha. K is the only n x n buffer, and
+    it is returned C-ordered. The unnormalized adjacency is refused: its
+    series diverges once (1-alpha) rho(A) > 1.
+    """
     if not 0.0 < alpha < 1.0:
         raise InputError("pagerank kernel requires alpha in (0, 1)")
-    td = _as_dense(t_matrix)
-    n = td.shape[0]
-    a = np.eye(n) - (1.0 - alpha) * td
-    try:
-        return alpha * np.linalg.solve(a, np.eye(n))
-    except np.linalg.LinAlgError:
-        log.warning("pagerank system singular; pseudoinverse fallback")
-        return alpha * np.linalg.pinv(a)
-
-
-def sensitivity_topology_factor(m, hops: int) -> np.ndarray:
-    """The graph-topology factor of the feature-sensitivity bound: M^hops."""
-    if hops < 0:
-        raise InputError("hops must be >= 0")
-    md = _as_dense(m.matrix if hasattr(m, "matrix") else m)
-    return np.linalg.matrix_power(md, hops)
+    norm = Normalization(norm)
+    if norm is Normalization.NONE:
+        raise InputError("pagerank kernel requires a normalized operator "
+                         "(sym, rw or mean), not 'none'")
+    n = g.num_nodes
+    if n == 0:
+        raise InputError("empty graph")
+    a = g.adjacency()
+    d = np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
+    d[d == 0] = 1.0
+    k = np.zeros((n, n))
+    k[np.repeat(np.arange(n), np.diff(a.indptr)), a.indices] = \
+        -(1.0 - alpha) * a.data
+    k.flat[::n + 1] = d
+    # k.T is the F-ordered view of the symmetric K: LAPACK factors and
+    # inverts it in place and leaves K^{-1} in the upper triangle of k
+    c, info = scipy.linalg.lapack.dpotrf(k.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        c, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
+    if info != 0 or not np.may_share_memory(c, k):
+        raise RuntimeError("pagerank system D - (1-alpha) A was not inverted "
+                           f"in place as positive definite (info={info})")
+    _mirror_upper(k)
+    if norm is Normalization.RW:
+        k *= (alpha * d)[:, None]
+    elif norm is Normalization.MEAN:
+        k *= alpha * d
+    else:  # SYM
+        s = np.sqrt(d)
+        k *= s[:, None]
+        k *= alpha * s
+    return k
 
 
 def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:

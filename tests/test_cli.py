@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rewirebench import cli
 from rewirebench.cli import main
@@ -88,6 +89,33 @@ class TestRewire:
     def test_invalid_param_exit_2(self, node_dataset, tmp_path):
         assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",
                      "--t", "50", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["rewire", "run"])
+    def test_pagerank_unnormalized_exit_2(self, node_dataset, tmp_path,
+                                          capsys, command):
+        argv = [command, "--dataset", node_dataset, "--rewire", "pagerank",
+                "--diffusion-norm", "none", "--out", str(tmp_path / "x")]
+        if command == "run":
+            argv += ["--model", "sgc", "--grid", "tiny", "--jobs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "'none'" in err
+
+    def test_pagerank_factorization_failure_exit_4(self, node_dataset,
+                                                   tmp_path, monkeypatch):
+        # K = D - (1-alpha) A is positive definite for every normalized
+        # operator, so a failed Cholesky is an internal error, never a
+        # silent fallback
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+                            lambda a, **kw: (a, 1))
+        assert main(["rewire", "--dataset", node_dataset, "--rewire",
+                     "pagerank", "--out", str(tmp_path / "x")]) == 4
+
+    def test_heat_unnormalized_accepted(self, node_dataset, tmp_path):
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",
+                     "--diffusion-norm", "none", "--out", str(out)]) == 0
+        assert (out / "kernel.npy").exists()
 
     @pytest.mark.parametrize("method", ["sdrf", "grlef"])
     def test_budget_zero_writes_oor(self, node_dataset, tmp_path, capsys,

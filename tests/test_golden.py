@@ -1,10 +1,12 @@
 """Golden digests of the `run` and `rewire` outputs on seeded datasets.
 
 Byte-identical reports are the equivalence check for every refactor of the
-pipeline. Three small datasets from `pipebench/generate.py` go through
+pipeline. Four small datasets from `pipebench/generate.py` go through
 `cli.main`: a node task with SGC and SDRF rewiring, a node task with GESN,
-and a graph collection with GESN. A change that alters floats on purpose
-updates DIGESTS and states its tolerance and the selections it kept.
+a node task on every personalized-PageRank path (SGC, and GESN under the
+`sym` and `mean` normalizations), and a graph collection with GESN. A
+change that alters floats on purpose updates DIGESTS and states its
+tolerance and the selections it kept.
 """
 
 import hashlib
@@ -27,6 +29,16 @@ CASES = {
     "node-gesn": ("sbm_node_task", {"nodes": 150, "edges": 300}, (
         ("run", ["run", "--model", "gesn", "--grid", "tiny", "--jobs", "2",
                  "--rewire", "pagerank"]),
+    )),
+    "node-pagerank": ("sbm_node_task", {"nodes": 150, "edges": 300}, (
+        ("run-sgc", ["run", "--model", "sgc", "--grid", "tiny", "--jobs", "1",
+                     "--rewire", "pagerank"]),
+        ("run-gesn-sym", ["run", "--model", "gesn", "--grid", "tiny",
+                          "--jobs", "2", "--rewire", "pagerank",
+                          "--diffusion-norm", "sym"]),
+        ("run-gesn-mean", ["run", "--model", "gesn", "--grid", "tiny",
+                           "--jobs", "2", "--rewire", "pagerank",
+                           "--diffusion-norm", "mean"]),
     )),
     "graph-gesn": ("graph_collection", {"graphs": 20}, (
         ("run", ["run", "--model", "gesn", "--grid", "tiny", "--jobs", "1",
@@ -53,6 +65,26 @@ DIGESTS = {
             "176d7e330e792aa9d1bc88dd58ce667a0a059907f7e7c85141b88ef2a65dbafc",
         "run/summary.txt":
             "b2e29a0c14a2e133caeca7c8a63aeaef1b47eb3d7b832183ebb7a39bf7f37b09",
+    },
+    "node-pagerank": {
+        "run-gesn-mean/baseline_report.csv":
+            "643a6e685e18733d4c2f54587dd39d9e4cc6b17159fe52604a718d295d358870",
+        "run-gesn-mean/report.csv":
+            "d7400c4474cdf5fa6a8e8cdfebf31721a2c5e9e54612bf944afb7218815163b7",
+        "run-gesn-mean/summary.txt":
+            "72d423be7963cfa3dd66a52969c61941079dfd730fb3abaae931eb90927f34fc",
+        "run-gesn-sym/baseline_report.csv":
+            "643a6e685e18733d4c2f54587dd39d9e4cc6b17159fe52604a718d295d358870",
+        "run-gesn-sym/report.csv":
+            "db864ee1ead7e722efa49c095d4d6d0fc88e0d6c96d20019eece81667cc28e3c",
+        "run-gesn-sym/summary.txt":
+            "c962881dbaf1e5f518f4d7afc808b4799c5f1efacf56a6168bcd5a748547663b",
+        "run-sgc/baseline_report.csv":
+            "3a9e8c34e7c95ec4758bf7cf8bae01fdb8fc4c091f629f55b2dfb332baece4d9",
+        "run-sgc/report.csv":
+            "48f9af1d42c004a2772243b6781feca1c9fa8f1cacf38a0876848a6d302c25ee",
+        "run-sgc/summary.txt":
+            "0dd98017fa9570157047c7f105cf494a93448d6278c46c6713ac1ac984a8ed1c",
     },
     "node-sgc": {
         "rewire/rewired_edges.tsv":

@@ -20,11 +20,20 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(method="heat", t=0.01),
                                     dict(method="heat", t=9.0),
                                     dict(method="pagerank", alpha=0.0),
+                                    dict(method="pagerank",
+                                         diffusion_norm=Normalization.NONE),
                                     dict(method="sdrf", iteration_fraction=0.5),
                                     dict(method="grlef", iteration_fraction=0.0)])
     def test_out_of_range(self, kw):
         with pytest.raises(InputError):
             RewireConfig(**kw).validate()
+
+    def test_heat_accepts_unnormalized_operator(self):
+        RewireConfig(method="heat",
+                     diffusion_norm=Normalization.NONE).validate()
+        out = apply_rewiring(cycle_graph(4), RewireConfig(
+            method="heat", diffusion_norm=Normalization.NONE))
+        assert out.operator.shape == (4, 4)
 
     def test_explicit_iterations_bypass_fraction(self):
         cfg = RewireConfig(method="sdrf", iterations=7, iteration_fraction=0.5)

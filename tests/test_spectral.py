@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,7 @@ import pytest
 from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          effective_resistance, heat_kernel,
                          laplacian_pseudoinverse, pagerank_kernel,
-                         sensitivity_topology_factor, shift_operator,
-                         spectral_gap, spectral_radius)
-from rewirebench.spectral import zero_eigenvalue_multiplicity
+                         shift_operator, spectral_gap, spectral_radius)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -70,9 +69,8 @@ class TestSpectralGap:
     def test_p3_unnormalized(self):
         assert spectral_gap(path_graph(3), "none") == pytest.approx(1.0)
 
-    def test_disconnected_zero_multiplicity(self):
+    def test_disconnected_gap_positive(self):
         g = build_graph([(0, 1), (2, 3)], np.zeros((4, 1)))
-        assert zero_eigenvalue_multiplicity(g, "none") == 2
         assert spectral_gap(g, "none") > 0
 
     def test_matches_dense_oracle(self, rng):
@@ -150,43 +148,115 @@ class TestDiffusionKernels:
         assert np.abs(k - want).max() < 1e-10
 
     def test_pagerank_zero_matrix(self):
-        k = pagerank_kernel(np.zeros((3, 3)), 0.7)
+        k = pagerank_kernel(build_graph([], np.zeros((3, 1))), 0.7, "rw")
         assert np.allclose(k, 0.7 * np.eye(3))
 
     def test_pagerank_near_one(self):
         t_op = shift_operator(cycle_graph(5), "adjacency", "sym").dense
-        k = pagerank_kernel(t_op, 0.99)
+        k = pagerank_kernel(cycle_graph(5), 0.99, "sym")
         want = series_kernel(t_op, pagerank_coeffs(0.99, 60))
         assert np.abs(k - want).max() < 1e-8
 
     def test_pagerank_k2_series(self):
         t_op = shift_operator(path_graph(2), "adjacency", "sym").dense
-        k = pagerank_kernel(t_op, 0.5)
+        k = pagerank_kernel(path_graph(2), 0.5, "sym")
         want = series_kernel(t_op, pagerank_coeffs(0.5, 60))
         assert np.abs(k - want).max() < 1e-10
 
     def test_kernel_permutation_equivariance(self, rng):
         g = random_graph(8, 0.5, rng, connected=True)
-        t_op = shift_operator(g, "adjacency", "rw").dense
         perm = rng.permutation(8)
         p = np.eye(8)[perm]
-        for fn in (lambda m: heat_kernel(m, 0.7),
-                   lambda m: pagerank_kernel(m, 0.3)):
-            assert np.allclose(fn(p @ t_op @ p.T), p @ fn(t_op) @ p.T, atol=1e-10)
+        # node i of the permuted graph is node perm[i] of g
+        gp = build_graph(np.argsort(perm)[g.edges], g.features[perm])
+        for fn in (lambda h: heat_kernel(
+                       shift_operator(h, "adjacency", "rw").dense, 0.7),
+                   lambda h: pagerank_kernel(h, 0.3, "rw")):
+            assert np.allclose(fn(gp), p @ fn(g) @ p.T, atol=1e-10)
 
 
-class TestSensitivityFactor:
-    def test_zero_hops_identity(self):
-        m = shift_operator(path_graph(3)).matrix
-        assert np.allclose(sensitivity_topology_factor(m, 0), np.eye(3))
+def _pagerank_graphs():
+    """Graphs with isolated nodes, several components, or no edges."""
+    rng = np.random.default_rng(3)
+    # triangle, a 4-path, a 3-star and two isolated nodes
+    parts = build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6),
+                         (7, 8), (7, 9), (7, 10)], np.zeros((13, 1)))
+    sparse = random_graph(30, 0.06, rng)
+    assert 0 in sparse.degrees
+    return {"components": parts, "random-isolated": sparse,
+            "no-edges": build_graph([], np.zeros((5, 1))),
+            "single-node": build_graph([], np.zeros((1, 1)))}
 
-    def test_one_hop(self):
-        m = shift_operator(path_graph(3))
-        assert np.allclose(sensitivity_topology_factor(m, 1), m.dense)
 
-    def test_two_hop_path_count(self):
-        m = shift_operator(path_graph(3))
-        assert sensitivity_topology_factor(m, 2)[0, 2] == pytest.approx(1.0)
+PAGERANK_GRAPHS = _pagerank_graphs()
+
+
+class TestPagerankKernel:
+    """The Cholesky kernel against the dense LU expression it replaced and
+    against the power series sum_m alpha (1-alpha)^m T^m."""
+
+    @pytest.mark.parametrize("graph", sorted(PAGERANK_GRAPHS))
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_matches_solve_and_series(self, graph, alpha, norm):
+        g = PAGERANK_GRAPHS[graph]
+        n = g.num_nodes
+        t_op = shift_operator(g, "adjacency", norm).dense
+        k = pagerank_kernel(g, alpha, norm)
+        assert k.flags.c_contiguous and k.dtype == np.float64
+        lu = alpha * np.linalg.solve(np.eye(n) - (1 - alpha) * t_op, np.eye(n))
+        assert np.abs(k - lu).max() <= 1e-12
+        terms = int(np.ceil(np.log(1e-16) / np.log(1 - alpha))) + 1
+        series = series_kernel(t_op, pagerank_coeffs(alpha, terms))
+        assert np.abs(k - series).max() <= 1e-12
+        if g.num_edges == 0:
+            assert np.array_equal(k, alpha * np.eye(n))
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_matches_solve_across_blocks(self, norm):
+        # larger than one block of the in-place triangle mirror
+        g = random_graph(300, 0.02, np.random.default_rng(4))
+        t_op = shift_operator(g, "adjacency", norm).dense
+        lu = 0.1 * np.linalg.solve(np.eye(300) - 0.9 * t_op, np.eye(300))
+        assert np.abs(pagerank_kernel(g, 0.1, norm) - lu).max() <= 1e-12
+
+    def test_rw_columns_and_mean_rows_sum_to_one(self):
+        # an isolated node's column (rw) or row (mean) is alpha e_i
+        g = PAGERANK_GRAPHS["random-isolated"]
+        want = np.where(g.degrees > 0, 1.0, 0.2)
+        assert np.allclose(pagerank_kernel(g, 0.2, "rw").sum(axis=0), want)
+        assert np.allclose(pagerank_kernel(g, 0.2, "mean").sum(axis=1), want)
+        k = pagerank_kernel(g, 0.2, "sym")
+        assert np.abs(k - k.T).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(InputError):
+            pagerank_kernel(path_graph(3), alpha, "rw")
+
+    def test_unnormalized_operator_refused(self):
+        with pytest.raises(InputError, match="none"):
+            pagerank_kernel(complete_graph(3), 0.1, "none")
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_peak_memory_two_dense_buffers(self, norm):
+        rng = np.random.default_rng(0)
+        n = 1000
+        block = np.arange(n) % 4
+        u, v = np.triu_indices(n, 1)
+        p = np.where(block[u] == block[v], 8.0 / n, 0.5 / n)
+        keep = rng.random(u.size) < p
+        g = build_graph(np.stack([u[keep], v[keep]], axis=1),
+                        np.zeros((n, 1)))
+        del u, v, p, keep
+        g.adjacency()
+        tracemalloc.start()
+        try:
+            pagerank_kernel(g, 0.1, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8
 
 
 class TestCheeger:
