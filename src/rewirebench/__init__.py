@@ -15,8 +15,8 @@ from .models import (ReadoutParams, ReservoirParams, gesn_embed, gesn_init,
                      input_features, one_hot, pool, predict, ridge_fit,
                      ridge_path, sgc_embed)
 from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
-                       cayley_graph, rewire_diffusion, rewire_diffwire,
-                       rewire_egp, rewire_grlef, rewire_sdrf, sl2_order)
+                       cayley_graph, rewire_diffwire, rewire_egp, rewire_grlef,
+                       rewire_sdrf, sl2_order)
 from .spectral import (ResistanceMatrix, cheeger_bruteforce,
                        effective_resistance, heat_kernel,
                        laplacian_pseudoinverse, pagerank_kernel,

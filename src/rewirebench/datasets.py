@@ -93,26 +93,40 @@ def _check_label_count(graph_labels, num_graphs: int, path) -> None:
                          f"{num_graphs} graphs")
 
 
+def _groups(keys: np.ndarray, num: int) -> list:
+    """Indices of the items of each key 0..num-1, in input order."""
+    counts = np.bincount(keys, minlength=num)
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
+
+
 def _split_collection(edges, features, node_labels, gids, graph_labels, name):
-    uniq = np.unique(gids)
-    graphs = []
-    labels_out = []
-    for gi in uniq:
-        nodes = np.flatnonzero(gids == gi)
-        remap = {int(n): i for i, n in enumerate(nodes)}
-        sub_edges = [(remap[u], remap[v]) for u, v in edges
-                     if u in remap and v in remap]
-        g = build_graph(sub_edges, features[nodes],
-                        node_labels[nodes] if node_labels is not None else None,
-                        name=f"{name}[{gi}]")
-        graphs.append(g)
-        if graph_labels is not None:
-            labels_out.append(graph_labels[np.searchsorted(uniq, gi)])
-        elif node_labels is not None:
+    """Split a node-level edge list into one graph per graph id; a graph's
+    nodes keep their order and are renumbered 0..n_i-1. An edge with an
+    endpoint out of range, or joining two graphs, is an InputError."""
+    uniq, graph_of = np.unique(gids, return_inverse=True)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    num_nodes = graph_of.shape[0]
+    if e.size and (e.min() < 0 or e.max() >= num_nodes):
+        raise InputError(f"edge endpoint out of range for {num_nodes} nodes")
+    crossing = np.flatnonzero(graph_of[e[:, 0]] != graph_of[e[:, 1]])
+    if crossing.size:
+        u, v = e[crossing[0]]
+        raise InputError(f"an edge joins graphs {gids[u]} and {gids[v]}")
+    local = np.empty(num_nodes, dtype=np.int64)
+    graphs, majority = [], []
+    for gi, nodes, sub in zip(uniq, _groups(graph_of, uniq.shape[0]),
+                              _groups(graph_of[e[:, 0]], uniq.shape[0])):
+        local[nodes] = np.arange(nodes.shape[0])
+        graphs.append(build_graph(
+            local[e[sub]], features[nodes],
+            node_labels[nodes] if node_labels is not None else None,
+            name=f"{name}[{gi}]"))
+        if graph_labels is None and node_labels is not None:
             vals, counts = np.unique(node_labels[nodes], return_counts=True)
-            labels_out.append(vals[np.argmax(counts)])
-    labels = np.array(labels_out, dtype=np.int64) if labels_out else None
-    return graphs, labels
+            majority.append(vals[np.argmax(counts)])
+    if graph_labels is not None:
+        return graphs, np.asarray(graph_labels, dtype=np.int64)
+    return graphs, np.array(majority, dtype=np.int64) if majority else None
 
 
 def load_tudataset(path: str, name: str | None = None):
@@ -124,11 +138,11 @@ def load_tudataset(path: str, name: str | None = None):
     for required in ("A", "graph_indicator", "graph_labels"):
         if not os.path.exists(f(required)):
             raise InputError(f"missing TUDataset file {f(required)}")
-    edges_1b = _read_int_pairs(f("A"))
+    edges = np.asarray(_read_int_pairs(f("A")), dtype=np.int64) - 1
     indicator = _read_ints(f("graph_indicator"))
     graph_labels = _read_ints(f("graph_labels"))
-    uniq = np.unique(indicator)
-    _check_label_count(graph_labels, uniq.shape[0], f("graph_labels"))
+    _check_label_count(graph_labels, np.unique(indicator).shape[0],
+                       f("graph_labels"))
     num_nodes = indicator.shape[0]
 
     node_label_path = f("node_labels")
@@ -139,17 +153,8 @@ def load_tudataset(path: str, name: str | None = None):
         features[np.arange(num_nodes), np.searchsorted(classes, node_labels)] = 1.0
     else:
         features = np.zeros((num_nodes, 0))
-
-    graphs = []
-    for gi in uniq:
-        nodes = np.flatnonzero(indicator == gi)
-        offset = nodes[0]
-        n = nodes.shape[0]
-        sub_edges = [(u - 1 - offset, v - 1 - offset) for u, v in edges_1b
-                     if offset <= u - 1 < offset + n and offset <= v - 1 < offset + n]
-        graphs.append(build_graph(sub_edges, features[nodes],
-                                  name=f"{name}[{gi}]"))
-    return graphs, graph_labels
+    return _split_collection(edges, features, None, indicator, graph_labels,
+                             name)
 
 
 def load_dataset(path: str, fmt: str = "canonical"):

@@ -259,7 +259,6 @@ class ExperimentReport:
     std: float = float("nan")
     oor: bool = False
     wall_clock: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
     def finalize(self) -> None:
         if self.folds:

@@ -73,7 +73,6 @@ class RewiredGraph:
     graph: Graph                       # rewired edge set (or the input, unchanged)
     operator: np.ndarray | None = None  # dense M' for kernel-producing methods
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
-    config: RewireConfig | None = None
 
 
 def write_edit_log(edit_log, path) -> None:
@@ -81,23 +80,6 @@ def write_edit_log(edit_log, path) -> None:
     with open(path, "w") as fh:
         for it, op, u, v in edit_log:
             fh.write(f"{it}\t{op}\t{u}\t{v}\n")
-
-
-# ---------------------------------------------------------------------------
-# diffusion
-
-def rewire_diffusion(g: Graph, kind: str, param: float,
-                     norm: Normalization | str = Normalization.RW) -> RewiredGraph:
-    """Dense heat/PageRank kernel of a normalized adjacency (node tasks only;
-    the evaluation harness enforces the restriction)."""
-    if kind == "heat":
-        t_op = shift_operator(g, OperatorKind.ADJACENCY, Normalization(norm))
-        m = heat_kernel(t_op.matrix, param)
-    elif kind == "pagerank":
-        m = pagerank_kernel(g, param, norm)
-    else:
-        raise InputError(f"unknown diffusion kind {kind!r}")
-    return RewiredGraph(method=kind, graph=g, operator=m)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +226,7 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
                         ric[e] = local_balanced_forman(adj, *e)
 
     new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
-    return RewiredGraph(method="sdrf", graph=new_graph, edit_log=edit_log,
-                        config=config)
+    return RewiredGraph(method="sdrf", graph=new_graph, edit_log=edit_log)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +236,10 @@ def _tri(adj, u, v) -> int:
     return len(adj[u] & adj[v])
 
 
-def rewire_grlef(g: Graph, config: RewireConfig, max_resample: int = 10) -> RewiredGraph:
+GRLEF_DRAWS = 10  # edge draws per GRLEF iteration before it logs a skip
+
+
+def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
     """Triangle-guided edge flipping.
 
     Per iteration: sample (u, v) with probability proportional to
@@ -266,7 +250,6 @@ def rewire_grlef(g: Graph, config: RewireConfig, max_resample: int = 10) -> Rewi
     rng = np.random.default_rng(config.seed)
     adj = _adj_sets(g)
     edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
-    edge_set = set(edges)
     edit_log = []
     iters = config.num_iterations(len(edges))
     deadline = config.deadline()
@@ -280,7 +263,7 @@ def rewire_grlef(g: Graph, config: RewireConfig, max_resample: int = 10) -> Rewi
         tri_counts = np.array([_tri(adj, *e) for e in edges], dtype=np.float64)
         probs = 1.0 / (tri_counts + 1.0)
         probs /= probs.sum()
-        for _ in range(max_resample):
+        for _ in range(GRLEF_DRAWS):
             u, v = edges[int(rng.choice(len(edges), p=probs))]
 
             best = None
@@ -302,10 +285,8 @@ def rewire_grlef(g: Graph, config: RewireConfig, max_resample: int = 10) -> Rewi
             up, vp = best
             _apply_flip(adj, u, v, up, vp)
             for old in ((min(u, up), max(u, up)), (min(v, vp), max(v, vp))):
-                edge_set.remove(old)
                 edges.remove(old)
             for new in ((min(u, vp), max(u, vp)), (min(v, up), max(v, up))):
-                edge_set.add(new)
                 edges.append(new)
             edit_log.append((it, "flip", u, v))
             flipped = True
@@ -314,9 +295,8 @@ def rewire_grlef(g: Graph, config: RewireConfig, max_resample: int = 10) -> Rewi
             edit_log.append((it, "skip", -1, -1))
             log.debug("grlef: iteration %d found no legal flip", it)
 
-    new_graph = g.with_edges(np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2))
-    return RewiredGraph(method="grlef", graph=new_graph, edit_log=edit_log,
-                        config=config)
+    new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return RewiredGraph(method="grlef", graph=new_graph, edit_log=edit_log)
 
 
 def _apply_flip(adj, u, v, up, vp):
@@ -436,11 +416,17 @@ def rewire_diffwire(g: Graph) -> RewiredGraph:
 def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
     config.validate()
     if config.method == "baseline":
-        return RewiredGraph(method="baseline", graph=g, config=config)
+        return RewiredGraph(method="baseline", graph=g)
+    # diffusion: a dense kernel of the normalized adjacency (node tasks only;
+    # the evaluation harness enforces the restriction)
     if config.method == "heat":
-        return rewire_diffusion(g, "heat", config.t, config.diffusion_norm)
+        t_op = shift_operator(g, OperatorKind.ADJACENCY,
+                              Normalization(config.diffusion_norm))
+        kernel = heat_kernel(t_op.matrix, config.t)
+        return RewiredGraph(method="heat", graph=g, operator=kernel)
     if config.method == "pagerank":
-        return rewire_diffusion(g, "pagerank", config.alpha, config.diffusion_norm)
+        kernel = pagerank_kernel(g, config.alpha, config.diffusion_norm)
+        return RewiredGraph(method="pagerank", graph=g, operator=kernel)
     if config.method == "sdrf":
         return rewire_sdrf(g, config)
     if config.method == "grlef":

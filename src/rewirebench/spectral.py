@@ -17,7 +17,15 @@ from .graph import (Graph, Normalization, OperatorKind, connected_components,
 
 log = logging.getLogger(__name__)
 
-DENSE_EIG_LIMIT = 4000
+EXACT_RADIUS_ROWS = 1024  # dense spectral_radius input solved by eigvals
+DENSE_EIG_LIMIT = 4000    # dense eigvalsh; eigvals after no convergence
+PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
+# power iteration stops once its estimate changes by at most POWER_TOL
+# (relative) while the 2-term Krylov fit leaves a relative residual of at
+# most POWER_FIT_RESIDUAL, or else after POWER_STEPS steps
+POWER_TOL = 1e-10
+POWER_FIT_RESIDUAL = 1e-2
+POWER_STEPS = 2000
 
 
 @dataclass
@@ -30,38 +38,36 @@ class SpectralRadiusResult:
         return self.value
 
 
-def spectral_radius(m, tol: float = 1e-10, max_iter: int = 2000,
-                    seed: int = 0, dense_fallback: bool = True) -> SpectralRadiusResult:
-    """|lambda_max| by power iteration with a deterministic seeded start.
+def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
+    """|lambda_max|, by a rule that depends on the input alone.
 
-    Each step fits the dominant 2-dimensional Krylov recurrence so that
-    complex conjugate pairs (rotating iterates of equal modulus) still yield
-    a convergent modulus estimate. On non-convergence the best estimate is
-    returned (flagged); with dense_fallback an exact eigvals call replaces it
-    for small dense matrices.
+    A dense array of at most EXACT_RADIUS_ROWS rows gets exact eigenvalues
+    (iterations 0). A sparse or larger dense one runs power iteration from a
+    seeded start; each step fits the dominant 2-dimensional Krylov
+    recurrence, so complex conjugate pairs still yield a convergent modulus.
+    A run that does not converge is flagged, and up to DENSE_EIG_LIMIT rows
+    its value is the exact one, with a warning.
     """
-    if sp.issparse(m):
-        n = m.shape[0]
-        matvec = m.dot
-    else:
+    if not sp.issparse(m):
         m = np.asarray(m, dtype=np.float64)
-        n = m.shape[0]
-        matvec = m.dot
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if m.ndim != 2 or n != m.shape[1]:
         raise InputError("spectral_radius requires a square matrix")
     if n == 0:
         return SpectralRadiusResult(0.0, 0, True)
+    if not sp.issparse(m) and n <= EXACT_RADIUS_ROWS:
+        return SpectralRadiusResult(_exact_radius(m), 0, True)
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     est = 0.0
-    for it in range(1, max_iter + 1):
-        y = matvec(x)
+    for it in range(1, POWER_STEPS + 1):
+        y = m.dot(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return SpectralRadiusResult(0.0, it, True)
-        z = matvec(y)
+        z = m.dot(y)
         # fit A^2 x ≈ a*(A x) + b*x: exact once x lies in a dominant
         # 2-dimensional invariant subspace; roots of t^2 - a t - b then give
         # the dominant eigenvalue(s), real or complex pair
@@ -71,55 +77,65 @@ def spectral_radius(m, tol: float = 1e-10, max_iter: int = 2000,
         new_est = float(np.max(np.abs(roots)))
         if not np.isfinite(new_est):
             new_est = float(ny)
-        if it > 1 and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        # a settled estimate counts only if the fit holds: with 3 dominant
+        # eigenvalues of equal modulus (a directed 3-cycle) it repeats wrongly
+        if (it > 1 and abs(new_est - est) <= POWER_TOL * max(1.0, abs(new_est))
+                and np.linalg.norm(z - basis @ coef)
+                <= POWER_FIT_RESIDUAL * np.linalg.norm(z)):
             return SpectralRadiusResult(new_est, it, True)
         est = new_est
         x = y / ny
-    if dense_fallback and n <= DENSE_EIG_LIMIT:
-        dense = m.toarray() if sp.issparse(m) else m
-        val = float(np.max(np.abs(np.linalg.eigvals(dense))))
-        log.warning("power iteration did not converge in %d iterations; "
-                    "dense eigvals fallback used", max_iter)
-        return SpectralRadiusResult(val, max_iter, False)
-    log.warning("power iteration did not converge; returning best estimate")
-    return SpectralRadiusResult(est, max_iter, False)
-
-
-def _laplacian_sym_spectrum(g: Graph, kind: Normalization) -> np.ndarray:
-    """Eigenvalues of the requested Laplacian; normalized variants share the
-    symmetric normalized spectrum (similarity by D^{1/2})."""
-    if kind is Normalization.NONE:
-        mat = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).matrix
-    else:
-        mat = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.SYM).matrix
-    n = g.num_nodes
     if n <= DENSE_EIG_LIMIT:
-        return np.linalg.eigvalsh(mat.toarray())
-    k = min(n - 1, 8 + n // 500, 32)
-    vals = spla.eigsh(mat.tocsc(), k=k, sigma=-1e-3, which="LM",
-                      return_eigenvectors=False, tol=1e-7)
-    return np.sort(vals)
+        log.warning("power iteration did not converge in %d iterations; "
+                    "dense eigvals fallback used", POWER_STEPS)
+        est = _exact_radius(m.toarray() if sp.issparse(m) else m)
+    else:
+        log.warning("power iteration did not converge; returning best estimate")
+    return SpectralRadiusResult(est, POWER_STEPS, False)
 
 
-def spectral_gap(g: Graph, laplacian: Normalization | str = Normalization.SYM,
-                 zero_tol: float = 1e-9) -> float:
-    """Smallest strictly positive eigenvalue of the chosen Laplacian."""
+def _exact_radius(dense: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(dense))))
+
+
+def spectral_gap(g: Graph,
+                 laplacian: Normalization | str = Normalization.SYM) -> float:
+    """Smallest strictly positive eigenvalue of the chosen Laplacian: the
+    least lambda_2 over components of at least 2 nodes (dense eigvalsh up to
+    DENSE_EIG_LIMIT nodes, shift-invert eigsh above). Normalized variants
+    share the symmetric normalized spectrum (similarity by D^{1/2}), where
+    an isolated node has eigenvalue 1 (`_inv_pow` maps degree 0 to 0)."""
     laplacian = Normalization(laplacian)
     if g.num_nodes < 2:
         raise InputError("spectral gap needs at least 2 nodes")
-    vals = _laplacian_sym_spectrum(g, laplacian)
-    thresh = zero_tol * max(1.0, float(np.max(np.abs(vals))))
-    pos = vals[vals > thresh]
-    return float(pos[0]) if pos.size else 0.0
+    norm = (Normalization.NONE if laplacian is Normalization.NONE
+            else Normalization.SYM)
+    mat = shift_operator(g, OperatorKind.LAPLACIAN, norm).matrix.tocsr()
+    comp = connected_components(g)
+    sizes = np.bincount(comp)
+    gap = 1.0 if norm is Normalization.SYM and np.any(sizes == 1) else np.inf
+    by_comp = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
+    for nodes in by_comp:
+        if nodes.size < 2:
+            continue
+        sub = mat[nodes][:, nodes]
+        if nodes.size <= DENSE_EIG_LIMIT:
+            lam2 = np.linalg.eigvalsh(sub.toarray())[1]
+        else:
+            lam2 = np.sort(spla.eigsh(sub.tocsc(), k=2, sigma=-1e-3, which="LM",
+                                      return_eigenvectors=False))[1]
+        gap = min(gap, float(lam2))
+    return 0.0 if np.isinf(gap) else gap
 
 
-def laplacian_pseudoinverse(g: Graph, cutoff: float = 1e-9) -> np.ndarray:
+def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the combinatorial Laplacian, by
     eigendecomposition with a relative zero-eigenvalue cutoff."""
     lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).dense
     w, v = np.linalg.eigh(lap)
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    inv = np.where(w > cutoff * max(lam_max, 1.0), 1.0 / np.where(w == 0, 1.0, w), 0.0)
+    inv = np.where(w > PINV_CUTOFF * max(lam_max, 1.0),
+                   1.0 / np.where(w == 0, 1.0, w), 0.0)
     return (v * inv) @ v.T
 
 

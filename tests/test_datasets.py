@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rewirebench import InputError, load_canonical, load_dataset, load_tudataset
+from rewirebench import (InputError, build_graph, load_canonical,
+                         load_dataset, load_tudataset)
 
 
 def write_canonical(root, edges, features, labels=None, graph_ids=None,
@@ -18,6 +19,33 @@ def write_canonical(root, edges, features, labels=None, graph_ids=None,
     if graph_labels is not None:
         (root / "graph_labels.csv").write_text(
             "".join(f"{y}\n" for y in graph_labels))
+
+
+def random_collection(rng, num_graphs, contiguous):
+    """Node graph ids, a random edge list inside each graph (both directions,
+    duplicates and self-loops included, in random order) and node labels."""
+    sizes = rng.integers(1, 12, num_graphs)
+    gids = np.repeat(rng.permutation(num_graphs) * 3 + 5, sizes)
+    if not contiguous:
+        gids = rng.permutation(gids)
+    edges = []
+    for gi in np.unique(gids):
+        nodes = np.flatnonzero(gids == gi)
+        for _ in range(rng.integers(0, 3 * nodes.size)):
+            edges.append(tuple(int(x) for x in rng.choice(nodes, 2)))
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return gids, edges, rng.integers(0, 3, gids.size)
+
+
+def same_graphs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.name == b.name and a.num_nodes == b.num_nodes
+        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(a.features, b.features)
+        assert (a.labels is None) == (b.labels is None)
+        if a.labels is not None:
+            assert np.array_equal(a.labels, b.labels)
 
 
 class TestCanonical:
@@ -89,6 +117,41 @@ class TestCanonical:
         assert len(graphs) == 2 and labels is None
 
 
+    def test_split_equals_per_graph_loop(self, tmp_path, rng):
+        for trial in range(5):
+            gids, edges, node_labels = random_collection(rng, 12, False)
+            features = rng.integers(0, 9, (gids.size, 2)).astype(float)
+            d = tmp_path / f"c{trial}"
+            write_canonical(d, edges, features, labels=node_labels,
+                            graph_ids=gids)
+            graphs, labels = load_canonical(str(d))
+            # reference: the per-graph scan of every edge
+            want, want_labels = [], []
+            for gi in np.unique(gids):
+                nodes = np.flatnonzero(gids == gi)
+                remap = {int(n): i for i, n in enumerate(nodes)}
+                sub = [(remap[u], remap[v]) for u, v in edges
+                       if u in remap and v in remap]
+                want.append(build_graph(sub, features[nodes], node_labels[nodes],
+                                        name=f"c{trial}[{gi}]"))
+                vals, counts = np.unique(node_labels[nodes], return_counts=True)
+                want_labels.append(vals[np.argmax(counts)])
+            same_graphs(graphs, want)
+            assert np.array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (3, 5)], "out of range"),
+        ([(0, 1), (-1, 2)], "out of range"),
+        ([(0, 1), (2, 3)], "joins graphs 0 and 1"),
+    ])
+    def test_bad_collection_edge(self, tmp_path, edges, message):
+        d = tmp_path / "coll"
+        write_canonical(d, edges, np.ones((5, 1)), graph_ids=[0, 0, 0, 1, 1],
+                        graph_labels=[0, 1])
+        with pytest.raises(InputError, match=message):
+            load_canonical(str(d))
+
+
 class TestTUDataset:
     def write_tud(self, root, name="TOY"):
         root.mkdir()
@@ -124,6 +187,50 @@ class TestTUDataset:
         d = self.write_tud(tmp_path / "TOY")
         (d / "TOY_graph_labels.txt").write_text(graph_labels)
         with pytest.raises(InputError, match="labels for 2 graphs"):
+            load_tudataset(str(d))
+
+    def test_split_equals_per_graph_loop(self, tmp_path, rng):
+        for trial in range(5):
+            gids, edges, node_labels = random_collection(rng, 12, True)
+            indicator = np.unique(gids, return_inverse=True)[1] + 1
+            num_graphs = indicator.max()
+            d = tmp_path / f"T{trial}"
+            d.mkdir()
+            (d / f"T{trial}_A.txt").write_text(
+                "".join(f"{u + 1}, {v + 1}\n" for u, v in edges))
+            (d / f"T{trial}_graph_indicator.txt").write_text(
+                "".join(f"{i}\n" for i in indicator))
+            (d / f"T{trial}_graph_labels.txt").write_text(
+                "".join(f"{i % 2}\n" for i in range(num_graphs)))
+            (d / f"T{trial}_node_labels.txt").write_text(
+                "".join(f"{y}\n" for y in node_labels))
+            graphs, labels = load_tudataset(str(d))
+            # reference: the per-graph scan of every edge, at 1-based offsets
+            classes = np.unique(node_labels)
+            features = np.zeros((gids.size, classes.size))
+            features[np.arange(gids.size),
+                     np.searchsorted(classes, node_labels)] = 1.0
+            want = []
+            for gi in np.unique(indicator):
+                nodes = np.flatnonzero(indicator == gi)
+                offset, n = nodes[0], nodes.shape[0]
+                sub = [(u - offset, v - offset) for u, v in edges
+                       if offset <= u < offset + n and offset <= v < offset + n]
+                want.append(build_graph(sub, features[nodes],
+                                        name=f"T{trial}[{gi}]"))
+            same_graphs(graphs, want)
+            assert np.array_equal(labels, np.arange(num_graphs) % 2)
+
+    @pytest.mark.parametrize("edge, message", [
+        ("4, 6\n", "out of range"),
+        ("0, 1\n", "out of range"),
+        ("3, 4\n", "joins graphs 1 and 2"),
+    ])
+    def test_bad_collection_edge(self, tmp_path, edge, message):
+        d = self.write_tud(tmp_path / "TOY")
+        with open(d / "TOY_A.txt", "a") as fh:
+            fh.write(edge)
+        with pytest.raises(InputError, match=message):
             load_tudataset(str(d))
 
     def test_missing_file(self, tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rewirebench import models
 from rewirebench import (InputError, gesn_embed, gesn_init, input_features,
                          one_hot, pool, predict, ridge_fit, ridge_path,
                          sgc_embed, spectral_radius)
@@ -62,6 +63,19 @@ class TestReservoir:
             p = gesn_init(3, 64, 1.0, rho, seed=7)
             got = float(spectral_radius(p.w_hat, seed=1))
             assert got == pytest.approx(rho, rel=1e-8)
+
+    @pytest.mark.parametrize("hidden", [16, 1024])
+    def test_exact_rho_hits_target(self, hidden, monkeypatch):
+        calls = []
+
+        def counting(m, seed=0):
+            calls.append(m.shape)
+            return spectral_radius(m, seed=seed)
+        monkeypatch.setattr(models, "spectral_radius", counting)
+        p = gesn_init(3, hidden, 1.0, 0.9, seed=11)
+        assert calls == [(hidden, hidden)]
+        assert p.rho_raw == np.max(np.abs(np.linalg.eigvals(p.w_raw)))
+        assert abs(float(spectral_radius(p.w_hat)) - 0.9) <= 1e-12
 
     def test_zero_rho_zero_matrix(self):
         p = gesn_init(2, 16, 1.0, 0.0, seed=0)

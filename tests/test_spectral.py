@@ -1,13 +1,18 @@
+import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          effective_resistance, heat_kernel,
                          laplacian_pseudoinverse, pagerank_kernel,
                          shift_operator, spectral_gap, spectral_radius)
+
+from rewirebench.spectral import DENSE_EIG_LIMIT, POWER_STEPS
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -29,6 +34,31 @@ def pagerank_coeffs(alpha, terms=200):
     return [alpha * (1 - alpha) ** m for m in range(terms)]
 
 
+def power_iteration(m, seed, tol=1e-10, max_iter=2000):
+    """(value, iterations) of the Krylov power iteration that spectral_radius
+    ran by default before dense inputs of up to 1024 rows got exact
+    eigenvalues: the bitwise reference for the inputs that still iterate."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m.shape[0])
+    x /= np.linalg.norm(x)
+    est = 0.0
+    for it in range(1, max_iter + 1):
+        y = m.dot(x)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return 0.0, it
+        z = m.dot(y)
+        coef, *_ = np.linalg.lstsq(np.stack([y, x], axis=1), z, rcond=None)
+        new_est = float(np.max(np.abs(np.roots([1.0, -coef[0], -coef[1]]))))
+        if not np.isfinite(new_est):
+            new_est = float(ny)
+        if it > 1 and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+            return new_est, it
+        est = new_est
+        x = y / ny
+    return est, max_iter
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert float(spectral_radius(np.eye(5))) == pytest.approx(1.0)
@@ -48,18 +78,44 @@ class TestSpectralRadius:
             want = np.max(np.abs(np.linalg.eigvals(a)))
             assert float(spectral_radius(a)) == pytest.approx(want, abs=1e-7)
 
-    def test_random_nonsymmetric(self, rng):
-        for _ in range(5):
-            w = rng.uniform(-1, 1, size=(30, 30))
-            want = np.max(np.abs(np.linalg.eigvals(w)))
-            got = spectral_radius(w, tol=1e-12, max_iter=5000)
-            assert float(got) == pytest.approx(want, rel=1e-6)
+    @pytest.mark.parametrize("n", [1, 2, 30, 200, 1024])
+    def test_dense_up_to_1024_rows_is_exact(self, rng, n):
+        w = rng.uniform(-1, 1, size=(n, n))
+        res = spectral_radius(w, seed=5)
+        assert res.value == np.max(np.abs(np.linalg.eigvals(w)))
+        assert res.iterations == 0 and res.converged
 
-    def test_nonconvergence_reported(self):
-        # rotation matrix: estimate exists but iteration never settles fully
-        r = np.array([[0.0, -1.0], [1.0, 0.0]])
-        res = spectral_radius(r, tol=1e-14, max_iter=3, dense_fallback=False)
-        assert res.value == pytest.approx(1.0, abs=1e-6) or not res.converged
+    def test_sparse_and_large_dense_iterate_as_before(self, rng):
+        mats = [shift_operator(random_graph(n, p, rng), "adjacency",
+                               norm).matrix
+                for n, p, norm in ((12, 0.4, "none"), (40, 0.1, "sym"),
+                                   (300, 0.02, "rw"), (300, 0.02, "none"))]
+        mats.append(sp.random(500, 500, density=0.02, random_state=1,
+                              format="csr"))
+        mats.append(rng.uniform(0, 1, size=(1025, 1025)))
+        mats.append(sp.csr_matrix(rng.uniform(0, 1, size=(1100, 1100))))
+        for seed, m in enumerate(mats):
+            res = spectral_radius(m, seed=seed)
+            assert res.converged and res.iterations > 0
+            assert (res.value, res.iterations) == power_iteration(m, seed)
+
+    def test_directed_three_cycle_never_settles(self, caplog):
+        m = sp.csr_matrix(np.roll(np.eye(3), 1, axis=1))
+        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
+            res = spectral_radius(m)
+        assert not res.converged and res.iterations == POWER_STEPS
+        assert res.value == np.max(np.abs(np.linalg.eigvals(m.toarray())))
+        assert res.value == pytest.approx(1.0, abs=1e-15)
+        assert "dense eigvals fallback used" in caplog.text
+        # the 2-term fit repeats one wrong estimate on the rotating iterates,
+        # which the stopping rule alone takes for convergence
+        assert power_iteration(m, 0) == (pytest.approx(0.2212, abs=1e-4), 2)
+
+    def test_not_square(self):
+        with pytest.raises(InputError):
+            spectral_radius(np.ones((2, 3)))
+        with pytest.raises(InputError):
+            spectral_radius(sp.csr_matrix((2, 3)))
 
 
 class TestSpectralGap:
@@ -80,6 +136,53 @@ class TestSpectralGap:
             vals = np.sort(np.linalg.eigvalsh(lap))
             want = vals[vals > 1e-9][0]
             assert spectral_gap(g, "sym") == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("norm", ["sym", "none"])
+    def test_multi_component_matches_whole_spectrum(self, rng, norm):
+        # sparse random graphs: several components, some isolated nodes
+        for n in (5, 20, 60):
+            for _ in range(4):
+                g = random_graph(n, 1.5 / n, rng)
+                lap = shift_operator(g, "laplacian", norm).dense
+                vals = np.linalg.eigvalsh(lap)
+                pos = vals[vals > 1e-9 * max(1.0, np.max(np.abs(vals)))]
+                want = pos.min() if pos.size else 0.0
+                assert spectral_gap(g, norm) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("norm", ["sym", "none"])
+    def test_many_components_above_dense_limit(self, norm):
+        # 2001 disjoint edges: more components than eigenvalues a partial
+        # solver of the whole Laplacian would return
+        pairs = 2001
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(pairs)],
+                        np.zeros((2 * pairs, 1)))
+        assert g.num_nodes > DENSE_EIG_LIMIT
+        assert spectral_gap(g, norm) == 2.0
+
+    @pytest.mark.parametrize("norm, want", [("sym", 1.0), ("none", 4.0)])
+    def test_isolated_node(self, norm, want):
+        # K4 (gap 4/3 under sym, 4 under none) plus an isolated node, which
+        # has eigenvalue 1 under sym and 0 under none
+        g = build_graph(complete_graph(4).edges.tolist(), np.zeros((5, 1)))
+        assert spectral_gap(g, norm) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
+    def test_component_above_dense_limit(self, norm, scale, monkeypatch):
+        # a 2-regular cycle past the dense limit plus one edge: the cycle's
+        # lambda_2 = scale * (2 - 2 cos(2 pi / k)) comes from sparse eigsh
+        sizes = []
+        real = spla.eigsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(spla, "eigsh", counting)
+        k = DENSE_EIG_LIMIT + 100
+        edges = [(i, (i + 1) % k) for i in range(k)] + [(k, k + 1)]
+        g = build_graph(edges, np.zeros((k + 2, 1)))
+        want = scale * (2.0 - 2.0 * math.cos(2.0 * math.pi / k))
+        assert spectral_gap(g, norm) == pytest.approx(want, rel=1e-9)
+        assert sizes == [k]
 
 
 class TestPseudoinverseAndResistance:

@@ -1,0 +1,68 @@
+"""The call sites that the pipeline benchmark's tracer patches.
+
+`pipebench/tracing.py` replaces module attributes of the package (for
+example `rewirebench.models.spectral_radius`) and reads fields of their
+results. A rename or a changed result type breaks `--trace 1`; these tests
+catch that on a tiny GESN graph run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from rewirebench.cli import main
+
+PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PIPEBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+def _patched(tracing):
+    """(module, attribute) -> current value for every trace point."""
+    out = {}
+    for _, modules, attr, _ in tracing.POINTS:
+        for short in modules:
+            module = importlib.import_module(f"rewirebench.{short}")
+            out[(short, attr)] = getattr(module, attr)
+    return out
+
+
+def test_install_and_uninstall_restore_every_point(tracing):
+    before = _patched(tracing)
+    tracer = tracing.Tracer()
+    with tracer:
+        during = _patched(tracing)
+        assert all(during[k] is not before[k] for k in before)
+    assert all(v is before[k] for k, v in _patched(tracing).items())
+    assert not tracer._patches
+
+
+def test_traced_gesn_graph_run_counts_both_radius_sites(tracing, tmp_path):
+    data = tmp_path / "data"
+    _load("generate").graph_collection(str(data), 0, graphs=20)
+    with tracing.Tracer() as tracer:
+        assert main(["run", "--dataset", str(data), "--seed", "0", "--out",
+                     str(tmp_path / "out"), "--model", "gesn", "--grid",
+                     "tiny", "--rewire", "sdrf"]) == 0
+    c = tracer.counters
+    # one reservoir per hidden size of the tiny grid; one operator per graph
+    # for the rewired and the baseline run each
+    assert c["spectral.spectral_radius.reservoir_calls"] >= 1
+    assert c["spectral.spectral_radius.operator_calls"] == 2 * 20
+    assert c["spectral.spectral_radius.calls"] == (
+        c["spectral.spectral_radius.reservoir_calls"]
+        + c["spectral.spectral_radius.operator_calls"])
+    assert c["models.gesn_init.calls"] >= 1
+    assert tracer.self_s["spectral.spectral_radius"] > 0.0
