@@ -79,18 +79,21 @@ def load_canonical(path: str):
         return build_graph(edges, features, labels, name=name)
 
     gids = _read_ints(gid_path)
+    _check_count(feat_path, features.shape[0], gids.shape[0], "rows", "nodes")
+    if labels is not None:
+        _check_count(lab_path, labels.shape[0], gids.shape[0], "rows", "nodes")
     glab_path = os.path.join(path, "graph_labels.csv")
     graph_labels = None
     if os.path.exists(glab_path):
         graph_labels = _read_ints(glab_path)
-        _check_label_count(graph_labels, np.unique(gids).shape[0], glab_path)
+        _check_count(glab_path, graph_labels.shape[0], np.unique(gids).shape[0],
+                     "labels", "graphs")
     return _split_collection(edges, features, labels, gids, graph_labels, name)
 
 
-def _check_label_count(graph_labels, num_graphs: int, path) -> None:
-    if graph_labels.shape[0] != num_graphs:
-        raise InputError(f"{path} has {graph_labels.shape[0]} labels for "
-                         f"{num_graphs} graphs")
+def _check_count(path, found: int, expected: int, what: str, per: str) -> None:
+    if found != expected:
+        raise InputError(f"{path} has {found} {what} for {expected} {per}")
 
 
 def _groups(keys: np.ndarray, num: int) -> list:
@@ -141,13 +144,15 @@ def load_tudataset(path: str, name: str | None = None):
     edges = np.asarray(_read_int_pairs(f("A")), dtype=np.int64) - 1
     indicator = _read_ints(f("graph_indicator"))
     graph_labels = _read_ints(f("graph_labels"))
-    _check_label_count(graph_labels, np.unique(indicator).shape[0],
-                       f("graph_labels"))
+    _check_count(f("graph_labels"), graph_labels.shape[0],
+                 np.unique(indicator).shape[0], "labels", "graphs")
     num_nodes = indicator.shape[0]
 
     node_label_path = f("node_labels")
     if os.path.exists(node_label_path):
         node_labels = _read_ints(node_label_path)
+        _check_count(node_label_path, node_labels.shape[0], num_nodes, "rows",
+                     "nodes")
         classes = np.unique(node_labels)
         features = np.zeros((num_nodes, classes.shape[0]))
         features[np.arange(num_nodes), np.searchsorted(classes, node_labels)] = 1.0

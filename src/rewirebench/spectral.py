@@ -18,7 +18,7 @@ from .graph import (Graph, Normalization, OperatorKind, connected_components,
 log = logging.getLogger(__name__)
 
 EXACT_RADIUS_ROWS = 1024  # dense spectral_radius input solved by eigvals
-DENSE_EIG_LIMIT = 4000    # dense eigvalsh; eigvals after no convergence
+DENSE_EIG_LIMIT = 4000    # dense eigvalsh; sparse eigvals after no convergence
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 # power iteration stops once its estimate changes by at most POWER_TOL
 # (relative) while the 2-term Krylov fit leaves a relative residual of at
@@ -45,8 +45,10 @@ def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
     (iterations 0). A sparse or larger dense one runs power iteration from a
     seeded start; each step fits the dominant 2-dimensional Krylov
     recurrence, so complex conjugate pairs still yield a convergent modulus.
-    A run that does not converge is flagged, and up to DENSE_EIG_LIMIT rows
-    its value is the exact one, with a warning.
+    A run that does not converge is flagged, with a warning, and its value
+    is the exact one for any dense input (it already holds n^2 doubles) and
+    for a sparse one of up to DENSE_EIG_LIMIT rows; a larger sparse input
+    keeps the last estimate.
     """
     if not sp.issparse(m):
         m = np.asarray(m, dtype=np.float64)
@@ -85,7 +87,7 @@ def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
             return SpectralRadiusResult(new_est, it, True)
         est = new_est
         x = y / ny
-    if n <= DENSE_EIG_LIMIT:
+    if not sp.issparse(m) or n <= DENSE_EIG_LIMIT:
         log.warning("power iteration did not converge in %d iterations; "
                     "dense eigvals fallback used", POWER_STEPS)
         est = _exact_radius(m.toarray() if sp.issparse(m) else m)

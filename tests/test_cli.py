@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import rewirebench
 from rewirebench import cli
 from rewirebench.cli import main
 
@@ -61,6 +64,13 @@ class TestStats:
     def test_unlabeled_collection(self, unlabeled_collection, capsys):
         assert main(["stats", "--dataset", unlabeled_collection]) == 0
         assert "graphs           2" in capsys.readouterr().out
+
+    def test_feature_rows_mismatch_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "coll"
+        write_canonical(d, [(0, 1), (2, 3)], np.ones((3, 1)),
+                        graph_ids=[0, 0, 1, 1])
+        assert main(["stats", "--dataset", str(d)]) == 2
+        assert "features.csv has 3 rows for 4 nodes" in capsys.readouterr().err
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["stats", "--dataset", str(tmp_path / "nope")]) == 2
@@ -283,3 +293,38 @@ class TestConfigFile:
         assert rewire["budget_seconds"] == 120.0
         assert isinstance(rewire["budget_seconds"], float)
         assert rewire["seed"] == 3 and isinstance(rewire["seed"], int)
+
+
+COLD_START = """
+import sys
+from rewirebench import cli
+data, graph, out = sys.argv[1:]
+codes = [cli.main(["stats", "--dataset", data]),
+         cli.main(["rewire", "--dataset", graph, "--rewire", "sdrf",
+                   "--out", out + "/rw"]),
+         cli.main(["run", "--dataset", data, "--model", "gesn", "--grid",
+                   "tiny", "--rewire", "sdrf", "--jobs", "1",
+                   "--out", out + "/run"])]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+
+
+def test_cli_never_imports_scipy_stats(tmp_path, node_dataset):
+    """scipy.stats costs a fresh process about 0.9 s and 35 MB to import;
+    stats and a rewired run with its t-test on a collection, and rewire on
+    a single graph, need none of it."""
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(4, 8, 10)
+    gids = np.repeat(np.arange(10), sizes)
+    edges = [(int(u), int(v)) for g in range(10)
+             for u, v in zip(np.flatnonzero(gids == g)[:-1],
+                             np.flatnonzero(gids == g)[1:])]
+    d = tmp_path / "coll"
+    write_canonical(d, edges, rng.normal(size=(gids.size, 2)),
+                    graph_ids=gids, graph_labels=np.arange(10) % 2)
+    src = os.path.dirname(os.path.dirname(rewirebench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(d),
+                           node_dataset, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -109,6 +109,20 @@ class TestCanonical:
         with pytest.raises(InputError, match="labels for 2 graphs"):
             load_canonical(str(d))
 
+    @pytest.mark.parametrize("features, labels, bad_file", [
+        (np.ones((3, 1)), None, "features.csv"),
+        (np.ones((3, 1)), [0, 1, 0, 1], "features.csv"),
+        (np.ones((4, 1)), [0, 1, 0], "labels.csv"),
+        (np.ones((5, 1)), [0, 1, 0, 1, 1], "features.csv"),
+    ], ids=["features", "features-labeled", "labels", "features-long"])
+    def test_node_row_count_mismatch(self, tmp_path, features, labels,
+                                     bad_file):
+        d = tmp_path / "coll"
+        write_canonical(d, [(0, 1), (2, 3)], features, labels=labels,
+                        graph_ids=[0, 0, 1, 1])
+        with pytest.raises(InputError, match=f"{bad_file} has .* for 4 nodes"):
+            load_canonical(str(d))
+
     def test_unlabeled_collection(self, tmp_path):
         d = tmp_path / "coll"
         write_canonical(d, [(0, 1), (2, 3)], np.ones((4, 1)),
@@ -187,6 +201,13 @@ class TestTUDataset:
         d = self.write_tud(tmp_path / "TOY")
         (d / "TOY_graph_labels.txt").write_text(graph_labels)
         with pytest.raises(InputError, match="labels for 2 graphs"):
+            load_tudataset(str(d))
+
+    @pytest.mark.parametrize("node_labels", ["7\n7\n9\n", "7\n7\n9\n9\n7\n7\n"])
+    def test_node_label_count_mismatch(self, tmp_path, node_labels):
+        d = self.write_tud(tmp_path / "TOY")
+        (d / "TOY_node_labels.txt").write_text(node_labels)
+        with pytest.raises(InputError, match="node_labels.txt has .* for 5 nodes"):
             load_tudataset(str(d))
 
     def test_split_equals_per_graph_loop(self, tmp_path, rng):

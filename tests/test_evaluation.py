@@ -126,6 +126,23 @@ class TestMetrics:
         want = wins / (len(pos) * len(neg))
         assert auroc(scores, y) == pytest.approx(want)
 
+    @pytest.mark.parametrize("levels", [2, 5, 0])
+    def test_auroc_equals_rankdata_reference(self, rng, levels):
+        # tie-heavy scores on a few levels, and untied normal scores (0)
+        for _ in range(50):
+            n = int(rng.integers(2, 80))
+            scores = (rng.integers(0, levels, n) / levels if levels
+                      else rng.normal(size=n))
+            y = np.arange(n) % 2
+            ranks = scipy.stats.rankdata(scores)
+            n_pos = n // 2
+            want = float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+                         / (n_pos * (n - n_pos)))
+            assert auroc(scores, y) == want
+
+    def test_auroc_nan_score(self):
+        assert math.isnan(auroc([0.1, np.nan, 0.3, 0.2], [0, 1, 0, 1]))
+
     def test_auroc_needs_both_classes(self):
         with pytest.raises(InputError):
             auroc([0.1, 0.2], [1, 1])
@@ -143,11 +160,28 @@ class TestSignificance:
         assert p == 0.0 and flag == "worse"
 
     def test_matches_scipy_ttest(self, rng):
+        compared = 0
+        for trial in range(400):
+            n = int(rng.integers(2, 11))
+            if trial % 2:   # accuracy-like fractions of a test fold
+                k = int(rng.integers(5, 200))
+                b = rng.integers(0, k + 1, n) / k
+                m = rng.integers(0, k + 1, n) / k
+            else:
+                b = rng.random(n)
+                m = b + rng.normal(0.02, 0.05, size=n)
+            if np.std(m - b, ddof=1) == 0.0:
+                continue    # a constant shift is decided without a test
+            p, _ = significance(b, m)
+            assert p == float(scipy.stats.ttest_rel(m, b).pvalue)
+            compared += 1
+        assert compared > 350
+
+    def test_ttest_flag_direction(self, rng):
         b = rng.random(5)
         m = b + rng.normal(0.2, 0.01, size=5)
-        p, flag = significance(b, m)
-        assert p == pytest.approx(float(scipy.stats.ttest_rel(m, b).pvalue))
-        assert flag == "better"
+        assert significance(b, m)[1] == "better"
+        assert significance(m, b)[1] == "worse"
 
     def test_wilcoxon_variant(self, rng):
         b = rng.random(8)
@@ -155,12 +189,16 @@ class TestSignificance:
         p, flag = significance(b, m, test="wilcoxon")
         assert p == pytest.approx(float(scipy.stats.wilcoxon(m, b).pvalue))
 
-    def test_insignificant_noise(self, rng):
-        b = rng.random(5)
-        m = b + rng.normal(0.0, 1e-3, size=5)
-        _, flag = significance(b, m)
-        # tiny symmetric noise should usually not clear alpha; flag is one of
-        assert flag in ("none", "better", "worse")
+    @pytest.mark.parametrize("method, p_want, flag", [
+        # differences (1, -1, 3)/8: t = sqrt(3)/2
+        ([0.625, 0.375, 0.875], 1 - math.sqrt(3 / 11), "none"),
+        # differences (4, 3, 5)/16: t = 4 sqrt(3)
+        ([0.75, 0.6875, 0.8125], 1 - math.sqrt(48 / 50), "better"),
+    ], ids=["none", "better"])
+    def test_fixed_three_fold_case(self, method, p_want, flag):
+        # two degrees of freedom: p = 1 - |t| / sqrt(t^2 + 2) in closed form
+        p, got = significance([0.5] * 3, method)
+        assert p == pytest.approx(p_want, rel=1e-13) and got == flag
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):

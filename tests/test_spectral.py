@@ -12,6 +12,7 @@ from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          laplacian_pseudoinverse, pagerank_kernel,
                          shift_operator, spectral_gap, spectral_radius)
 
+from rewirebench import spectral
 from rewirebench.spectral import DENSE_EIG_LIMIT, POWER_STEPS
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -110,6 +111,26 @@ class TestSpectralRadius:
         # the 2-term fit repeats one wrong estimate on the rotating iterates,
         # which the stopping rule alone takes for convergence
         assert power_iteration(m, 0) == (pytest.approx(0.2212, abs=1e-4), 2)
+
+    def test_unconverged_above_dense_limit(self, monkeypatch, caplog):
+        monkeypatch.setattr(spectral, "EXACT_RADIUS_ROWS", 3)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 6)
+        monkeypatch.setattr(spectral, "POWER_STEPS", 50)
+        # three directed 3-cycles: 9 rows, above both patched limits, and
+        # power iteration never settles on them
+        m = np.kron(np.eye(3), np.roll(np.eye(3), 1, axis=1))
+        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
+            dense = spectral_radius(m)
+        assert not dense.converged and dense.iterations == 50
+        assert dense.value == np.max(np.abs(np.linalg.eigvals(m)))
+        assert "dense eigvals fallback used" in caplog.text
+        caplog.clear()
+        # a sparse input keeps the last estimate
+        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
+            res = spectral_radius(sp.csr_matrix(m))
+        assert not res.converged and res.iterations == 50
+        assert res.value != pytest.approx(1.0, abs=1e-3)
+        assert "returning best estimate" in caplog.text
 
     def test_not_square(self):
         with pytest.raises(InputError):
