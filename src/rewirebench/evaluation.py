@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import stdtr
 
 from .errors import BudgetExceeded, CompatibilityError, InputError
@@ -332,17 +333,30 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     ρ(M) is measured once per graph and the reservoir drawn once per hidden
     size; a config only rescales that draw. A node task (one graph, no
     `pooling`) gets node embeddings, a graph task one row per graph and mode.
+
+    Several graphs are embedded in one pass over their disjoint union: a
+    block-diagonal operator whose block i is M_i / ρ(M_i), so the reservoir
+    carries only the config's ρ, and pooling reduces over graph offsets. A
+    single graph keeps its operator as given and 1/ρ(M) in the reservoir, so
+    a dense n×n kernel is not copied and node embeddings keep their bits.
     """
-    graphs = []
+    ops, rhos, xs = [], [], []
     for rw in rewired:
         op = rw.operator
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE).matrix
         rho_m = float(spectral_radius(op, seed=seed))
-        graphs.append((op, rho_m if rho_m > 0 else 1.0,
-                       input_features(rw.graph.features)))
-    draws = {h: gesn_init(graphs[0][2].shape[1], h, 1.0, 1.0, seed=seed)
+        ops.append(op)
+        rhos.append(rho_m if rho_m > 0 else 1.0)
+        xs.append(input_features(rw.graph.features))
+    if len(ops) == 1:
+        op, rho_m, x = ops[0], rhos[0], xs[0]
+    else:
+        op = sp.block_diag([o / r for o, r in zip(ops, rhos)], format="csr")
+        rho_m, x = 1.0, np.concatenate(xs)
+    offsets = np.cumsum([0] + [xi.shape[0] for xi in xs[:-1]])
+    draws = {h: gesn_init(x.shape[1], h, 1.0, 1.0, seed=seed)
              for h in space.gesn_hidden}
     configs = [(h, s, r) for h in space.gesn_hidden
                for s in space.gesn_input_scaling for r in space.gesn_rho]
@@ -350,13 +364,12 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     def compute(cfg):
         budget.check()
         h, s, r = cfg
-        embs = [gesn_embed(op, x, replace(draws[h], input_scaling=s,
-                                          target_rho=r / rho_m))
-                for op, rho_m, x in graphs]
+        emb = gesn_embed(op, x, replace(draws[h], input_scaling=s,
+                                        target_rho=r / rho_m))
         base = {"hidden": h, "input_scaling": s, "rho": r}
         if pooling is None:
-            return [(base, embs[0])]
-        return [({**base, "pooling": p}, np.stack([pool(e, p) for e in embs]))
+            return [(base, emb)]
+        return [({**base, "pooling": p}, pool(emb, p, offsets))
                 for p in pooling]
 
     # at most `workers` configs run ahead of the one being consumed, so memory

@@ -98,20 +98,34 @@ def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     if not sp.issparse(mat):
         mat = np.asarray(mat, dtype=np.float64)
     for _ in range(params.iterations):
-        # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu
-        h = np.tanh(drive + (mat @ (w_hat @ h).T).T)
+        # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu;
+        # the state is updated in place, so a step holds two H x N temporaries
+        np.add(drive, (mat @ (w_hat @ h).T).T, out=h)
+        np.tanh(h, out=h)
     return h.T
 
 
-def pool(embeddings: np.ndarray, mode: str = "sum") -> np.ndarray:
-    """Parameter-free global pooling over nodes."""
-    if embeddings.shape[0] == 0:
+def pool(embeddings: np.ndarray, mode: str = "sum",
+         offsets=None) -> np.ndarray:
+    """Parameter-free global pooling over nodes.
+
+    Without `offsets` the rows are one graph and the result is one vector.
+    With `offsets` (the first row of each graph, ascending, starting at 0)
+    the rows are a stack of graphs and the result has one row per graph;
+    every graph sums its rows in order, so a graph pools to the same bits
+    alone or in a stack.
+    """
+    starts = np.asarray([0] if offsets is None else offsets, dtype=np.int64)
+    sizes = np.diff(starts, append=embeddings.shape[0])
+    if np.any(sizes <= 0):
+        # reduceat would return the next graph's first row for an empty one
         raise InputError("cannot pool an empty graph")
-    if mode == "sum":
-        return embeddings.sum(axis=0)
+    if mode not in ("sum", "mean"):
+        raise InputError(f"unknown pooling mode {mode!r}")
+    out = np.add.reduceat(embeddings, starts, axis=0)
     if mode == "mean":
-        return embeddings.mean(axis=0)
-    raise InputError(f"unknown pooling mode {mode!r}")
+        out = out / sizes[:, None]
+    return out if offsets is not None else out[0]
 
 
 @dataclass

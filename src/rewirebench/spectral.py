@@ -18,6 +18,9 @@ from .graph import (Graph, Normalization, OperatorKind, connected_components,
 log = logging.getLogger(__name__)
 
 EXACT_RADIUS_ROWS = 1024  # dense spectral_radius input solved by eigvals
+# sparse spectral_radius input solved by eigvals of its dense copy: below
+# this size one eigvals call is cheaper than a power iteration's first steps
+EXACT_SPARSE_RADIUS_ROWS = 64
 DENSE_EIG_LIMIT = 4000    # dense eigvalsh; sparse eigvals after no convergence
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 # power iteration stops once its estimate changes by at most POWER_TOL
@@ -41,9 +44,10 @@ class SpectralRadiusResult:
 def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
     """|lambda_max|, by a rule that depends on the input alone.
 
-    A dense array of at most EXACT_RADIUS_ROWS rows gets exact eigenvalues
-    (iterations 0). A sparse or larger dense one runs power iteration from a
-    seeded start; each step fits the dominant 2-dimensional Krylov
+    A dense array of at most EXACT_RADIUS_ROWS rows, or a sparse one of at
+    most EXACT_SPARSE_RADIUS_ROWS rows, gets exact eigenvalues (iterations
+    0). A larger one runs power iteration from a seeded start, one product
+    with m per step; each step fits the dominant 2-dimensional Krylov
     recurrence, so complex conjugate pairs still yield a convergent modulus.
     A run that does not converge is flagged, with a warning, and its value
     is the exact one for any dense input (it already holds n^2 doubles) and
@@ -57,15 +61,17 @@ def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
         raise InputError("spectral_radius requires a square matrix")
     if n == 0:
         return SpectralRadiusResult(0.0, 0, True)
+    if sp.issparse(m) and n <= EXACT_SPARSE_RADIUS_ROWS:
+        return SpectralRadiusResult(_exact_radius(m.toarray()), 0, True)
     if not sp.issparse(m) and n <= EXACT_RADIUS_ROWS:
         return SpectralRadiusResult(_exact_radius(m), 0, True)
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    y = m.dot(x)
     est = 0.0
     for it in range(1, POWER_STEPS + 1):
-        y = m.dot(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return SpectralRadiusResult(0.0, it, True)
@@ -86,7 +92,9 @@ def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
                 <= POWER_FIT_RESIDUAL * np.linalg.norm(z)):
             return SpectralRadiusResult(new_est, it, True)
         est = new_est
+        # the next step's m x is z / ny
         x = y / ny
+        y = z / ny
     if not sp.issparse(m) or n <= DENSE_EIG_LIMIT:
         log.warning("power iteration did not converge in %d iterations; "
                     "dense eigvals fallback used", POWER_STEPS)

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rewirebench import (BudgetExceeded, CompatibilityError, GraphTask,
                          spectral_radius, stratified_kfold)
 from rewirebench import evaluation
 from rewirebench.evaluation import check_compatibility, stratified_holdout
+from rewirebench.rewiring import RewiredGraph
 
 from conftest import random_graph
 
@@ -357,10 +359,22 @@ def gesn_grid(task, rconfig, jobs=1, seed=2):
                                            seed, budget, jobs))
 
 
-def assert_same_grid(got, want):
+def assert_same_grid(got, want, rtol=None):
+    """Equal configs in order, and embeddings bitwise equal or, with `rtol`,
+    within rtol of each embedding's largest entry."""
     assert [c for c, _ in got] == [c for c, _ in want]
     for (cfg, a), (_, b) in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b), cfg
+        assert a.dtype == b.dtype and a.shape == b.shape, cfg
+        if rtol is None:
+            assert np.array_equal(a, b), cfg
+        else:
+            assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), cfg
+
+
+def rewire_each(task, rconfig):
+    """The per-graph rewiring seeds of model_select's graph tasks."""
+    return [apply_rewiring(g, replace(rconfig, seed=rconfig.seed + 104729 * gi))
+            for gi, g in enumerate(task.graphs)]
 
 
 class TestGESNGrid:
@@ -375,14 +389,51 @@ class TestGESNGrid:
 
     @pytest.mark.parametrize("method", ["baseline", "sdrf"])
     def test_graph_task_equals_per_graph_draws(self, method):
+        # one pass over the block-diagonal union scales each block by
+        # 1/rho(M_i) instead of the reservoir, which moves the last bits
         task = blob_graph_task(n_graphs=6)
         rconfig = RewireConfig(method=method, seed=3)
-        rewired = [apply_rewiring(g, RewireConfig(method=method,
-                                                  seed=3 + 104729 * gi))
-                   for gi, g in enumerate(task.graphs)]
-        want = reference_gesn(rewired, GESN_SPACE, seed=2,
+        want = reference_gesn(rewire_each(task, rconfig), GESN_SPACE, seed=2,
                               pooling=GESN_SPACE.pooling)
-        assert_same_grid(gesn_grid(task, rconfig), want)
+        assert_same_grid(gesn_grid(task, rconfig), want, rtol=1e-9)
+
+    def test_mixed_collection_equals_per_graph_draws(self, monkeypatch):
+        # a graph above the exact sparse cap (its rho(M) iterates), a
+        # one-node graph and an edgeless one (rho(M) = 0, taken as 1)
+        rng = np.random.default_rng(7)
+        graphs = [random_graph(70, 0.08, rng),
+                  build_graph([], rng.normal(size=(1, 2))),
+                  random_graph(12, 0.4, rng),
+                  build_graph([], rng.normal(size=(5, 2)))]
+        task = GraphTask(graphs=graphs, labels=np.array([0, 1, 0, 1]))
+        iterations = []
+        real = evaluation.spectral_radius
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+        monkeypatch.setattr(evaluation, "spectral_radius", recording)
+        got = gesn_grid(task, RewireConfig())
+        assert iterations[0] > 0 and iterations[1:] == [0, 0, 0]
+        want = reference_gesn(rewire_each(task, RewireConfig()), GESN_SPACE,
+                              seed=2, pooling=GESN_SPACE.pooling)
+        assert_same_grid(got, want, rtol=1e-9)
+
+    def test_empty_graph_in_collection_refused(self):
+        # shift_operator refuses an empty graph, so give it an operator to
+        # reach the pooling of the union, where its segment has no rows
+        rng = np.random.default_rng(0)
+        rewired = [apply_rewiring(random_graph(6, 0.5, rng), RewireConfig())
+                   for _ in range(3)]
+        rewired[1] = RewiredGraph(method="baseline",
+                                  graph=build_graph([], np.zeros((0, 2))),
+                                  operator=np.zeros((0, 0)))
+        grid = evaluation._gesn_embeddings(rewired, GESN_SPACE, 2,
+                                           evaluation._Budget(None), 1,
+                                           GESN_SPACE.pooling)
+        with pytest.raises(InputError, match="cannot pool an empty graph"):
+            next(grid)
 
     @pytest.mark.parametrize("kind", ["node", "graph"])
     def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):

@@ -148,6 +148,19 @@ class TestGESNEmbed:
             h = new
         assert np.allclose(gesn_embed(m, x, p), h)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_in_place_update_equals_fresh_arrays(self, rng, dense):
+        # the update as one expression with a new state array per step
+        g = random_graph(30, 0.2, rng)
+        m = g.adjacency().toarray() if dense else g.adjacency()
+        x = rng.normal(size=(30, 2))
+        p = gesn_init(2, 12, 1.0, 0.9, seed=6, iterations=9)
+        drive = p.w_in @ x.T + p.bias[:, None]
+        h = np.zeros_like(drive)
+        for _ in range(p.iterations):
+            h = np.tanh(drive + (m @ (p.w_hat @ h).T).T)
+        assert np.array_equal(gesn_embed(m, x, p), h.T)
+
     def test_featureless_graph(self):
         p = gesn_init(1, 8, 1.0, 0.5, seed=1)
         out = gesn_embed(np.eye(4), np.zeros((4, 0)), p)
@@ -167,9 +180,24 @@ class TestPooling:
         assert np.allclose(pool(e, "sum"), e.sum(axis=0))
         assert np.allclose(pool(e, "mean"), e.mean(axis=0))
 
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    def test_offsets_equal_per_graph_pool(self, rng, mode):
+        # rows as gesn_embed returns them: the transpose of an H x N state
+        sizes = [1, 7, 3, 40, 2]
+        e = rng.normal(size=(4, sum(sizes))).T
+        offsets = np.cumsum([0] + sizes[:-1])
+        want = np.stack([pool(e[a:a + n], mode)
+                         for a, n in zip(offsets, sizes)])
+        assert np.array_equal(pool(e, mode, offsets), want)
+        assert np.array_equal(pool(e, mode, [0]), pool(e, mode)[None])
+
     def test_empty_graph(self):
         with pytest.raises(InputError):
             pool(np.zeros((0, 4)))
+        # reduceat alone would pool the next graph's first row here
+        for offsets in ([0, 2, 2], [0, 3], [0, 1, 5]):
+            with pytest.raises(InputError, match="empty graph"):
+                pool(np.ones((3, 4)), "sum", offsets)
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):

@@ -13,7 +13,8 @@ from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          shift_operator, spectral_gap, spectral_radius)
 
 from rewirebench import spectral
-from rewirebench.spectral import DENSE_EIG_LIMIT, POWER_STEPS
+from rewirebench.spectral import (DENSE_EIG_LIMIT, EXACT_SPARSE_RADIUS_ROWS,
+                                  POWER_STEPS)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -36,15 +37,15 @@ def pagerank_coeffs(alpha, terms=200):
 
 
 def power_iteration(m, seed, tol=1e-10, max_iter=2000):
-    """(value, iterations) of the Krylov power iteration that spectral_radius
-    ran by default before dense inputs of up to 1024 rows got exact
-    eigenvalues: the bitwise reference for the inputs that still iterate."""
+    """(value, iterations) of the Krylov power iteration, one product with m
+    per step, without the fit-residual guard: the bitwise reference for the
+    inputs that still iterate (dense above 1024 rows, sparse above 64)."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(m.shape[0])
     x /= np.linalg.norm(x)
+    y = m.dot(x)
     est = 0.0
     for it in range(1, max_iter + 1):
-        y = m.dot(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0, it
@@ -57,6 +58,7 @@ def power_iteration(m, seed, tol=1e-10, max_iter=2000):
             return new_est, it
         est = new_est
         x = y / ny
+        y = z / ny
     return est, max_iter
 
 
@@ -89,7 +91,7 @@ class TestSpectralRadius:
     def test_sparse_and_large_dense_iterate_as_before(self, rng):
         mats = [shift_operator(random_graph(n, p, rng), "adjacency",
                                norm).matrix
-                for n, p, norm in ((12, 0.4, "none"), (40, 0.1, "sym"),
+                for n, p, norm in ((65, 0.4, "none"), (80, 0.1, "sym"),
                                    (300, 0.02, "rw"), (300, 0.02, "none"))]
         mats.append(sp.random(500, 500, density=0.02, random_state=1,
                               format="csr"))
@@ -101,7 +103,10 @@ class TestSpectralRadius:
             assert (res.value, res.iterations) == power_iteration(m, seed)
 
     def test_directed_three_cycle_never_settles(self, caplog):
-        m = sp.csr_matrix(np.roll(np.eye(3), 1, axis=1))
+        # 22 directed 3-cycles: 66 sparse rows, above the exact cap
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        m = sp.csr_matrix(np.kron(np.eye(22), cycle))
+        assert m.shape[0] > EXACT_SPARSE_RADIUS_ROWS
         with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
             res = spectral_radius(m)
         assert not res.converged and res.iterations == POWER_STEPS
@@ -110,10 +115,31 @@ class TestSpectralRadius:
         assert "dense eigvals fallback used" in caplog.text
         # the 2-term fit repeats one wrong estimate on the rotating iterates,
         # which the stopping rule alone takes for convergence
-        assert power_iteration(m, 0) == (pytest.approx(0.2212, abs=1e-4), 2)
+        assert power_iteration(m, 0) == (pytest.approx(0.3260, abs=1e-4), 2)
+        three = sp.csr_matrix(cycle)
+        assert power_iteration(three, 0) == (pytest.approx(0.2212, abs=1e-4), 2)
+        # one directed 3-cycle is small enough to be solved exactly
+        res = spectral_radius(three)
+        assert res.converged and res.iterations == 0
+        assert res.value == np.max(np.abs(np.linalg.eigvals(cycle)))
+        assert res.value == pytest.approx(1.0, abs=1e-15)
+
+    def test_sparse_exact_up_to_64_rows(self):
+        for n in (64, 65):
+            m = sp.random(n, n, density=0.1, random_state=n, format="csr")
+            exact = np.max(np.abs(np.linalg.eigvals(m.toarray())))
+            res = spectral_radius(m, seed=3)
+            assert res.converged
+            if n == 64:
+                assert (res.value, res.iterations) == (exact, 0)
+            else:
+                assert res.iterations > 0
+                assert (res.value, res.iterations) == power_iteration(m, 3)
+                assert res.value == pytest.approx(exact, rel=1e-9)
 
     def test_unconverged_above_dense_limit(self, monkeypatch, caplog):
         monkeypatch.setattr(spectral, "EXACT_RADIUS_ROWS", 3)
+        monkeypatch.setattr(spectral, "EXACT_SPARSE_RADIUS_ROWS", 3)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 6)
         monkeypatch.setattr(spectral, "POWER_STEPS", 50)
         # three directed 3-cycles: 9 rows, above both patched limits, and
