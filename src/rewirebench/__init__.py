@@ -9,8 +9,7 @@ from .evaluation import (GraphTask, NodeTask, SearchSpace, accuracy, auroc,
                          stratified_kfold)
 from .graph import (DatasetStats, Graph, Normalization, OperatorKind,
                     ShiftOperator, build_graph, dataset_stats, diameter,
-                    edge_homophily, four_cycle_profile, shift_operator,
-                    triangle_count)
+                    edge_homophily, shift_operator)
 from .models import (ReadoutParams, ReservoirParams, gesn_embed, gesn_init,
                      input_features, one_hot, pool, predict, ridge_fit,
                      ridge_path, sgc_embed)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .graph import Graph, _edge_counts
+from .graph import Graph
 
 
 @dataclass
@@ -33,17 +33,21 @@ class EdgeCurvature:
 
 
 def balanced_forman(g: Graph, edge: tuple[int, int]) -> EdgeCurvature:
-    """Balanced Forman curvature of a single existing edge."""
+    """Balanced Forman curvature of a single existing edge, counted from the
+    neighbour sets of u, v and their neighbours."""
     u, v = edge
-    ric, tri, sq_uv, sq_vu, gamma = _edge_counts(g, u, v)
-    deg = g.degrees
-    tree, tri_term, sq_term = kernels.curvature_terms(
-        deg[[u]], deg[[v]], tri, sq_uv, sq_vu, gamma)
-    return EdgeCurvature(u=u, v=v, total=float(ric[0]), tree_term=float(tree[0]),
-                         triangle_term=float(tri_term[0]),
-                         square_term=float(sq_term[0]), triangles=int(tri[0]),
-                         squares_uv=int(sq_uv[0]), squares_vu=int(sq_vu[0]),
-                         gamma_max=float(gamma[0]) if gamma[0] > 0 else 1.0)
+    if not g.has_edge(u, v):
+        raise InputError(f"edge ({u}, {v}) not in graph")
+    near = {u, v, *g.neighbors(u).tolist(), *g.neighbors(v).tolist()}
+    adj = {x: set(g.neighbors(x).tolist()) for x in near}
+    counts = kernels.set_counts(adj, u, v)
+    tree, tri_term, sq_term = kernels.curvature_terms(*counts)
+    _, _, tri, sq_uv, sq_vu, gamma = counts
+    return EdgeCurvature(u=u, v=v, total=float(tree + tri_term + sq_term),
+                         tree_term=float(tree), triangle_term=float(tri_term),
+                         square_term=float(sq_term), triangles=tri,
+                         squares_uv=sq_uv, squares_vu=sq_vu,
+                         gamma_max=float(gamma) if gamma > 0 else 1.0)
 
 
 def edge_curvatures(g: Graph) -> np.ndarray:

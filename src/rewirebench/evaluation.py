@@ -24,7 +24,7 @@ from scipy.special import stdtr
 from .errors import BudgetExceeded, CompatibilityError, InputError
 from .graph import Graph, Normalization, OperatorKind, shift_operator
 from .models import (gesn_embed, gesn_init, input_features, pool, predict,
-                     ridge_fit, ridge_path, sgc_embed)
+                     ridge_fit, ridge_path)
 from .rewiring import RewireConfig, apply_rewiring
 from .spectral import spectral_radius
 

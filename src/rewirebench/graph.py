@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from . import kernels
 from .errors import InputError
 
 
@@ -73,7 +72,8 @@ class Graph:
         return a.indices[a.indptr[v]:a.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
+        n = self.num_nodes
+        if u == v or not (0 <= u < n and 0 <= v < n):
             return False
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
@@ -203,31 +203,6 @@ def shift_operator(g: Graph, kind: OperatorKind | str = OperatorKind.ADJACENCY,
             m = (sp.identity(g.num_nodes, format="csr") - adj).tocsr()
     return ShiftOperator(kind=kind, normalization=normalization,
                          self_loops=self_loops, matrix=m)
-
-
-def _edge_counts(g: Graph, u: int, v: int):
-    """(ric, tri, sq_uv, sq_vu, gamma) of an existing edge (u, v)."""
-    if not g.has_edge(u, v):
-        raise InputError(f"edge ({u}, {v}) not in graph")
-    a = g.adjacency()
-    return kernels.balanced_forman_edges(a.indptr, a.indices, [u], [v])
-
-
-def triangle_count(g: Graph, edge: tuple[int, int]) -> int:
-    """Number of triangles on an existing edge (u, v): |N(u) ∩ N(v)|."""
-    return int(_edge_counts(g, *edge)[1][0])
-
-
-def four_cycle_profile(g: Graph, edge: tuple[int, int]) -> tuple[int, int, float]:
-    """Diagonal-free 4-cycle counts over an edge.
-
-    Returns (sq_uv, sq_vu, gamma_max) where sq_uv counts neighbors w of u
-    (w != v, w not adjacent to v) lying on at least one 4-cycle u-w-k-v with
-    no diagonal (k not adjacent to u), and gamma_max is the maximum number of
-    such 4-cycles through any single contributing node (1 when there are none).
-    """
-    _, _, sq_uv, sq_vu, gamma = _edge_counts(g, *edge)
-    return int(sq_uv[0]), int(sq_vu[0]), float(gamma[0]) if gamma[0] > 0 else 1.0
 
 
 def edge_homophily(g: Graph) -> float:

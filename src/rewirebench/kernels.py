@@ -1,9 +1,15 @@
-"""Balanced Forman curvature counts for a batch of edges, vectorized with
-scipy.sparse.
+"""Balanced Forman curvature: one formula and two counters.
 
-The input is the CSR (indptr, indices) of a symmetric 0/1 adjacency A with
-sorted indices, plus parallel arrays us/vs of existing edges in either
-orientation. For each edge (u, v):
+`curvature_terms` is the only place the formula is written; every curvature
+value is the sum of its terms. The counts it takes come from one of two
+counters, which agree exactly:
+
+- `balanced_forman_edges` counts a whole batch of edges of a frozen graph
+  from CSR arrays, vectorized with scipy.sparse;
+- `set_counts` counts one edge from set adjacency, so it serves a graph that
+  is being edited (SDRF) and single-edge queries without building a batch.
+
+For each edge (u, v):
 
     tri      |N(u) ∩ N(v)| = (A²)_uv
     sq_uv    #w in N(u) \\ N[v] on a diagonal-free 4-cycle u-w-k-v
@@ -14,9 +20,11 @@ orientation. For each edge (u, v):
 A wedge w in N(u) \\ N[v] lies on c_w = (A²)_wv - 1 - |N(u) ∩ N(v) ∩ N(w)|
 such cycles: every k in N(w) ∩ N(v) closes one except k = u and the k
 adjacent to u. That is |N(w) ∩ (N(v) \\ N(u))| - 1, one sparse product for
-all wedges. Both orientations of every edge form one batch of 2m rows.
-Memory grows with the number of 3-paths from the batch's endpoints, so very
-dense graphs are costly.
+all wedges. The batch counter takes the CSR (indptr, indices) of a
+symmetric 0/1 adjacency with sorted indices, plus parallel arrays us/vs of
+existing edges in either orientation; both orientations of every edge form
+one batch of 2m rows. Its memory grows with the number of 3-paths from the
+batch's endpoints, so very dense graphs are costly.
 """
 
 from __future__ import annotations
@@ -35,6 +43,12 @@ def curvature_terms(du, dv, tri, sq_uv, sq_vu, gamma):
     square = np.divide(sq_uv + sq_vu, gamma * dmax,
                        out=np.zeros(np.shape(gamma)), where=gamma > 0)
     return tree, triangle, square
+
+
+def curvature_sum(du, dv, tri, sq_uv, sq_vu, gamma):
+    """Balanced Forman curvature: the sum of curvature_terms."""
+    tree, triangle, square = curvature_terms(du, dv, tri, sq_uv, sq_vu, gamma)
+    return tree + triangle + square
 
 
 def balanced_forman_edges(indptr, indices, us, vs):
@@ -64,9 +78,35 @@ def balanced_forman_edges(indptr, indices, us, vs):
     sq_uv, sq_vu = count[:m], count[m:]
     gamma = np.maximum(best[:m], best[m:])
     deg = np.diff(indptr)
-    tree, triangle, square = curvature_terms(deg[us], deg[vs], tri, sq_uv,
-                                             sq_vu, gamma)
-    return tree + triangle + square, tri, sq_uv, sq_vu, gamma
+    ric = curvature_sum(deg[us], deg[vs], tri, sq_uv, sq_vu, gamma)
+    return ric, tri, sq_uv, sq_vu, gamma
+
+
+def _square_side(adj, u, v):
+    """(#w in N(u) \\ N[v] on a diagonal-free 4-cycle u-w-k-v, the most such
+    cycles through one w), with c_w = |N(w) ∩ (N(v) \\ N(u))| - 1."""
+    nu, nv = adj[u], adj[v]
+    far = nv - nu
+    count = 0
+    best = 0
+    for w in nu:
+        if w == v or w in nv:
+            continue
+        cw = len(adj[w] & far) - 1
+        if cw > 0:
+            count += 1
+            best = max(best, cw)
+    return count, best
+
+
+def set_counts(adj, u, v):
+    """(d_u, d_v, tri, sq_uv, sq_vu, gamma) of the edge (u, v), the counts
+    balanced_forman_edges takes from CSR. adj maps u, v and each of their
+    neighbours to its neighbour set."""
+    nu, nv = adj[u], adj[v]
+    sq_uv, best_u = _square_side(adj, u, v)
+    sq_vu, best_v = _square_side(adj, v, u)
+    return len(nu), len(nv), len(nu & nv), sq_uv, sq_vu, max(best_u, best_v)
 
 
 def backend() -> str:

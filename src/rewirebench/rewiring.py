@@ -18,6 +18,7 @@ from time import monotonic as _now
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernels
 from .errors import BudgetExceeded, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
 from .spectral import effective_resistance, heat_kernel, pagerank_kernel
@@ -36,8 +37,6 @@ class RewireConfig:
     iterations: int | None = None      # explicit override of the fraction
     tau: float = 0.5                   # sdrf softmax temperature
     seed: int = 0
-    removal_enabled: bool = False      # sdrf edge removal (untuned)
-    removal_bound: float = 0.5
     diffusion_norm: Normalization = Normalization.RW
     budget_seconds: float | None = None
 
@@ -93,70 +92,36 @@ def _adj_sets(g: Graph) -> list[set]:
     return adj
 
 
-def _local_square_side(adj, u, v):
-    nu, nv = adj[u], adj[v]
-    count = 0
-    best = 0
-    for w in nu:
-        if w == v or w in nv:
-            continue
-        cw = 0
-        for k in adj[w]:
-            if k == u or k == v:
-                continue
-            if k in nv and k not in nu:
-                cw += 1
-        if cw > 0:
-            count += 1
-            best = max(best, cw)
-    return count, best
+def _curvatures(counts) -> np.ndarray:
+    """Curvature per row of kernels.set_counts tuples, in one call."""
+    return kernels.curvature_sum(
+        *np.array(counts, dtype=np.int64).reshape(-1, 6).T)
 
 
-def local_balanced_forman(adj: list[set], u: int, v: int) -> float:
-    """Balanced Forman curvature of one edge from set-adjacency, for graphs
-    that SDRF edits in place; agrees with kernels.balanced_forman_edges on a
-    frozen graph to 1e-12 (tested)."""
-    du, dv = len(adj[u]), len(adj[v])
-    dmax, dmin = max(du, dv), min(du, dv)
-    tri = len(adj[u] & adj[v])
-    ric = 2.0 / du + 2.0 / dv - 2.0 + 2.0 * tri / dmax + tri / dmin
-    cu, bu = _local_square_side(adj, u, v)
-    cv, bv = _local_square_side(adj, v, u)
-    gamma = max(bu, bv)
-    if gamma > 0:
-        ric += (cu + cv) / (gamma * dmax)
-    return ric
-
-
-def _within_two_hops(adj, sources) -> set:
-    seen = set(sources)
-    frontier = set(sources)
-    for _ in range(2):
-        nxt = set()
-        for x in frontier:
-            nxt |= adj[x]
-        nxt -= seen
-        seen |= nxt
-        frontier = nxt
-    return seen
+def local_balanced_forman(adj: list[set], edges) -> np.ndarray:
+    """Balanced Forman curvature of each edge (u, v) of edges from
+    set-adjacency, for graphs that SDRF edits in place; equal to
+    kernels.balanced_forman_edges on a frozen graph (tested)."""
+    return _curvatures([kernels.set_counts(adj, u, v) for u, v in edges])
 
 
 # ---------------------------------------------------------------------------
 # SDRF
 
 def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
-    """Curvature-driven edge addition.
+    """Curvature-driven edge addition; it never removes an edge.
 
     Per iteration: sample an edge with probability softmax(-Ric / tau), then
     among candidate supports (u', v') with u' in N(u) ∪ {u}, v' in N(v) ∪ {v}
     add the one giving the largest strict increase of Ric_uv (ties to the
-    lowest index pair). Removal of the most positively curved edge is behind
-    a flag and off by default.
+    lowest index pair). The curvatures live in a list aligned with the edge
+    list. Each iteration scores all its candidates in one curvature call, and
+    an add refreshes the edges it can change in one more.
     """
     rng = np.random.default_rng(config.seed)
     adj = _adj_sets(g)
     edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
-    ric = {e: local_balanced_forman(adj, *e) for e in edges}
+    ric = local_balanced_forman(adj, edges).tolist()
     edit_log = []
     iters = config.num_iterations(len(edges))
     tau = config.tau
@@ -167,35 +132,31 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
             break
         if deadline is not None and _now() > deadline:
             raise BudgetExceeded(f"sdrf exceeded {config.budget_seconds}s")
-        vals = np.array([ric[e] for e in edges])
+        vals = np.array(ric)
         w = np.exp(-vals / tau - np.max(-vals / tau))
         probs = w / w.sum()
-        u, v = edges[int(rng.choice(len(edges), p=probs))]
+        i = int(rng.choice(len(edges), p=probs))
+        u, v = edges[i]
 
+        pairs = list(dict.fromkeys(
+            (min(up, vp), max(up, vp))
+            for up in sorted(adj[u] | {u}) for vp in sorted(adj[v] | {v})
+            if up != vp and vp not in adj[up]))
+        counts = []
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
+            counts.append(kernels.set_counts(adj, u, v))
+            adj[a].remove(b)
+            adj[b].remove(a)
         best_gain = 0.0
         best_pair = None
-        base = ric[(u, v)]
-        cand_u = sorted(adj[u] | {u})
-        cand_v = sorted(adj[v] | {v})
-        seen = set()
-        for up in cand_u:
-            for vp in cand_v:
-                if up == vp:
-                    continue
-                a, b = (up, vp) if up < vp else (vp, up)
-                if (a, b) in seen or b in adj[a]:
-                    continue
-                seen.add((a, b))
-                adj[a].add(b)
-                adj[b].add(a)
-                gain = local_balanced_forman(adj, u, v) - base
-                adj[a].remove(b)
-                adj[b].remove(a)
-                if gain > best_gain + 1e-12 or (
-                        best_pair is not None and
-                        abs(gain - best_gain) <= 1e-12 and (a, b) < best_pair):
-                    best_gain = gain
-                    best_pair = (a, b)
+        for pair, gain in zip(pairs, (_curvatures(counts) - ric[i]).tolist()):
+            if gain > best_gain + 1e-12 or (
+                    best_pair is not None and
+                    abs(gain - best_gain) <= 1e-12 and pair < best_pair):
+                best_gain = gain
+                best_pair = pair
 
         if best_pair is None:
             edit_log.append((it, "skip", u, v))
@@ -203,27 +164,17 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
         a, b = best_pair
         adj[a].add(b)
         adj[b].add(a)
-        edges.append((a, b))
-        ric[(a, b)] = 0.0
+        edges.append(best_pair)
+        ric.append(0.0)
         edit_log.append((it, "add", a, b))
-        touched = _within_two_hops(adj, [a, b])
-        for e in edges:
-            if e[0] in touched or e[1] in touched:
-                ric[e] = local_balanced_forman(adj, *e)
-
-        if config.removal_enabled:
-            worst = max(edges, key=lambda e: (ric[e], -e[0], -e[1]))
-            if ric[worst] > config.removal_bound:
-                x, y = worst
-                adj[x].remove(y)
-                adj[y].remove(x)
-                edges.remove(worst)
-                del ric[worst]
-                edit_log.append((it, "remove", x, y))
-                touched = _within_two_hops(adj, [x, y])
-                for e in edges:
-                    if e[0] in touched or e[1] in touched:
-                        ric[e] = local_balanced_forman(adj, *e)
+        # an edge's counts read the neighbour sets of its endpoints and of
+        # their neighbours, so the add changes only edges that touch N[a] ∪ N[b]
+        touched = adj[a] | adj[b]
+        near = [j for j, (x, y) in enumerate(edges)
+                if x in touched or y in touched]
+        fresh = local_balanced_forman(adj, [edges[j] for j in near])
+        for j, r in zip(near, fresh.tolist()):
+            ric[j] = r
 
     new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
     return RewiredGraph(method="sdrf", graph=new_graph, edit_log=edit_log)

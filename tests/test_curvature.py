@@ -28,6 +28,13 @@ class TestBalancedForman:
         with pytest.raises(InputError):
             balanced_forman(cycle_graph(5), (0, 2))
 
+    @pytest.mark.parametrize("edge", [(99, 0), (0, 99), (5, 0), (-1, 0)])
+    def test_endpoint_out_of_range(self, edge):
+        g = cycle_graph(5)
+        assert not g.has_edge(*edge)
+        with pytest.raises(InputError):
+            balanced_forman(g, edge)
+
     def test_symmetric_in_edge_orientation(self, rng):
         g = random_graph(10, 0.4, rng)
         for u, v in g.edges[:8]:

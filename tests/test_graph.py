@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from rewirebench import (InputError, Normalization, OperatorKind, build_graph,
-                         dataset_stats, edge_homophily, four_cycle_profile,
-                         shift_operator, triangle_count)
+from rewirebench import (InputError, Normalization, OperatorKind,
+                         balanced_forman, build_graph, dataset_stats,
+                         edge_homophily, shift_operator)
 from rewirebench.graph import connected_components, diameter
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
@@ -95,27 +95,34 @@ class TestShiftOperator:
 
 
 class TestLocalCounts:
+    """The triangle and 4-cycle counts that balanced_forman reports."""
+
+    @staticmethod
+    def _squares(g, edge):
+        c = balanced_forman(g, edge)
+        return c.squares_uv, c.squares_vu, c.gamma_max
+
     def test_triangle_k3(self):
-        assert triangle_count(complete_graph(3), (0, 1)) == 1
+        assert balanced_forman(complete_graph(3), (0, 1)).triangles == 1
 
     def test_triangle_c4(self):
-        assert triangle_count(cycle_graph(4), (0, 1)) == 0
+        assert balanced_forman(cycle_graph(4), (0, 1)).triangles == 0
 
     def test_triangle_k4(self):
-        assert triangle_count(complete_graph(4), (0, 1)) == 2
+        assert balanced_forman(complete_graph(4), (0, 1)).triangles == 2
 
     def test_triangle_missing_edge(self):
         with pytest.raises(InputError):
-            triangle_count(cycle_graph(4), (0, 2))
+            balanced_forman(cycle_graph(4), (0, 2))
 
     def test_squares_c4(self):
-        assert four_cycle_profile(cycle_graph(4), (0, 1)) == (1, 1, 1.0)
+        assert self._squares(cycle_graph(4), (0, 1)) == (1, 1, 1.0)
 
     def test_squares_c5(self):
-        assert four_cycle_profile(cycle_graph(5), (0, 1)) == (0, 0, 1.0)
+        assert self._squares(cycle_graph(5), (0, 1)) == (0, 0, 1.0)
 
     def test_squares_k3(self):
-        assert four_cycle_profile(complete_graph(3), (0, 1)) == (0, 0, 1.0)
+        assert self._squares(complete_graph(3), (0, 1)) == (0, 0, 1.0)
 
     def test_counts_match_bruteforce(self, rng):
         for p in (0.2, 0.5, 0.8):
@@ -124,8 +131,10 @@ class TestLocalCounts:
                 a = g.adjacency().toarray()
                 for e in g.edges:
                     for u, v in (e, e[::-1]):
-                        assert triangle_count(g, (u, v)) == brute_triangles(a, u, v)
-                        suv, svu, gm = four_cycle_profile(g, (u, v))
+                        u, v = int(u), int(v)
+                        assert balanced_forman(g, (u, v)).triangles == (
+                            brute_triangles(a, u, v))
+                        suv, svu, gm = self._squares(g, (u, v))
                         bs_uv, bs_vu, bg = brute_square_profile(a, u, v)
                         assert (suv, svu) == (bs_uv, bs_vu)
                         assert gm == (bg if bg > 0 else 1.0)

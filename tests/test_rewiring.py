@@ -9,7 +9,8 @@ from rewirebench.graph import Normalization
 from rewirebench.rewiring import _adj_sets, local_balanced_forman
 from rewirebench.spectral import effective_resistance, heat_kernel
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (brute_balanced_forman, complete_graph, cycle_graph,
+                      path_graph, random_graph)
 
 
 class TestConfig:
@@ -72,7 +73,110 @@ class TestDiffusion:
         assert np.allclose(out.operator, out.operator.T)
 
 
+def _reference_square_side(adj, u, v):
+    nu, nv = adj[u], adj[v]
+    count = 0
+    best = 0
+    for w in nu:
+        if w == v or w in nv:
+            continue
+        cw = 0
+        for k in adj[w]:
+            if k == u or k == v:
+                continue
+            if k in nv and k not in nu:
+                cw += 1
+        if cw > 0:
+            count += 1
+            best = max(best, cw)
+    return count, best
+
+
+def _reference_curvature(adj, u, v):
+    du, dv = len(adj[u]), len(adj[v])
+    dmax, dmin = max(du, dv), min(du, dv)
+    tri = len(adj[u] & adj[v])
+    ric = 2.0 / du + 2.0 / dv - 2.0 + 2.0 * tri / dmax + tri / dmin
+    cu, bu = _reference_square_side(adj, u, v)
+    cv, bv = _reference_square_side(adj, v, u)
+    gamma = max(bu, bv)
+    if gamma > 0:
+        ric += (cu + cv) / (gamma * dmax)
+    return ric
+
+
+def _reference_sdrf(g, config):
+    """SDRF as one loop: a curvature dict keyed by edge, an inline formula,
+    and one scalar curvature per candidate and per refreshed edge."""
+    rng = np.random.default_rng(config.seed)
+    adj = _adj_sets(g)
+    edges = [tuple(map(int, e)) for e in g.edges]
+    ric = {e: _reference_curvature(adj, *e) for e in edges}
+    edit_log = []
+    for it in range(config.num_iterations(len(edges))):
+        vals = np.array([ric[e] for e in edges])
+        w = np.exp(-vals / config.tau - np.max(-vals / config.tau))
+        u, v = edges[int(rng.choice(len(edges), p=w / w.sum()))]
+        best_gain, best_pair = 0.0, None
+        base = ric[(u, v)]
+        seen = set()
+        for up in sorted(adj[u] | {u}):
+            for vp in sorted(adj[v] | {v}):
+                if up == vp:
+                    continue
+                a, b = (up, vp) if up < vp else (vp, up)
+                if (a, b) in seen or b in adj[a]:
+                    continue
+                seen.add((a, b))
+                adj[a].add(b)
+                adj[b].add(a)
+                gain = _reference_curvature(adj, u, v) - base
+                adj[a].remove(b)
+                adj[b].remove(a)
+                if gain > best_gain + 1e-12 or (
+                        best_pair is not None and
+                        abs(gain - best_gain) <= 1e-12 and (a, b) < best_pair):
+                    best_gain, best_pair = gain, (a, b)
+        if best_pair is None:
+            edit_log.append((it, "skip", u, v))
+            continue
+        a, b = best_pair
+        adj[a].add(b)
+        adj[b].add(a)
+        edges.append((a, b))
+        edit_log.append((it, "add", a, b))
+        touched = {a, b}
+        for _ in range(2):
+            touched |= {y for x in touched for y in adj[x]}
+        for e in edges:
+            if e[0] in touched or e[1] in touched:
+                ric[e] = _reference_curvature(adj, *e)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), edit_log
+
+
+def _sdrf_cases(rng):
+    for p in (0.1, 0.2, 0.4, 0.7):
+        for _ in range(3):
+            yield random_graph(16, p, rng), 10
+    yield path_graph(8), 4
+    yield build_graph([(0, k) for k in range(1, 7)], np.zeros((7, 1))), 4
+    for n in (3, 4, 5):
+        yield cayley_graph(n), 12
+    yield complete_graph(5), 3
+
+
 class TestSDRF:
+    def test_matches_reference_loop(self, rng):
+        for g, iterations in _sdrf_cases(rng):
+            for seed in (0, 1):
+                cfg = RewireConfig(method="sdrf", iterations=iterations,
+                                   seed=seed)
+                out = rewire_sdrf(g, cfg)
+                want_edges, want_log = _reference_sdrf(g, cfg)
+                assert out.edit_log == want_log
+                assert np.array_equal(out.graph.edges,
+                                      g.with_edges(want_edges).edges)
+
     def test_only_adds_edges(self, rng):
         g = random_graph(14, 0.2, rng, connected=True)
         out = rewire_sdrf(g, RewireConfig(method="sdrf", iterations=5, seed=3))
@@ -99,28 +203,28 @@ class TestSDRF:
     def test_added_edge_improves_target_curvature(self, rng):
         g = random_graph(12, 0.2, rng, connected=True)
         out = rewire_sdrf(g, RewireConfig(method="sdrf", iterations=4, seed=5))
-        # replay: every logged add must strictly raise the curvature of the
-        # edge selected at that step
+        # replay: before each add (a, b), some edge (u, v) with a in N[u] and
+        # b in N[v] (the sampled one) gains strictly in the oracle's curvature
         adds = [e for e in out.edit_log if e[1] == "add"]
         assert adds  # sparse random graphs leave room for supports
-        for e in adds:
-            assert out.graph.has_edge(e[2], e[3])
-
-    def test_removal_flag(self, rng):
-        g = random_graph(10, 0.6, rng)
-        cfg = RewireConfig(method="sdrf", iterations=8, seed=1,
-                           removal_enabled=True, removal_bound=0.1)
-        out = rewire_sdrf(g, cfg)
-        ops = {e[1] for e in out.edit_log}
-        assert ops <= {"add", "remove", "skip"}
+        a_now = g.adjacency().toarray()
+        for _, _, a, b in adds:
+            a_next = a_now.copy()
+            a_next[a, b] = a_next[b, a] = 1
+            closed = a_now + np.eye(g.num_nodes)
+            gains = [brute_balanced_forman(a_next, u, v)
+                     - brute_balanced_forman(a_now, u, v)
+                     for u, v in zip(*np.nonzero(a_now))
+                     if closed[u, a] and closed[v, b]]
+            assert max(gains) > 1e-12, (a, b)
+            a_now = a_next
 
     def test_local_curvature_agrees_with_global(self, rng):
         for _ in range(10):
             g = random_graph(10, 0.4, rng)
-            adj = _adj_sets(g)
-            for u, v in g.edges:
-                assert local_balanced_forman(adj, int(u), int(v)) == pytest.approx(
-                    balanced_forman(g, (int(u), int(v))).total, abs=1e-12)
+            local = local_balanced_forman(_adj_sets(g), g.edges.tolist())
+            for (u, v), r in zip(g.edges.tolist(), local.tolist()):
+                assert r == balanced_forman(g, (u, v)).total
 
 
 class TestGRLEF:

@@ -66,3 +66,5 @@ def test_traced_gesn_graph_run_counts_both_radius_sites(tracing, tmp_path):
         + c["spectral.spectral_radius.operator_calls"])
     assert c["models.gesn_init.calls"] >= 1
     assert tracer.self_s["spectral.spectral_radius"] > 0.0
+    # SDRF reaches its curvature through the patched module attribute
+    assert c["rewiring.local_balanced_forman.calls"] >= 1
