@@ -16,7 +16,7 @@ from .models import (ReadoutParams, ReservoirParams, gesn_embed, gesn_init,
 from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
                        cayley_graph, rewire_diffwire, rewire_egp, rewire_grlef,
                        rewire_sdrf, sl2_order)
-from .spectral import (ResistanceMatrix, cheeger_bruteforce,
+from .spectral import (PagerankOperator, ResistanceMatrix, cheeger_bruteforce,
                        effective_resistance, heat_kernel,
                        laplacian_pseudoinverse, pagerank_kernel,
                        spectral_gap, spectral_radius)

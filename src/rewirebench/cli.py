@@ -26,7 +26,7 @@ from .evaluation import (ExperimentReport, GraphTask, NodeTask, SearchSpace,
 from .graph import Graph, dataset_stats
 from .rewiring import (METHODS, Normalization, RewireConfig, apply_rewiring,
                        write_edit_log)
-from .spectral import spectral_gap
+from .spectral import PagerankOperator, spectral_gap
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +116,10 @@ def cmd_rewire(args) -> int:
 
     artifacts = []
     if rewired.operator is not None:
-        np.save(os.path.join(args.out, "kernel.npy"), rewired.operator)
+        kernel = rewired.operator
+        if isinstance(kernel, PagerankOperator):
+            kernel = kernel.toarray()
+        np.save(os.path.join(args.out, "kernel.npy"), kernel)
         artifacts.append("kernel.npy")
     edges_path = os.path.join(args.out, "rewired_edges.tsv")
     with open(edges_path, "w") as fh:

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-from .spectral import spectral_radius
+from .spectral import PagerankOperator, spectral_radius
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     drive = params.w_in @ x.T + params.bias[:, None]   # H x N
     w_hat = params.w_hat
     h = np.zeros_like(drive)
-    if not sp.issparse(mat):
+    if not sp.issparse(mat) and not isinstance(mat, PagerankOperator):
         mat = np.asarray(mat, dtype=np.float64)
     for _ in range(params.iterations):
         # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu;

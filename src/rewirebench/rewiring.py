@@ -4,7 +4,8 @@ Five families: diffusion kernels (heat / personalized PageRank), curvature
 driven edge addition (SDRF), triangle-guided edge flips (GRLEF), expander
 graph propagation (EGP, Cayley graphs of SL(2, Z_n)), and resistance
 reweighting (DiffWire). Edge-editing methods return a new edge set; kernel
-methods return a dense message-passing matrix.
+methods return a message-passing operator: a dense matrix, or for PageRank
+one applied from a sparse factorization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import scipy.sparse as sp
 from . import kernels
 from .errors import BudgetExceeded, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
-from .spectral import effective_resistance, heat_kernel, pagerank_kernel
+from .spectral import (PagerankOperator, effective_resistance, heat_kernel,
+                       pagerank_kernel)
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +72,9 @@ class RewireConfig:
 class RewiredGraph:
     method: str
     graph: Graph                       # rewired edge set (or the input, unchanged)
-    operator: np.ndarray | None = None  # dense M' for kernel-producing methods
+    # M' of the kernel methods: dense for heat, EGP and DiffWire; PageRank
+    # applies it by a sparse solve and builds it only through toarray()
+    operator: np.ndarray | PagerankOperator | None = None
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
 
 
@@ -368,8 +372,8 @@ def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
     config.validate()
     if config.method == "baseline":
         return RewiredGraph(method="baseline", graph=g)
-    # diffusion: a dense kernel of the normalized adjacency (node tasks only;
-    # the evaluation harness enforces the restriction)
+    # diffusion: a kernel of the normalized adjacency (node tasks only; the
+    # evaluation harness enforces the restriction)
     if config.method == "heat":
         t_op = shift_operator(g, OperatorKind.ADJACENCY,
                               Normalization(config.diffusion_norm))

@@ -111,10 +111,10 @@ def test_criterion_03_diffusion_series(rng):
             # geometric tail bound: (1-alpha)^151 < 4e-4 only for alpha=0.05,
             # so extend analytically via the closed form remainder
             remainder = np.linalg.matrix_power(t_op, len(powers)) @ \
-                pagerank_kernel(g, alpha, Normalization.RW) * \
+                pagerank_kernel(g, alpha, Normalization.RW).toarray() * \
                 (1 - alpha) ** len(powers)
             assert np.max(np.abs(pagerank_kernel(g, alpha, Normalization.RW)
-                                 - series - remainder)) < 1e-8
+                                 .toarray() - series - remainder)) < 1e-8
 
 
 def test_criterion_04_effective_resistance(rng):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.sparse.linalg
 
 import rewirebench
 from rewirebench import cli
@@ -112,14 +112,19 @@ class TestRewire:
         assert "input error" in err and "'none'" in err
 
     def test_pagerank_factorization_failure_exit_4(self, node_dataset,
-                                                   tmp_path, monkeypatch):
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
         # K = D - (1-alpha) A is positive definite for every normalized
-        # operator, so a failed Cholesky is an internal error, never a
-        # silent fallback
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
-                            lambda a, **kw: (a, 1))
+        # operator, so a failed factorization is an internal error, never a
+        # silent fallback; here SuperLU is handed K with every value zeroed
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda k, **kw: splu(0.0 * k, **kw))
+        out = tmp_path / "x"
         assert main(["rewire", "--dataset", node_dataset, "--rewire",
-                     "pagerank", "--out", str(tmp_path / "x")]) == 4
+                     "pagerank", "--out", str(out)]) == 4
+        assert "singular" in capsys.readouterr().err
+        assert not (out / "kernel.npy").exists()
 
     def test_heat_unnormalized_accepted(self, node_dataset, tmp_path):
         out = tmp_path / "rw"

@@ -1,5 +1,7 @@
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,9 @@ from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          shift_operator, spectral_gap, spectral_radius)
 
 from rewirebench import spectral
-from rewirebench.spectral import (DENSE_EIG_LIMIT, EXACT_SPARSE_RADIUS_ROWS,
-                                  POWER_STEPS)
+from rewirebench.spectral import (DENSE_EIG_LIMIT, DENSE_GAP_ROWS,
+                                  EXACT_RADIUS_ROWS, EXACT_SPARSE_RADIUS_ROWS,
+                                  POWER_STEPS, _exact_radius)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -34,6 +37,14 @@ def heat_coeffs(t, terms=60):
 
 def pagerank_coeffs(alpha, terms=200):
     return [alpha * (1 - alpha) ** m for m in range(terms)]
+
+
+def sparse_random_graph(n, mean_degree, seed):
+    """G(n, p) with p = mean_degree / n, drawn without a Python pair loop."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < mean_degree / n
+    return build_graph(np.stack([u[keep], v[keep]], axis=1), np.zeros((n, 1)))
 
 
 def power_iteration(m, seed, tol=1e-10, max_iter=2000):
@@ -158,6 +169,34 @@ class TestSpectralRadius:
         assert res.value != pytest.approx(1.0, abs=1e-3)
         assert "returning best estimate" in caplog.text
 
+    @pytest.mark.parametrize("n", [30, 1500])
+    def test_pagerank_operator_follows_dense_rule(self, n):
+        # exact eigvals of toarray() up to EXACT_RADIUS_ROWS, power iteration
+        # through the operator's products above
+        op = pagerank_kernel(sparse_random_graph(n, 8.0, n), 0.1, "rw")
+        res = spectral_radius(op, seed=2)
+        exact = _exact_radius(op.toarray())
+        assert res.converged
+        if n <= EXACT_RADIUS_ROWS:
+            assert (res.value, res.iterations) == (exact, 0)
+        else:
+            assert (res.value, res.iterations) == power_iteration(op, 2)
+            assert res.iterations > 0
+        assert res.value == pytest.approx(exact, abs=1e-10)
+
+    def test_pagerank_operator_unconverged_falls_back_to_exact(
+            self, monkeypatch, caplog):
+        # like a dense input, and unlike a sparse one above DENSE_EIG_LIMIT
+        monkeypatch.setattr(spectral, "EXACT_RADIUS_ROWS", 3)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 6)
+        monkeypatch.setattr(spectral, "POWER_STEPS", 1)
+        op = pagerank_kernel(cycle_graph(9), 0.3, "sym")
+        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
+            res = spectral_radius(op)
+        assert not res.converged and res.iterations == 1
+        assert res.value == _exact_radius(op.toarray())
+        assert "dense eigvals fallback used" in caplog.text
+
     def test_not_square(self):
         with pytest.raises(InputError):
             spectral_radius(np.ones((2, 3)))
@@ -213,10 +252,11 @@ class TestSpectralGap:
         g = build_graph(complete_graph(4).edges.tolist(), np.zeros((5, 1)))
         assert spectral_gap(g, norm) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
-    def test_component_above_dense_limit(self, norm, scale, monkeypatch):
-        # a 2-regular cycle past the dense limit plus one edge: the cycle's
-        # lambda_2 = scale * (2 - 2 cos(2 pi / k)) comes from sparse eigsh
+    @staticmethod
+    def cycle_gap(k, norm, scale, monkeypatch):
+        """A k-cycle plus one edge: the cycle's lambda_2 is
+        scale * (2 - 2 cos(2 pi / k)). Returns (gap, want, sizes of the
+        blocks given to sparse eigsh)."""
         sizes = []
         real = spla.eigsh
 
@@ -224,12 +264,33 @@ class TestSpectralGap:
             sizes.append(a.shape[0])
             return real(a, *args, **kwargs)
         monkeypatch.setattr(spla, "eigsh", counting)
-        k = DENSE_EIG_LIMIT + 100
         edges = [(i, (i + 1) % k) for i in range(k)] + [(k, k + 1)]
         g = build_graph(edges, np.zeros((k + 2, 1)))
         want = scale * (2.0 - 2.0 * math.cos(2.0 * math.pi / k))
-        assert spectral_gap(g, norm) == pytest.approx(want, rel=1e-9)
+        return spectral_gap(g, norm), want, sizes
+
+    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
+    def test_component_above_dense_limit(self, norm, scale, monkeypatch):
+        k = DENSE_EIG_LIMIT + 100
+        gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
+        assert gap == pytest.approx(want, rel=1e-9)
         assert sizes == [k]
+
+    @pytest.mark.parametrize("k", [DENSE_GAP_ROWS, DENSE_GAP_ROWS + 1])
+    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
+    def test_component_at_gap_limit(self, norm, scale, k, monkeypatch):
+        # eigsh starts one node past DENSE_GAP_ROWS, far below DENSE_EIG_LIMIT
+        gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
+        assert gap == pytest.approx(want, rel=1e-9)
+        assert sizes == ([k] if k > DENSE_GAP_ROWS else [])
+
+    @pytest.mark.parametrize("norm", ["sym", "none"])
+    def test_sparse_path_matches_dense_and_repeats(self, norm, monkeypatch):
+        g = sparse_random_graph(DENSE_GAP_ROWS + 200, 6.0, 0)
+        first, second = spectral_gap(g, norm), spectral_gap(g, norm)
+        assert first == second
+        monkeypatch.setattr(spectral, "DENSE_GAP_ROWS", g.num_nodes)
+        assert first == pytest.approx(spectral_gap(g, norm), rel=1e-10)
 
 
 class TestPseudoinverseAndResistance:
@@ -298,18 +359,19 @@ class TestDiffusionKernels:
         assert np.abs(k - want).max() < 1e-10
 
     def test_pagerank_zero_matrix(self):
-        k = pagerank_kernel(build_graph([], np.zeros((3, 1))), 0.7, "rw")
+        k = pagerank_kernel(build_graph([], np.zeros((3, 1))), 0.7,
+                            "rw").toarray()
         assert np.allclose(k, 0.7 * np.eye(3))
 
     def test_pagerank_near_one(self):
         t_op = shift_operator(cycle_graph(5), "adjacency", "sym").dense
-        k = pagerank_kernel(cycle_graph(5), 0.99, "sym")
+        k = pagerank_kernel(cycle_graph(5), 0.99, "sym").toarray()
         want = series_kernel(t_op, pagerank_coeffs(0.99, 60))
         assert np.abs(k - want).max() < 1e-8
 
     def test_pagerank_k2_series(self):
         t_op = shift_operator(path_graph(2), "adjacency", "sym").dense
-        k = pagerank_kernel(path_graph(2), 0.5, "sym")
+        k = pagerank_kernel(path_graph(2), 0.5, "sym").toarray()
         want = series_kernel(t_op, pagerank_coeffs(0.5, 60))
         assert np.abs(k - want).max() < 1e-10
 
@@ -321,7 +383,7 @@ class TestDiffusionKernels:
         gp = build_graph(np.argsort(perm)[g.edges], g.features[perm])
         for fn in (lambda h: heat_kernel(
                        shift_operator(h, "adjacency", "rw").dense, 0.7),
-                   lambda h: pagerank_kernel(h, 0.3, "rw")):
+                   lambda h: pagerank_kernel(h, 0.3, "rw").toarray()):
             assert np.allclose(fn(gp), p @ fn(g) @ p.T, atol=1e-10)
 
 
@@ -342,8 +404,8 @@ PAGERANK_GRAPHS = _pagerank_graphs()
 
 
 class TestPagerankKernel:
-    """The Cholesky kernel against the dense LU expression it replaced and
-    against the power series sum_m alpha (1-alpha)^m T^m."""
+    """The sparse-LU kernel's dense form against a dense solve and against
+    the power series sum_m alpha (1-alpha)^m T^m."""
 
     @pytest.mark.parametrize("graph", sorted(PAGERANK_GRAPHS))
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -352,7 +414,7 @@ class TestPagerankKernel:
         g = PAGERANK_GRAPHS[graph]
         n = g.num_nodes
         t_op = shift_operator(g, "adjacency", norm).dense
-        k = pagerank_kernel(g, alpha, norm)
+        k = pagerank_kernel(g, alpha, norm).toarray()
         assert k.flags.c_contiguous and k.dtype == np.float64
         lu = alpha * np.linalg.solve(np.eye(n) - (1 - alpha) * t_op, np.eye(n))
         assert np.abs(k - lu).max() <= 1e-12
@@ -364,20 +426,56 @@ class TestPagerankKernel:
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_matches_solve_across_blocks(self, norm):
-        # larger than one block of the in-place triangle mirror
+        # a 300-node graph, beyond the small graphs above
         g = random_graph(300, 0.02, np.random.default_rng(4))
         t_op = shift_operator(g, "adjacency", norm).dense
         lu = 0.1 * np.linalg.solve(np.eye(300) - 0.9 * t_op, np.eye(300))
-        assert np.abs(pagerank_kernel(g, 0.1, norm) - lu).max() <= 1e-12
+        k = pagerank_kernel(g, 0.1, norm).toarray()
+        assert np.abs(k - lu).max() <= 1e-12
 
     def test_rw_columns_and_mean_rows_sum_to_one(self):
         # an isolated node's column (rw) or row (mean) is alpha e_i
         g = PAGERANK_GRAPHS["random-isolated"]
         want = np.where(g.degrees > 0, 1.0, 0.2)
-        assert np.allclose(pagerank_kernel(g, 0.2, "rw").sum(axis=0), want)
-        assert np.allclose(pagerank_kernel(g, 0.2, "mean").sum(axis=1), want)
-        k = pagerank_kernel(g, 0.2, "sym")
+        rw = pagerank_kernel(g, 0.2, "rw").toarray()
+        assert np.allclose(rw.sum(axis=0), want)
+        mean = pagerank_kernel(g, 0.2, "mean").toarray()
+        assert np.allclose(mean.sum(axis=1), want)
+        k = pagerank_kernel(g, 0.2, "sym").toarray()
         assert np.abs(k - k.T).max() <= 1e-15
+
+    def test_threads_share_one_factor(self):
+        # GESN's workers apply one operator from several threads at once;
+        # every product must equal the serial one bit for bit
+        g = sparse_random_graph(1000, 8.0, 1)
+        op = pagerank_kernel(g, 0.1, "rw")
+        rng = np.random.default_rng(0)
+        blocks = [np.asfortranarray(rng.standard_normal((1000, 16)))
+                  for _ in range(8)]
+        serial = [op @ b for b in blocks]
+        workers, rounds = 4, 5
+        out = [[] for _ in blocks]
+
+        def work(first):
+            for _ in range(rounds):
+                for j in range(first, len(blocks), workers):
+                    out[j].append(op @ blocks[j])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, out):
+            assert len(got) == rounds
+            assert all(np.array_equal(want, y) for y in got)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
     def test_alpha_out_of_range(self, alpha):
@@ -407,6 +505,20 @@ class TestPagerankKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * n * n * 8
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_kernel_and_product_hold_no_dense_buffer(self, norm):
+        n = 1000
+        g = sparse_random_graph(n, 4.0, 0)
+        g.adjacency()
+        x = np.asfortranarray(np.random.default_rng(0).standard_normal((n, 32)))
+        tracemalloc.start()
+        try:
+            pagerank_kernel(g, 0.1, norm) @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 / 8
 
 
 class TestCheeger:

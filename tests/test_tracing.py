@@ -68,3 +68,14 @@ def test_traced_gesn_graph_run_counts_both_radius_sites(tracing, tmp_path):
     assert tracer.self_s["spectral.spectral_radius"] > 0.0
     # SDRF reaches its curvature through the patched module attribute
     assert c["rewiring.local_balanced_forman.calls"] >= 1
+
+
+def test_traced_pagerank_node_run_reaches_the_kernel(tracing, tmp_path):
+    data = tmp_path / "data"
+    _load("generate").sbm_node_task(str(data), 0, nodes=120, edges=240)
+    with tracing.Tracer() as tracer:
+        assert main(["run", "--dataset", str(data), "--seed", "0", "--out",
+                     str(tmp_path / "out"), "--model", "gesn", "--grid",
+                     "tiny", "--jobs", "1", "--rewire", "pagerank"]) == 0
+    # the rewired run builds the kernel once; the baseline run never does
+    assert tracer.counters["spectral.pagerank_kernel.calls"] == 1
