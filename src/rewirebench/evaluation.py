@@ -430,10 +430,15 @@ def model_select(task, model: str, rconfig: RewireConfig,
                                         budget, jobs):
             for i, (split, y_train, y_val) in enumerate(folds):
                 budget.check()
-                e_val = emb[split.val]
-                for readout in ridge_path(emb[split.train], y_train,
-                                          space.ridge_lambdas):
-                    preds, scores = predict(e_val, readout)
+                path = ridge_path(emb[split.train], y_train,
+                                  space.ridge_lambdas)
+                # one product scores every lambda; each owns C columns
+                stacked = (emb[split.val]
+                           @ np.concatenate([r.w_out for r in path]).T
+                           + np.concatenate([r.b_out for r in path]))
+                for readout, scores in zip(path,
+                                           np.hsplit(stacked, len(path))):
+                    preds = readout.classes[np.argmax(scores, axis=1)]
                     val = _score(preds, scores, y_val, task.metric,
                                  readout.classes)
                     if best[i] is None or val > best[i][0] + 1e-12:

@@ -36,6 +36,20 @@ def blob_node_task(n_per_class=30, seed=0):
     return NodeTask(graph=g, name="blobs")
 
 
+def unbalanced_node_task(n=80, positives=20, seed=0):
+    """Binary AUROC task, a quarter positive: weak features, homophilous
+    edges, so scores and their ranks differ across configs and lambdas."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.choice(n, positives, replace=False)] = 1
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < (0.15 if labels[i] == labels[j] else 0.04)]
+    feats = rng.normal(size=(n, 6))
+    feats[:, 0] += 0.5 * labels
+    g = build_graph(edges, feats, labels=labels, name="unbalanced")
+    return NodeTask(graph=g, metric="auroc", name="unbalanced")
+
+
 def blob_graph_task(n_graphs=40, seed=0):
     """Dense vs sparse random graphs, label = density class."""
     rng = np.random.default_rng(seed)
@@ -280,9 +294,12 @@ class TestModelSelect:
 
     @pytest.mark.parametrize("model,kind", [("sgc", "node"),
                                             ("gesn", "node"),
-                                            ("gesn", "graph")])
+                                            ("gesn", "graph"),
+                                            ("sgc", "auroc")])
     def test_streamed_selection_equals_per_fold_loop(self, model, kind):
-        task = blob_node_task(12) if kind == "node" else blob_graph_task(20)
+        task = {"node": lambda: blob_node_task(12),
+                "graph": lambda: blob_graph_task(20),
+                "auroc": unbalanced_node_task}[kind]()
         space = SearchSpace.tiny()
         report = model_select(task, model, RewireConfig(), space, seed=1)
         want = reference_selection(task, model, space, seed=1)

@@ -1,10 +1,11 @@
 """Golden digests of the `run` and `rewire` outputs on seeded datasets.
 
 Byte-identical reports are the equivalence check for every refactor of the
-pipeline. Four small datasets from `pipebench/generate.py` go through
-`cli.main`: a node task with SGC and SDRF rewiring, a node task with GESN,
-a node task on every personalized-PageRank path (SGC, and GESN under the
-`sym` and `mean` normalizations), and a graph collection with GESN. A
+pipeline. Five small datasets from `pipebench/generate.py` go through
+`cli.main`: a node task with SGC and SDRF rewiring, a node task with SGC
+on the default grid and heat rewiring, a node task with GESN, a node task
+on every personalized-PageRank path (SGC, and GESN under the `sym` and
+`mean` normalizations), and a graph collection with GESN. A
 change that alters floats on purpose updates DIGESTS and states its
 tolerance and the selections it kept.
 """
@@ -25,6 +26,12 @@ CASES = {
         ("rewire", ["rewire", "--rewire", "sdrf"]),
         ("run", ["run", "--model", "sgc", "--grid", "tiny", "--jobs", "1",
                  "--rewire", "sdrf"]),
+    )),
+    # the default grid: 15 hops and lambda down to 1e-5, with 129 feature
+    # columns against 72 training rows
+    "node-sgc-default": ("sbm_node_task", {"nodes": 120, "edges": 240}, (
+        ("run-heat", ["run", "--model", "sgc", "--grid", "default",
+                      "--jobs", "1", "--rewire", "heat"]),
     )),
     "node-gesn": ("sbm_node_task", {"nodes": 150, "edges": 300}, (
         ("run", ["run", "--model", "gesn", "--grid", "tiny", "--jobs", "2",
@@ -85,6 +92,14 @@ DIGESTS = {
             "48f9af1d42c004a2772243b6781feca1c9fa8f1cacf38a0876848a6d302c25ee",
         "run-sgc/summary.txt":
             "0dd98017fa9570157047c7f105cf494a93448d6278c46c6713ac1ac984a8ed1c",
+    },
+    "node-sgc-default": {
+        "run-heat/baseline_report.csv":
+            "156155a234a2c7a4822bf566c02207140af93af53e87993d5c0d9e93cb014901",
+        "run-heat/report.csv":
+            "acb370ed08ae9b49b95b764fdf46e59a729b45eb53b3ca07fb26a6af7c76733e",
+        "run-heat/summary.txt":
+            "7e67840afd3e313e046501f79fe350e091317886ce7d43081b6507c1b94b33de",
     },
     "node-sgc": {
         "rewire/rewired_edges.tsv":

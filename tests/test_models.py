@@ -220,6 +220,23 @@ def reference_ridge_fit(embeddings, labels, ridge_lambda):
     return sol[:d].T, sol[d], classes
 
 
+def assert_near_lu_oracle(got, embeddings, labels, ridge_lambda):
+    """The Cholesky readout against the LU oracle. Both solvers are backward
+    stable, so each lands within about eps * cond of the exact solution; the
+    bound is 4 eps cond(G + lambda I') relative to the largest oracle
+    coefficient (w and b, since b carries the fit when w is near 0)."""
+    w, b, classes = reference_ridge_fit(embeddings, labels, ridge_lambda)
+    n, d = np.shape(embeddings)
+    aug = np.hstack([embeddings, np.ones((n, 1))])
+    reg = np.eye(d + 1) * ridge_lambda
+    reg[d, d] = 0.0
+    tol = 4 * np.finfo(float).eps * np.linalg.cond(aug.T @ aug + reg)
+    scale = max(np.abs(w).max(), np.abs(b).max())
+    err = max(np.abs(got.w_out - w).max(), np.abs(got.b_out - b).max())
+    assert err <= tol * scale, (ridge_lambda, err / scale, tol)
+    assert np.array_equal(got.classes, classes)
+
+
 class TestRidgeReadout:
     def test_one_hot(self):
         y = one_hot(np.array([0, 2, 2, 1]), np.array([0, 1, 2]))
@@ -279,12 +296,10 @@ class TestRidgeReadout:
         path = ridge_path(x, y, lams)
         assert [r.ridge_lambda for r in path] == list(lams)
         for lam, got in zip(lams, path):
-            w, b, classes = reference_ridge_fit(x, y, lam)
-            assert np.array_equal(got.w_out, w), lam
-            assert np.array_equal(got.b_out, b), lam
-            assert np.array_equal(got.classes, classes)
+            assert_near_lu_oracle(got, x, y, lam)
             one = ridge_fit(x, y, lam)
-            assert np.array_equal(one.w_out, w) and np.array_equal(one.b_out, b)
+            assert np.array_equal(one.w_out, got.w_out), lam
+            assert np.array_equal(one.b_out, got.b_out), lam
 
     def test_path_singular_lambdas_fall_back(self, caplog):
         x = np.ones((6, 3))
@@ -297,5 +312,57 @@ class TestRidgeReadout:
         assert len(warned) == 2
         assert all("lambda=0" in m for m in warned)
         for lam, got in zip(lams, path):
+            assert_near_lu_oracle(got, x, y, lam)
+
+    def test_not_positive_definite_goes_cholesky_lu_pinv(self, caplog,
+                                                         monkeypatch):
+        # lambda 0 with duplicate columns: Cholesky reports a zero pivot,
+        # LU finds the system singular, the pseudoinverse solves it
+        x = np.ones((6, 3))
+        y = np.array([0, 1, 0, 1, 0, 1])
+        infos, lu_raised = [], []
+        real_potrf, real_solve = models.dpotrf, np.linalg.solve
+
+        def spy_potrf(*args, **kwargs):
+            out = real_potrf(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        def spy_solve(*args, **kwargs):
+            try:
+                return real_solve(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                lu_raised.append(1)
+                raise
+
+        monkeypatch.setattr(models, "dpotrf", spy_potrf)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        with caplog.at_level("WARNING", logger="rewirebench.models"):
+            got = ridge_fit(x, y, 0.0)
+        assert len(infos) == 1 and infos[0] > 0
+        assert lu_raised == [1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "singular ridge system (lambda=0); pseudoinverse used"]
+        w, b, _ = reference_ridge_fit(x, y, 0.0)
+        assert np.array_equal(got.w_out, w) and np.array_equal(got.b_out, b)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embeddings_give_nan_without_warning(self, rng, caplog,
+                                                            bad):
+        # as with LU: NaN readouts, no exception and no pseudoinverse, which
+        # on a NaN matrix would raise
+        x = rng.normal(size=(40, 5))
+        x[7, 2] = bad
+        y = rng.integers(0, 3, size=40)
+        with caplog.at_level("WARNING", logger="rewirebench.models"):
+            path = ridge_path(x, y, (1e-5, 1.0, 0.0))
+        assert not [r for r in caplog.records if "pseudoinverse" in
+                    r.getMessage()]
+        for lam, got in zip((1e-5, 1.0, 0.0), path):
             w, b, _ = reference_ridge_fit(x, y, lam)
-            assert np.array_equal(got.w_out, w) and np.array_equal(got.b_out, b)
+            assert np.isnan(w).all() and np.isnan(b).all()
+            assert np.isnan(got.w_out).all() and np.isnan(got.b_out).all()
+        aug = np.hstack([x, np.ones((40, 1))])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.pinv(aug.T @ aug)
