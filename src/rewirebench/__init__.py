@@ -10,9 +10,9 @@ from .evaluation import (GraphTask, NodeTask, SearchSpace, accuracy, auroc,
 from .graph import (DatasetStats, Graph, Normalization, OperatorKind,
                     ShiftOperator, build_graph, dataset_stats, diameter,
                     edge_homophily, shift_operator)
-from .models import (ReadoutParams, ReservoirParams, gesn_embed, gesn_init,
-                     input_features, one_hot, pool, predict, ridge_fit,
-                     ridge_path, sgc_embed)
+from .models import (ReadoutParams, ReservoirParams, augment, gesn_embed,
+                     gesn_init, input_features, one_hot, pool, predict,
+                     ridge_fit, ridge_solve, sgc_embed)
 from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
                        cayley_graph, rewire_diffwire, rewire_egp, rewire_grlef,
                        rewire_sdrf, sl2_order)

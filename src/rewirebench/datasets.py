@@ -69,6 +69,12 @@ def load_canonical(path: str):
         features = _read_matrix(feat_path)
     else:
         raise InputError(f"missing {feat_path}")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        # a NaN would spread to every embedding and readout, and argmax of a
+        # NaN row picks column 0, so the run would score the class-0 share
+        raise InputError(f"{feat_path}: row {bad[0] + 1} (node {bad[0]}) "
+                         f"holds a non-finite value")
     labels = None
     lab_path = os.path.join(path, "labels.csv")
     if os.path.exists(lab_path):

@@ -23,8 +23,8 @@ from scipy.special import stdtr
 
 from .errors import BudgetExceeded, CompatibilityError, InputError
 from .graph import Graph, Normalization, OperatorKind, shift_operator
-from .models import (gesn_embed, gesn_init, input_features, pool, predict,
-                     ridge_fit, ridge_path)
+from .models import (augment, gesn_embed, gesn_init, input_features, one_hot,
+                     pool, predict, ridge_fit, ridge_solve)
 from .rewiring import RewireConfig, apply_rewiring
 from .spectral import spectral_radius
 
@@ -388,11 +388,27 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
 # ---------------------------------------------------------------------------
 # model selection
 
-def _score(preds, scores, labels, metric: str, classes) -> float:
+def _score(preds, scores, labels, metric: str) -> float:
     if metric == "auroc":
         pos_col = 1 if scores.shape[1] > 1 else 0
         return auroc(scores[:, pos_col], labels)
     return accuracy(preds, labels)
+
+
+def _lambda_scores(scores, classes, labels, metric: str) -> list:
+    """The validation score of each lambda from the n x L x C score block.
+
+    Accuracy takes one argmax and one mean over the block: the mean of 0/1
+    values is exact, so each equals accuracy() of that lambda bit for bit.
+    AUROC scores each lambda on its own.
+    """
+    if metric == "auroc":
+        return [_score(None, scores[:, j], labels, metric)
+                for j in range(scores.shape[1])]
+    if labels.shape[0] == 0:
+        raise InputError("empty prediction set")
+    hits = classes[np.argmax(scores, axis=2)] == labels[:, None]
+    return np.mean(hits, axis=0).tolist()
 
 
 def check_compatibility(task_kind: str, model: str, method: str) -> None:
@@ -425,33 +441,41 @@ def model_select(task, model: str, rconfig: RewireConfig,
         # one pass over the grid keeps each fold's best (val, cfg, emb); a
         # fold compares configs and lambdas in grid order, first one wins ties
         best = [None] * len(splits)
-        folds = [(s, labels[s.train], labels[s.val]) for s in splits]
+        lambdas = space.ridge_lambdas
+        folds = []
+        for split in splits:
+            y_train = labels[split.train]
+            classes = np.unique(y_train)
+            folds.append((split, classes, one_hot(y_train, classes),
+                          labels[split.val]))
         for cfg, emb in _all_embeddings(task, model, rconfig, space, seed,
                                         budget, jobs):
-            for i, (split, y_train, y_val) in enumerate(folds):
+            aug = augment(emb)
+            for i, (split, classes, targets, y_val) in enumerate(folds):
                 budget.check()
-                path = ridge_path(emb[split.train], y_train,
-                                  space.ridge_lambdas)
-                # one product scores every lambda; each owns C columns
-                stacked = (emb[split.val]
-                           @ np.concatenate([r.w_out for r in path]).T
-                           + np.concatenate([r.b_out for r in path]))
-                for readout, scores in zip(path,
-                                           np.hsplit(stacked, len(path))):
-                    preds = readout.classes[np.argmax(scores, axis=1)]
-                    val = _score(preds, scores, y_val, task.metric,
-                                 readout.classes)
+                sol = ridge_solve(aug[split.train], targets, lambdas)
+                # one product scores every lambda. W is the transpose of the
+                # C-ordered (L*C) x d stack of w_out and the bias is added
+                # after the product: a C-ordered W, or the bias folded into
+                # the product, moves the last bit of some scores
+                n_lam, c, d1 = sol.shape
+                w = np.ascontiguousarray(sol[:, :, :-1]).reshape(n_lam * c,
+                                                                  d1 - 1)
+                scores = emb[split.val] @ w.T + sol[:, :, -1].reshape(-1)
+                vals = _lambda_scores(scores.reshape(-1, n_lam, c), classes,
+                                      y_val, task.metric)
+                for ridge_lambda, val in zip(lambdas, vals):
                     if best[i] is None or val > best[i][0] + 1e-12:
-                        best[i] = (val, {**cfg, "ridge_lambda":
-                                         readout.ridge_lambda}, emb)
+                        best[i] = (val, {**cfg, "ridge_lambda": ridge_lambda},
+                                   emb)
+            del aug   # not held while the next config is embedded
         for split, (val_metric, sel_cfg, sel_emb) in zip(splits, best):
             fit_idx = np.concatenate([split.train, split.val])
             readout = ridge_fit(sel_emb[fit_idx], labels[fit_idx],
                                 sel_cfg["ridge_lambda"])
             preds, scores = predict(sel_emb[split.test], readout)
             test_labels = split.test_labels.reveal()
-            metric = _score(preds, scores, test_labels, task.metric,
-                            readout.classes)
+            metric = _score(preds, scores, test_labels, task.metric)
             report.folds.append(FoldResult(fold=split.fold, metric=metric,
                                            selected=sel_cfg,
                                            val_metric=val_metric))

@@ -144,54 +144,70 @@ def one_hot(labels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return out
 
 
-def ridge_path(embeddings: np.ndarray, labels: np.ndarray,
-               ridge_lambdas) -> list[ReadoutParams]:
-    """Closed-form ridge regression of one-hot targets on embeddings, one
-    readout per lambda.
+def augment(embeddings: np.ndarray) -> np.ndarray:
+    """[E, 1]: the embeddings with a bias column of ones."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    return np.concatenate([e, np.ones((e.shape[0], 1))], axis=1)
+
+
+def ridge_solve(aug: np.ndarray, targets: np.ndarray,
+                ridge_lambdas) -> np.ndarray:
+    """Closed-form ridge regression of `targets` (n x C) on the augmented
+    embeddings `aug` = [E, 1] (n x (d+1)), one solution per lambda.
 
     Minimizes ||E w + b - Y||^2 + lambda ||w||^2; the bias column is not
-    regularized (augmented normal equations). The Gram matrix and right-hand
-    side are built once; each lambda costs one Cholesky solve, since the
-    regularized system is symmetric positive definite for lambda > 0. A
-    system that Cholesky rejects (lambda = 0 on a singular Gram matrix) is
-    solved by LU, and by the pseudoinverse if LU finds it singular.
+    regularized (augmented normal equations). Returns an L x C x (d+1)
+    array whose row [l, c] is [w_out[c] | b_out[c]] for lambda l.
+
+    The Gram matrix and right-hand side are built once. Each lambda copies
+    the Gram matrix into one reused buffer, adds lambda to its first d
+    diagonal entries in place, and factors it there with one lower Cholesky
+    (`dpotrf`); `dpotrs` solves straight into the output. The system is
+    symmetric positive definite for lambda > 0. A system that Cholesky
+    rejects (lambda = 0 on a singular Gram matrix) is rebuilt from the Gram
+    matrix and solved by LU, and by the pseudoinverse if LU finds it
+    singular.
     """
-    e = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    y = one_hot(labels, classes)
-    n, d = e.shape
-    aug = np.concatenate([e, np.ones((n, 1))], axis=1)
     gram = aug.T @ aug
-    rhs = aug.T @ y
-    diag = np.arange(d)   # the bias entry gram[d, d] stays unregularized
-    out = []
-    for ridge_lambda in ridge_lambdas:
-        system = gram.copy()
-        system[diag, diag] += ridge_lambda
+    rhs = aug.T @ targets
+    d1 = gram.shape[0]
+    out = np.empty((len(ridge_lambdas), targets.shape[1], d1))
+    system = np.empty_like(gram)
+    # the first d diagonal entries; the bias entry stays unregularized
+    diag = slice(0, (d1 - 1) * (d1 + 1), d1 + 1)
+    for sol, ridge_lambda in zip(out, ridge_lambdas):
+        np.copyto(system, gram)
+        system.reshape(-1)[diag] += ridge_lambda
         # the transpose of the symmetric C-ordered system is the
-        # Fortran-ordered matrix LAPACK wants, and dpotrf factors a copy, so
-        # the fallback still has the system; OpenBLAS's lower factor takes
-        # 0.6x the upper one's time at 129 columns on one thread
-        factor, info = dpotrf(system.T, lower=True, clean=False)
+        # Fortran-ordered matrix LAPACK wants, factored in place; OpenBLAS's
+        # lower factor takes 0.6x the upper one's time at 129 columns
+        factor, info = dpotrf(system.T, lower=True, clean=False,
+                              overwrite_a=True)
         if info == 0:
-            sol, info = dpotrs(factor, rhs, lower=True)
+            # sol.T is Fortran-ordered (d+1) x C, so dpotrs writes in place
+            np.copyto(sol.T, rhs)
+            _, info = dpotrs(factor, sol.T, lower=True, overwrite_b=True)
         if info != 0:
+            lu_system = gram.copy()
+            lu_system.reshape(-1)[diag] += ridge_lambda
             try:
-                sol = np.linalg.solve(system, rhs)
+                sol.T[...] = np.linalg.solve(lu_system, rhs)
             except np.linalg.LinAlgError:
                 log.warning("singular ridge system (lambda=%g); "
                             "pseudoinverse used", ridge_lambda)
-                sol = np.linalg.pinv(system) @ rhs
-        out.append(ReadoutParams(w_out=sol[:d].T, b_out=sol[d],
-                                 ridge_lambda=ridge_lambda, classes=classes))
+                sol.T[...] = np.linalg.pinv(lu_system) @ rhs
     return out
 
 
 def ridge_fit(embeddings: np.ndarray, labels: np.ndarray,
               ridge_lambda: float) -> ReadoutParams:
-    """Ridge readout for one lambda (see ridge_path)."""
-    return ridge_path(embeddings, labels, (ridge_lambda,))[0]
+    """Ridge readout of one-hot `labels` for one lambda (see ridge_solve)."""
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    sol = ridge_solve(augment(embeddings), one_hot(labels, classes),
+                      (ridge_lambda,))[0]
+    return ReadoutParams(w_out=sol[:, :-1], b_out=sol[:, -1],
+                         ridge_lambda=ridge_lambda, classes=classes)
 
 
 def predict(embeddings: np.ndarray, readout: ReadoutParams):

@@ -126,6 +126,11 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
     adj = _adj_sets(g)
     edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
     ric = local_balanced_forman(adj, edges).tolist()
+    # node -> indices of its edges in `edges`, ascending; grows with each add
+    incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for j, (x, y) in enumerate(edges):
+        incident[x].append(j)
+        incident[y].append(j)
     edit_log = []
     iters = config.num_iterations(len(edges))
     tau = config.tau
@@ -168,14 +173,14 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
         a, b = best_pair
         adj[a].add(b)
         adj[b].add(a)
+        incident[a].append(len(edges))
+        incident[b].append(len(edges))
         edges.append(best_pair)
         ric.append(0.0)
         edit_log.append((it, "add", a, b))
         # an edge's counts read the neighbour sets of its endpoints and of
         # their neighbours, so the add changes only edges that touch N[a] ∪ N[b]
-        touched = adj[a] | adj[b]
-        near = [j for j, (x, y) in enumerate(edges)
-                if x in touched or y in touched]
+        near = sorted({j for x in adj[a] | adj[b] for j in incident[x]})
         fresh = local_balanced_forman(adj, [edges[j] for j in near])
         for j, r in zip(near, fresh.tolist()):
             ric[j] = r

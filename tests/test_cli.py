@@ -176,6 +176,25 @@ class TestRun:
         assert "significance p=" in summary
         assert "pagerank  sgc" in summary
 
+    def test_non_finite_feature_exit_2(self, tmp_path, capsys):
+        # a NaN would reach every embedding, and argmax of a NaN score row
+        # is class 0, so the run used to exit 0 scoring the class-0 share
+        rng = np.random.default_rng(0)
+        labels = np.arange(60) % 3
+        feats = rng.normal(size=(60, 4)) + labels[:, None]
+        feats[17, 2] = np.nan
+        d = tmp_path / "nan"
+        write_canonical(d, [(i, (i + 1) % 60) for i in range(60)], feats,
+                        labels=labels)
+        out = tmp_path / "run"
+        for argv in (["run", "--dataset", str(d), "--model", "sgc",
+                      "--grid", "tiny", "--out", str(out)],
+                     ["stats", "--dataset", str(d)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "features.csv: row 18 (node 17) holds a non-finite" in err
+        assert not (out / "report.csv").exists()
+
     def test_budget_zero_marks_oor(self, node_dataset, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--dataset", node_dataset, "--model", "gesn",

@@ -153,6 +153,22 @@ class TestCanonical:
             same_graphs(graphs, want)
             assert np.array_equal(labels, want_labels)
 
+    @pytest.mark.parametrize("collection", [False, True],
+                             ids=["graph", "collection"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_refused(self, tmp_path, bad, collection):
+        feats = np.ones((5, 2))
+        feats[2, 1] = feats[4, 0] = float(bad)
+        d = tmp_path / "toy"
+        write_canonical(d, [(0, 1), (1, 2), (3, 4)], feats,
+                        labels=[0, 1, 0, 1, 0],
+                        graph_ids=[0, 0, 0, 1, 1] if collection else None)
+        assert bad in (d / "features.csv").read_text().splitlines()[2]
+        with pytest.raises(InputError,
+                           match=r"features\.csv: row 3 \(node 2\) holds a "
+                                 r"non-finite value"):
+            load_canonical(str(d))
+
     @pytest.mark.parametrize("edges, message", [
         ([(0, 1), (3, 5)], "out of range"),
         ([(0, 1), (-1, 2)], "out of range"),

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,22 @@ def unbalanced_node_task(n=80, positives=20, seed=0):
     feats[:, 0] += 0.5 * labels
     g = build_graph(edges, feats, labels=labels, name="unbalanced")
     return NodeTask(graph=g, metric="auroc", name="unbalanced")
+
+
+def tied_node_task(metric="accuracy", seed=0):
+    """Four cliques of ten nodes, each clique's feature rows one duplicated
+    row: every operator and hop embeds a node as its clique's row, so many
+    configs and lambdas tie on validation. Binary labels whose positive
+    share rises with the clique."""
+    rng = np.random.default_rng(seed)
+    group = np.repeat(np.arange(4), 10)
+    labels = (rng.random(40) < np.array([0.2, 0.4, 0.6, 0.8])[group]).astype(
+        np.int64)
+    edges = [(i, j) for i in range(40) for j in range(i + 1, 40)
+             if group[i] == group[j]]
+    feats = rng.normal(size=(4, 3))[group]
+    g = build_graph(edges, feats, labels=labels, name="tied")
+    return NodeTask(graph=g, metric=metric, name="tied")
 
 
 def blob_graph_task(n_graphs=40, seed=0):
@@ -162,6 +179,28 @@ class TestMetrics:
     def test_auroc_needs_both_classes(self):
         with pytest.raises(InputError):
             auroc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("n", [1, 7, 200, 1001])
+    def test_stacked_accuracy_equals_per_lambda_accuracy(self, rng, n):
+        # one argmax and one mean over the (n, L, C) block, against
+        # accuracy() of each lambda's argmax: equal bit for bit, with
+        # all-NaN rows (argmax picks column 0) and tied maxima (first wins)
+        classes = np.array([2, 5, 7, 11])
+        scores = rng.normal(size=(n, 6, 4))
+        scores[rng.random((n, 6)) < 0.2] = np.nan
+        scores[0, :, :] = np.nan
+        scores[rng.random((n, 6)) < 0.2, 1:] = 0.5
+        labels = rng.choice(classes, n)
+        got = evaluation._lambda_scores(scores, classes, labels, "accuracy")
+        want = [accuracy(classes[np.argmax(scores[:, j], axis=1)], labels)
+                for j in range(6)]
+        assert all(type(v) is float for v in got)
+        assert got == want
+
+    def test_stacked_accuracy_empty_refused(self):
+        with pytest.raises(InputError, match="empty prediction set"):
+            evaluation._lambda_scores(np.zeros((0, 3, 2)), np.array([0, 1]),
+                                      np.zeros(0, dtype=np.int64), "accuracy")
 
 
 class TestSignificance:
@@ -295,16 +334,54 @@ class TestModelSelect:
     @pytest.mark.parametrize("model,kind", [("sgc", "node"),
                                             ("gesn", "node"),
                                             ("gesn", "graph"),
-                                            ("sgc", "auroc")])
+                                            ("sgc", "auroc"),
+                                            ("sgc", "default-lambdas"),
+                                            ("sgc", "tied"),
+                                            ("sgc", "tied-auroc")])
     def test_streamed_selection_equals_per_fold_loop(self, model, kind):
         task = {"node": lambda: blob_node_task(12),
                 "graph": lambda: blob_graph_task(20),
-                "auroc": unbalanced_node_task}[kind]()
+                "auroc": unbalanced_node_task,
+                "default-lambdas": lambda: blob_node_task(12),
+                "tied": tied_node_task,
+                "tied-auroc": lambda: tied_node_task("auroc")}[kind]()
         space = SearchSpace.tiny()
+        if kind == "default-lambdas":
+            space = replace(space, ridge_lambdas=SearchSpace().ridge_lambdas)
+            assert len(space.ridge_lambdas) == 9
         report = model_select(task, model, RewireConfig(), space, seed=1)
-        want = reference_selection(task, model, space, seed=1)
+        table = []
+        want = reference_selection(task, model, space, seed=1, table=table)
         assert [(f.metric, f.val_metric, f.selected) for f in report.folds] \
             == want
+        if kind.startswith("tied"):
+            # in some fold, several configs and several lambdas share the
+            # best validation score, and the first in grid order won
+            tops = [[(cfg, lam) for cfg, lam, val in rows
+                     if val == max(v for _, _, v in rows)] for rows in table]
+            assert any(len({str(c) for c, _ in top}) > 1 and
+                       len({lam for _, lam in top}) > 1 for top in tops)
+
+    def test_selection_memory_bounded(self):
+        # selection holds each fold's selected embedding, the config being
+        # scored and its augmented copy [emb, 1]; a per-fold or per-lambda
+        # copy of the training rows would pass 8 n (d+1) doubles
+        n, d = 1000, 32
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 4, n)
+        ends = rng.integers(0, n, size=(3 * n, 2))
+        edges = [(int(u), int(v)) for u, v in ends if u != v]
+        feats = rng.normal(size=(n, d)) + labels[:, None]
+        task = NodeTask(graph=build_graph(edges, feats, labels=labels))
+        tracemalloc.start()
+        try:
+            report = model_select(task, "sgc", RewireConfig(),
+                                  SearchSpace.tiny(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.folds) == 5
+        assert peak <= 8 * n * (d + 1) * 8, peak / (n * (d + 1) * 8)
 
     def test_test_labels_sealed_until_scored(self):
         task = blob_node_task(n_per_class=15)
@@ -313,30 +390,35 @@ class TestModelSelect:
         assert len(report.folds) == 5  # reveal happened exactly at scoring
 
 
-def reference_selection(task, model, space, seed):
+def reference_selection(task, model, space, seed, table=None):
     """Per fold, every (config, lambda) with its own ridge fit, in grid
-    order: [(test metric, val metric, selected config)] per fold."""
+    order: [(test metric, val metric, selected config)] per fold. A `table`
+    list gets each fold's [(config, lambda, val metric)]."""
     labels = np.asarray(task.labels)
     embeddings = list(evaluation._all_embeddings(
         task, model, RewireConfig(), space, seed, evaluation._Budget(None), 1))
     out = []
     for split in make_splits(labels, k=5, seed=seed):
         best = None
+        rows = []
         for cfg, emb in embeddings:
             for lam in space.ridge_lambdas:
                 readout = ridge_fit(emb[split.train], labels[split.train], lam)
                 preds, scores = predict(emb[split.val], readout)
                 val = evaluation._score(preds, scores, labels[split.val],
-                                        task.metric, readout.classes)
+                                        task.metric)
+                rows.append((cfg, lam, val))
                 if best is None or val > best[0] + 1e-12:
                     best = (val, {**cfg, "ridge_lambda": lam}, emb)
+        if table is not None:
+            table.append(rows)
         val, cfg, emb = best
         fit = np.concatenate([split.train, split.val])
         preds, scores = predict(emb[split.test],
                                 ridge_fit(emb[fit], labels[fit],
                                           cfg["ridge_lambda"]))
         out.append((evaluation._score(preds, scores, labels[split.test],
-                                      task.metric, None), val, cfg))
+                                      task.metric), val, cfg))
     return out
 
 
@@ -483,20 +565,20 @@ class TestGESNGrid:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_configs_embedded_ahead_of_selection(self, jobs, monkeypatch):
         embedded, at_first_fit = [], []
-        real_embed, real_path = evaluation.gesn_embed, evaluation.ridge_path
+        real_embed, real_solve = evaluation.gesn_embed, evaluation.ridge_solve
 
         def counting_embed(*args, **kwargs):
             embedded.append(1)
             return real_embed(*args, **kwargs)
 
-        def recording_path(*args, **kwargs):
+        def recording_solve(*args, **kwargs):
             if not at_first_fit:
                 time.sleep(0.2)   # time enough for workers to run far ahead
                 at_first_fit.append(len(embedded))
-            return real_path(*args, **kwargs)
+            return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "gesn_embed", counting_embed)
-        monkeypatch.setattr(evaluation, "ridge_path", recording_path)
+        monkeypatch.setattr(evaluation, "ridge_solve", recording_solve)
         report = model_select(blob_node_task(10), "gesn", RewireConfig(),
                               GESN_SPACE, seed=2, jobs=jobs)
         assert len(report.folds) == 5

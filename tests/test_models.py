@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rewirebench import models
-from rewirebench import (InputError, gesn_embed, gesn_init, input_features,
-                         one_hot, pool, predict, ridge_fit, ridge_path,
-                         sgc_embed, spectral_radius)
+from rewirebench import (InputError, ReadoutParams, augment, gesn_embed,
+                         gesn_init, input_features, one_hot, pool, predict,
+                         ridge_fit, ridge_solve, sgc_embed, spectral_radius)
 from rewirebench.graph import OperatorKind, shift_operator
 
 from conftest import path_graph, random_graph
@@ -218,6 +218,18 @@ def reference_ridge_fit(embeddings, labels, ridge_lambda):
     except np.linalg.LinAlgError:
         sol = np.linalg.pinv(aug.T @ aug + reg) @ (aug.T @ y)
     return sol[:d].T, sol[d], classes
+
+
+def ridge_path(embeddings, labels, ridge_lambdas):
+    """ridge_solve over every lambda at once, as one readout per lambda."""
+    classes = np.unique(labels)
+    sol = ridge_solve(augment(embeddings),
+                      one_hot(np.asarray(labels), classes), ridge_lambdas)
+    n, d = np.shape(embeddings)
+    assert sol.shape == (len(ridge_lambdas), classes.shape[0], d + 1)
+    return [ReadoutParams(w_out=s[:, :d], b_out=s[:, d], ridge_lambda=lam,
+                          classes=classes)
+            for s, lam in zip(sol, ridge_lambdas)]
 
 
 def assert_near_lu_oracle(got, embeddings, labels, ridge_lambda):
