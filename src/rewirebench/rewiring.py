@@ -118,21 +118,24 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
     Per iteration: sample an edge with probability softmax(-Ric / tau), then
     among candidate supports (u', v') with u' in N(u) ∪ {u}, v' in N(v) ∪ {v}
     add the one giving the largest strict increase of Ric_uv (ties to the
-    lowest index pair). The curvatures live in a list aligned with the edge
-    list. Each iteration scores all its candidates in one curvature call, and
-    an add refreshes the edges it can change in one more.
+    lowest index pair). The curvatures live in an array aligned with the edge
+    list, allocated for every edge an add can append, and the softmax runs
+    over its live prefix. Each iteration scores all its candidates in one
+    curvature call, and an add refreshes the edges it can change in one
+    more.
     """
     rng = np.random.default_rng(config.seed)
     adj = _adj_sets(g)
     edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
-    ric = local_balanced_forman(adj, edges).tolist()
+    iters = config.num_iterations(len(edges))
+    ric = np.zeros(len(edges) + iters)
+    ric[:len(edges)] = local_balanced_forman(adj, edges)
     # node -> indices of its edges in `edges`, ascending; grows with each add
     incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
     for j, (x, y) in enumerate(edges):
         incident[x].append(j)
         incident[y].append(j)
     edit_log = []
-    iters = config.num_iterations(len(edges))
     tau = config.tau
     deadline = config.deadline()
 
@@ -141,7 +144,7 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
             break
         if deadline is not None and _now() > deadline:
             raise BudgetExceeded(f"sdrf exceeded {config.budget_seconds}s")
-        vals = np.array(ric)
+        vals = ric[:len(edges)]
         w = np.exp(-vals / tau - np.max(-vals / tau))
         probs = w / w.sum()
         i = int(rng.choice(len(edges), p=probs))
@@ -176,14 +179,11 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
         incident[a].append(len(edges))
         incident[b].append(len(edges))
         edges.append(best_pair)
-        ric.append(0.0)
         edit_log.append((it, "add", a, b))
         # an edge's counts read the neighbour sets of its endpoints and of
         # their neighbours, so the add changes only edges that touch N[a] ∪ N[b]
         near = sorted({j for x in adj[a] | adj[b] for j in incident[x]})
-        fresh = local_balanced_forman(adj, [edges[j] for j in near])
-        for j, r in zip(near, fresh.tolist()):
-            ric[j] = r
+        ric[near] = local_balanced_forman(adj, [edges[j] for j in near])
 
     new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
     return RewiredGraph(method="sdrf", graph=new_graph, edit_log=edit_log)

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotri
 
 from .errors import InputError
 from .graph import (Graph, Normalization, OperatorKind, connected_components,
@@ -32,6 +33,11 @@ PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 POWER_TOL = 1e-10
 POWER_FIT_RESIDUAL = 1e-2
 POWER_STEPS = 2000
+# PagerankOperator: toarray() applies the operator to this many column
+# blocks of the identity; the Schur inverse is symmetrized in column blocks
+# of SYMMETRIZE_COLUMNS
+TOARRAY_BLOCKS = 64
+SYMMETRIZE_COLUMNS = 64
 
 
 @dataclass
@@ -198,31 +204,110 @@ def heat_kernel(t_matrix, t: float) -> np.ndarray:
 
 
 class PagerankOperator(spla.LinearOperator):
-    """Personalized PageRank kernel diag(left) K^{-1} diag(right), applied by
-    one solve with a sparse LU of K per product; the n x n kernel is built
-    only by toarray(). Solves share the factor read-only, so threads may
-    apply one operator concurrently."""
+    """Personalized PageRank kernel diag(left) K^{-1} diag(right) of a
+    symmetric positive definite sparse K, applied by block elimination.
 
-    def __init__(self, lu, left: np.ndarray | None, right: np.ndarray | None):
-        super().__init__(dtype=np.float64, shape=lu.shape)
-        self._lu, self._left, self._right = lu, left, right
+    K is factored once under its minimum-degree order. The nodes whose
+    columns of L are full, the factor's dense trailing block, form the tail
+    T; the others form the head H. The head keeps a sparse LU of K_HH in
+    that order. The tail keeps the dense inverse of its Schur complement
+    S = K_TT - K_TH K_HH^{-1} K_HT, which is L_TT D_T L_TT^T (K = L D L^T
+    without pivoting), inverted in place by `dpotri`. A product is one head
+    solve, one product with S^{-1} and one more head solve; the n x n kernel
+    is built only by toarray(). Products share the factors read-only, so
+    threads may apply one operator concurrently.
+    """
+
+    def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None):
+        n = k.shape[0]
+        super().__init__(dtype=np.float64, shape=(n, n))
+        lu = _factor(k, "MMD_AT_PLUS_A")
+        order = np.argsort(lu.perm_c)
+        # scipy builds CSC copies of both L and U on first access and caches
+        # them on the factor: the factor and U go before the dense block is
+        # allocated, L once its full columns are read
+        lower = lu.L
+        full = np.diff(lower.indptr) == np.arange(n, 0, -1)
+        h = int(np.flatnonzero(~full).max(initial=-1)) + 1
+        pivots = lu.U.diagonal()[h:]
+        del lu
+        # S = L_TT D_T L_TT^T, so L_TT D_T^{1/2} is its lower Cholesky
+        # factor, and dpotri turns that factor into S^{-1} in place
+        inv = np.zeros((n - h, n - h), order="F")
+        ptr, rows, vals = lower.indptr, lower.indices, lower.data
+        for c in range(n - h):
+            seg = slice(ptr[h + c], ptr[h + c + 1])
+            inv[rows[seg] - h, c] = vals[seg]
+        del lower, ptr, rows, vals
+        inv *= np.sqrt(pivots)
+        inv, _ = dpotri(inv, lower=True, overwrite_c=True)
+        # mirror the lower triangle into the upper one a column block at a
+        # time, so that no second t x t array is held
+        for j in range(0, n - h, SYMMETRIZE_COLUMNS):
+            inv[j:j + SYMMETRIZE_COLUMNS] += np.tril(
+                inv[:, j:j + SYMMETRIZE_COLUMNS], -j - 1).T
+        self._tail_inverse = inv
+        self._head_nodes, self._tail_nodes = order[:h], order[h:]
+        kp = k[order][:, order]
+        self._coupling = kp[:h, h:].tocsr()   # K_HT
+        # an empty head (a complete graph) solves to itself
+        self._head_solve = (_factor(kp[:h, :h].tocsc(), "NATURAL").solve
+                            if h else np.asarray)
+        self._left, self._right = left, right
+
+    def _gather(self, x, nodes):
+        """Rows `nodes` of diag(right) x."""
+        z = np.asarray(x[nodes], dtype=np.float64)
+        if self._right is not None:
+            z *= self._right[nodes, None]
+        return z
 
     def _matmat(self, x):
-        if self._right is not None:
-            x = self._right[:, None] * x
-        y = self._lu.solve(x)
+        head, tail = self._head_nodes, self._tail_nodes
+        # each half of the input is gathered where it is used, and the
+        # output is allocated last: a product holds at most two head-sized
+        # arrays beside S^{-1}
+        z_tail = self._gather(x, tail)
+        z_tail -= self._coupling.T @ self._head_solve(self._gather(x, head))
+        z_tail = self._tail_inverse @ z_tail
+        rhs = self._gather(x, head)
+        rhs -= self._coupling @ z_tail
+        z_head = self._head_solve(rhs)
+        del rhs
         if self._left is not None:
-            y *= self._left[:, None]
-        return y
+            z_head *= self._left[head, None]
+            z_tail *= self._left[tail, None]
+        out = np.empty((self.shape[0], x.shape[1]))
+        out[head] = z_head
+        out[tail] = z_tail
+        return out
 
     def toarray(self) -> np.ndarray:
-        return np.ascontiguousarray(self._matmat(np.eye(self.shape[0])))
+        """The n x n kernel, built in TOARRAY_BLOCKS column blocks of the
+        identity so that it holds little beside its output."""
+        n = self.shape[0]
+        out = np.empty((n, n))
+        width = -(-n // TOARRAY_BLOCKS)
+        for j in range(0, n, width):
+            out[:, j:j + width] = self._matmat(
+                np.eye(n, min(width, n - j), -j))
+        return out
+
+
+def _factor(k, order: str):
+    """Sparse LU of the symmetric positive definite k without pivoting."""
+    try:
+        return spla.splu(k, permc_spec=order, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise RuntimeError("pagerank system D - (1-alpha) A could not be "
+                           f"factored: {exc}") from exc
 
 
 def pagerank_kernel(g: Graph, alpha: float,
                     norm: Normalization | str) -> PagerankOperator:
     """Personalized PageRank alpha (I - (1-alpha) T)^{-1} of the normalized
-    adjacency T, as an operator over one sparse LU factorization.
+    adjacency T, as a PagerankOperator over K.
 
     With D the degree diagonal (1 for isolated nodes, whose columns of A are
     zero) and K = D - (1-alpha) A, I - (1-alpha) T is K D^{-1} for rw,
@@ -230,9 +315,12 @@ def pagerank_kernel(g: Graph, alpha: float,
     alpha D K^{-1}, alpha K^{-1} D or alpha D^{1/2} K^{-1} D^{1/2}. K is
     symmetric positive definite, because the eigenvalues of
     D^{-1/2} K D^{-1/2} are at least alpha, so it is factored without
-    pivoting. The minimum-degree ordering of K + K^T keeps the factor sparse:
-    on a 2708-node SBM, L + U holds 0.39M nonzeros against 1.22M under
-    COLAMD. The unnormalized adjacency is refused: its series diverges once
+    pivoting. The minimum-degree ordering of K + K^T keeps the factor sparse
+    outside its full trailing block: on a 2708-node SBM, L + U holds 0.39M
+    nonzeros against 1.22M under COLAMD, and the last 559 columns of L are
+    full and hold 80% of L. The operator keeps that block as a dense
+    2.5 MB inverse and the rest as a sparse LU of 12.9k nonzeros. The
+    unnormalized adjacency is refused: its series diverges once
     (1-alpha) rho(A) > 1.
     """
     if not 0.0 < alpha < 1.0:
@@ -248,18 +336,12 @@ def pagerank_kernel(g: Graph, alpha: float,
     d = np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
     d[d == 0] = 1.0
     k = (sp.diags(d) - (1.0 - alpha) * a).tocsc()
-    try:
-        lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise RuntimeError("pagerank system D - (1-alpha) A could not be "
-                           f"factored: {exc}") from exc
     if norm is Normalization.RW:
-        return PagerankOperator(lu, alpha * d, None)
+        return PagerankOperator(k, alpha * d, None)
     if norm is Normalization.MEAN:
-        return PagerankOperator(lu, None, alpha * d)
+        return PagerankOperator(k, None, alpha * d)
     s = np.sqrt(d)  # SYM
-    return PagerankOperator(lu, s, alpha * s)
+    return PagerankOperator(k, s, alpha * s)
 
 
 def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:

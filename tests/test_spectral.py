@@ -388,7 +388,9 @@ class TestDiffusionKernels:
 
 
 def _pagerank_graphs():
-    """Graphs with isolated nodes, several components, or no edges."""
+    """Graphs with isolated nodes, several components or no edges, and
+    graphs whose factor is all full block (complete) or nearly all sparse
+    head (a path)."""
     rng = np.random.default_rng(3)
     # triangle, a 4-path, a 3-star and two isolated nodes
     parts = build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6),
@@ -397,7 +399,9 @@ def _pagerank_graphs():
     assert 0 in sparse.degrees
     return {"components": parts, "random-isolated": sparse,
             "no-edges": build_graph([], np.zeros((5, 1))),
-            "single-node": build_graph([], np.zeros((1, 1)))}
+            "single-node": build_graph([], np.zeros((1, 1))),
+            "complete": complete_graph(6), "k2": path_graph(2),
+            "path": path_graph(9)}
 
 
 PAGERANK_GRAPHS = _pagerank_graphs()
@@ -424,6 +428,18 @@ class TestPagerankKernel:
         if g.num_edges == 0:
             assert np.array_equal(k, alpha * np.eye(n))
 
+    @pytest.mark.parametrize("graph, tail", [
+        ("complete", 6), ("k2", 2), ("single-node", 1), ("path", 2),
+        ("no-edges", 1), ("components", 3)])
+    def test_split_at_full_trailing_block(self, graph, tail):
+        # the tail is the factor's full trailing block: the whole graph when
+        # it is complete (an empty head), one or two nodes on a path
+        g = PAGERANK_GRAPHS[graph]
+        op = pagerank_kernel(g, 0.3, "rw")
+        assert op._tail_nodes.size == tail
+        nodes = np.concatenate([op._head_nodes, op._tail_nodes])
+        assert np.array_equal(np.sort(nodes), np.arange(g.num_nodes))
+
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_matches_solve_across_blocks(self, norm):
         # a 300-node graph, beyond the small graphs above
@@ -444,13 +460,11 @@ class TestPagerankKernel:
         k = pagerank_kernel(g, 0.2, "sym").toarray()
         assert np.abs(k - k.T).max() <= 1e-15
 
-    def test_threads_share_one_factor(self):
-        # GESN's workers apply one operator from several threads at once;
-        # every product must equal the serial one bit for bit
-        g = sparse_random_graph(1000, 8.0, 1)
-        op = pagerank_kernel(g, 0.1, "rw")
+    @staticmethod
+    def _threads_equal_serial(op):
+        n = op.shape[0]
         rng = np.random.default_rng(0)
-        blocks = [np.asfortranarray(rng.standard_normal((1000, 16)))
+        blocks = [np.asfortranarray(rng.standard_normal((n, 16)))
                   for _ in range(8)]
         serial = [op @ b for b in blocks]
         workers, rounds = 4, 5
@@ -476,6 +490,13 @@ class TestPagerankKernel:
         for want, got in zip(serial, out):
             assert len(got) == rounds
             assert all(np.array_equal(want, y) for y in got)
+
+    def test_threads_share_one_factor(self):
+        # GESN's workers apply one operator from several threads at once;
+        # every product must equal the serial one bit for bit, with a sparse
+        # head and with the dense tail alone (a complete graph)
+        for g in (sparse_random_graph(1000, 8.0, 1), complete_graph(300)):
+            self._threads_equal_serial(pagerank_kernel(g, 0.1, "rw"))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
     def test_alpha_out_of_range(self, alpha):
@@ -519,6 +540,20 @@ class TestPagerankKernel:
         finally:
             tracemalloc.stop()
         assert peak <= n * n * 8 / 8
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_toarray_holds_little_beside_its_output(self, norm):
+        # rewire's kernel.npy and spectral_radius up to 1024 rows build the
+        # dense kernel; beside the n x n output it may hold 0.1 n^2 doubles
+        n = 1000
+        op = pagerank_kernel(sparse_random_graph(n, 4.0, 0), 0.1, norm)
+        tracemalloc.start()
+        try:
+            op.toarray()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8
 
 
 class TestCheeger:
