@@ -26,7 +26,7 @@ from .evaluation import (ExperimentReport, GraphTask, NodeTask, SearchSpace,
 from .graph import Graph, dataset_stats
 from .rewiring import (METHODS, Normalization, RewireConfig, apply_rewiring,
                        write_edit_log)
-from .spectral import PagerankOperator, spectral_gap
+from .spectral import spectral_gap
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +117,7 @@ def cmd_rewire(args) -> int:
     artifacts = []
     if rewired.operator is not None:
         kernel = rewired.operator
-        if isinstance(kernel, PagerankOperator):
+        if not isinstance(kernel, np.ndarray):
             kernel = kernel.toarray()
         np.save(os.path.join(args.out, "kernel.npy"), kernel)
         artifacts.append("kernel.npy")

@@ -330,9 +330,11 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
                      budget: _Budget, jobs: int, pooling: tuple | None = None):
     """Yield ({config}, embeddings) for the GESN grid over rewired graphs.
 
-    ρ(M) is measured once per graph and the reservoir drawn once per hidden
-    size; a config only rescales that draw. A node task (one graph, no
-    `pooling`) gets node embeddings, a graph task one row per graph and mode.
+    ρ(M) comes from the rewiring where it has a closed form (heat, PageRank)
+    and is measured once per graph otherwise. The reservoir is drawn once
+    per hidden size; a config only rescales that draw. A node task (one
+    graph, no `pooling`) gets node embeddings, a graph task one row per
+    graph and mode.
 
     Several graphs are embedded in one pass over their disjoint union: a
     block-diagonal operator whose block i is M_i / ρ(M_i), so the reservoir
@@ -346,7 +348,8 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE).matrix
-        rho_m = float(spectral_radius(op, seed=seed))
+        rho_m = (rw.rho if rw.rho is not None
+                 else float(spectral_radius(op, seed=seed)))
         ops.append(op)
         rhos.append(rho_m if rho_m > 0 else 1.0)
         xs.append(input_features(rw.graph.features))

@@ -7,19 +7,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError
-from .spectral import PagerankOperator, spectral_radius
+from .spectral import spectral_radius
 
 log = logging.getLogger(__name__)
-
-
-def _as_operator(m):
-    if hasattr(m, "matrix"):
-        return m.matrix
-    return m
 
 
 def input_features(features: np.ndarray) -> np.ndarray:
@@ -34,10 +27,9 @@ def sgc_embed(m, x: np.ndarray, hops: int) -> np.ndarray:
     """h = M^hops x via repeated application (M never materialized as a power)."""
     if hops < 0:
         raise InputError("hops must be >= 0")
-    mat = _as_operator(m)
     h = np.asarray(x, dtype=np.float64)
     for _ in range(hops):
-        h = mat @ h
+        h = m @ h
     return h
 
 
@@ -72,7 +64,7 @@ class ReservoirParams:
 def gesn_init(x_dim: int, hidden: int, input_scaling: float, target_rho: float,
               seed: int, iterations: int = 30) -> ReservoirParams:
     """Draw reservoir weights uniform in [-1, 1] and measure the recurrent
-    matrix's spectral radius (exact eigenvalues up to 1024 rows, see
+    matrix's spectral radius (exact eigenvalues at any size, see
     spectral_radius), so that w_hat has the requested one."""
     rng = np.random.default_rng(seed)
     unit_in = rng.uniform(-1.0, 1.0, size=(hidden, x_dim))
@@ -91,17 +83,14 @@ def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     Receiver-row convention: column v of the state update aggregates
     neighbors u weighted by M_vu. Returns (num_nodes, H).
     """
-    mat = _as_operator(m)
     x = input_features(np.asarray(x, dtype=np.float64))
     drive = params.w_in @ x.T + params.bias[:, None]   # H x N
     w_hat = params.w_hat
     h = np.zeros_like(drive)
-    if not sp.issparse(mat) and not isinstance(mat, PagerankOperator):
-        mat = np.asarray(mat, dtype=np.float64)
     for _ in range(params.iterations):
         # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu;
         # the state is updated in place, so a step holds two H x N temporaries
-        np.add(drive, (mat @ (w_hat @ h).T).T, out=h)
+        np.add(drive, (m @ (w_hat @ h).T).T, out=h)
         np.tanh(h, out=h)
     return h.T
 

@@ -4,8 +4,9 @@ Five families: diffusion kernels (heat / personalized PageRank), curvature
 driven edge addition (SDRF), triangle-guided edge flips (GRLEF), expander
 graph propagation (EGP, Cayley graphs of SL(2, Z_n)), and resistance
 reweighting (DiffWire). Edge-editing methods return a new edge set; kernel
-methods return a message-passing operator: a dense matrix, or for PageRank
-one applied from a sparse factorization.
+methods return a message-passing operator: CSR for EGP and DiffWire, a dense
+matrix for heat, and for PageRank one applied from a sparse factorization.
+Heat and PageRank also carry their spectral radius in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import kernels
 from .errors import BudgetExceeded, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
 from .spectral import (PagerankOperator, effective_resistance, heat_kernel,
-                       pagerank_kernel)
+                       pagerank_kernel, spectral_radius)
 
 log = logging.getLogger(__name__)
 
@@ -72,10 +73,12 @@ class RewireConfig:
 class RewiredGraph:
     method: str
     graph: Graph                       # rewired edge set (or the input, unchanged)
-    # M' of the kernel methods: dense for heat, EGP and DiffWire; PageRank
-    # applies it by a sparse solve and builds it only through toarray()
-    operator: np.ndarray | PagerankOperator | None = None
+    # M' of the kernel methods: CSR for EGP and DiffWire, dense for heat;
+    # PageRank applies it by a sparse solve and builds it only through
+    # toarray()
+    operator: sp.csr_matrix | np.ndarray | PagerankOperator | None = None
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
+    rho: float | None = None           # rho(M') in closed form (heat, PageRank)
 
 
 def write_edit_log(edit_log, path) -> None:
@@ -355,7 +358,7 @@ def rewire_egp(g: Graph) -> RewiredGraph:
     keep = np.arange(g.num_nodes)
     a_cay = cay.adjacency()[np.ix_(keep, keep)]
     a = g.adjacency().astype(np.float64)
-    m = (sp.csr_matrix(a_cay, dtype=np.float64) @ a).toarray()
+    m = (sp.csr_matrix(a_cay, dtype=np.float64) @ a).tocsr()
     return RewiredGraph(method="egp", graph=g, operator=m)
 
 
@@ -364,9 +367,7 @@ def rewire_egp(g: Graph) -> RewiredGraph:
 
 def rewire_diffwire(g: Graph) -> RewiredGraph:
     """Resistance-weighted adjacency M' = Res ⊙ A (same sparsity pattern as A)."""
-    res = effective_resistance(g).matrix
-    a = g.adjacency().toarray()
-    m = np.where(a > 0, res, 0.0)
+    m = g.adjacency().multiply(effective_resistance(g).matrix).tocsr()
     return RewiredGraph(method="diffwire", graph=g, operator=m)
 
 
@@ -378,15 +379,22 @@ def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
     if config.method == "baseline":
         return RewiredGraph(method="baseline", graph=g)
     # diffusion: a kernel of the normalized adjacency (node tasks only; the
-    # evaluation harness enforces the restriction)
+    # evaluation harness enforces the restriction). A normalized T has
+    # rho(T) = 1 on a graph with an edge and 0 on one without, so
+    # rho(heat) = exp(-t (1 - rho(T))) and rho(PageRank) =
+    # alpha / (1 - (1 - alpha) rho(T)) need no eigensolver.
     if config.method == "heat":
-        t_op = shift_operator(g, OperatorKind.ADJACENCY,
-                              Normalization(config.diffusion_norm))
-        kernel = heat_kernel(t_op.matrix, config.t)
-        return RewiredGraph(method="heat", graph=g, operator=kernel)
+        norm = Normalization(config.diffusion_norm)
+        t_op = shift_operator(g, OperatorKind.ADJACENCY, norm).matrix
+        rho_t = (float(spectral_radius(t_op)) if norm is Normalization.NONE
+                 else float(g.num_edges > 0))
+        return RewiredGraph(method="heat", graph=g,
+                            operator=heat_kernel(t_op, config.t),
+                            rho=math.exp(-config.t * (1.0 - rho_t)))
     if config.method == "pagerank":
         kernel = pagerank_kernel(g, config.alpha, config.diffusion_norm)
-        return RewiredGraph(method="pagerank", graph=g, operator=kernel)
+        return RewiredGraph(method="pagerank", graph=g, operator=kernel,
+                            rho=1.0 if g.num_edges else config.alpha)
     if config.method == "sdrf":
         return rewire_sdrf(g, config)
     if config.method == "grlef":

@@ -18,21 +18,13 @@ from .graph import (Graph, Normalization, OperatorKind, connected_components,
 
 log = logging.getLogger(__name__)
 
-EXACT_RADIUS_ROWS = 1024  # dense spectral_radius input solved by eigvals
 # sparse spectral_radius input solved by eigvals of its dense copy: below
-# this size one eigvals call is cheaper than a power iteration's first steps
+# this size one eigvals call is cheaper than an ARPACK call
 EXACT_SPARSE_RADIUS_ROWS = 64
-DENSE_EIG_LIMIT = 4000    # dense eigvalsh; sparse eigvals after no convergence
 # spectral_gap component solved by dense eigvalsh; shift-invert eigsh above,
 # which at 2708 nodes takes 0.46 s against eigvalsh's 2.6 s
 DENSE_GAP_ROWS = 1000
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
-# power iteration stops once its estimate changes by at most POWER_TOL
-# (relative) while the 2-term Krylov fit leaves a relative residual of at
-# most POWER_FIT_RESIDUAL, or else after POWER_STEPS steps
-POWER_TOL = 1e-10
-POWER_FIT_RESIDUAL = 1e-2
-POWER_STEPS = 2000
 # PagerankOperator: toarray() applies the operator to this many column
 # blocks of the identity; the Schur inverse is symmetrized in column blocks
 # of SYMMETRIZE_COLUMNS
@@ -51,65 +43,42 @@ class SpectralRadiusResult:
 
 
 def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
-    """|lambda_max|, by a rule that depends on the input alone.
+    """|lambda_max| of a dense array or a scipy sparse matrix.
 
-    A dense array or a PagerankOperator of at most EXACT_RADIUS_ROWS rows,
-    or a sparse array of at most EXACT_SPARSE_RADIUS_ROWS rows, gets exact
-    eigenvalues of its dense form (iterations 0). A larger one runs power
-    iteration from a seeded start, one product with m per step; each step
-    fits the dominant 2-dimensional Krylov recurrence, so complex conjugate
-    pairs still yield a convergent modulus. A run that does not converge is
-    flagged, with a warning, and its value is the exact one for any dense
-    input or operator and for a sparse one of up to DENSE_EIG_LIMIT rows; a
-    larger sparse input keeps the last estimate.
+    A dense array, or a sparse one of at most EXACT_SPARSE_RADIUS_ROWS rows,
+    gets exact eigenvalues (iterations 0), and an all-zero sparse matrix
+    radius 0. Any other sparse matrix makes one ARPACK call for the
+    eigenvalue of largest modulus, from a seeded start and to working
+    precision; iterations counts its products with m. If ARPACK raises, a
+    warning is logged and the exact value returned, flagged unconverged.
     """
     sparse = sp.issparse(m)
-    if not sparse and not isinstance(m, PagerankOperator):
+    if not sparse:
         m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
     if m.ndim != 2 or n != m.shape[1]:
         raise InputError("spectral_radius requires a square matrix")
-    if n == 0:
+    if n == 0 or (sparse and m.count_nonzero() == 0):
         return SpectralRadiusResult(0.0, 0, True)
-    if n <= (EXACT_SPARSE_RADIUS_ROWS if sparse else EXACT_RADIUS_ROWS):
+    if not sparse or n <= EXACT_SPARSE_RADIUS_ROWS:
         return SpectralRadiusResult(_exact_radius(_as_dense(m)), 0, True)
+    products = 0
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    y = m.dot(x)
-    est = 0.0
-    for it in range(1, POWER_STEPS + 1):
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return SpectralRadiusResult(0.0, it, True)
-        z = m.dot(y)
-        # fit A^2 x ≈ a*(A x) + b*x: exact once x lies in a dominant
-        # 2-dimensional invariant subspace; roots of t^2 - a t - b then give
-        # the dominant eigenvalue(s), real or complex pair
-        basis = np.stack([y, x], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-        roots = np.roots([1.0, -coef[0], -coef[1]])
-        new_est = float(np.max(np.abs(roots)))
-        if not np.isfinite(new_est):
-            new_est = float(ny)
-        # a settled estimate counts only if the fit holds: with 3 dominant
-        # eigenvalues of equal modulus (a directed 3-cycle) it repeats wrongly
-        if (it > 1 and abs(new_est - est) <= POWER_TOL * max(1.0, abs(new_est))
-                and np.linalg.norm(z - basis @ coef)
-                <= POWER_FIT_RESIDUAL * np.linalg.norm(z)):
-            return SpectralRadiusResult(new_est, it, True)
-        est = new_est
-        # the next step's m x is z / ny
-        x = y / ny
-        y = z / ny
-    if not sparse or n <= DENSE_EIG_LIMIT:
-        log.warning("power iteration did not converge in %d iterations; "
-                    "dense eigvals fallback used", POWER_STEPS)
-        est = _exact_radius(_as_dense(m))
-    else:
-        log.warning("power iteration did not converge; returning best estimate")
-    return SpectralRadiusResult(est, POWER_STEPS, False)
+    def matvec(x):
+        nonlocal products
+        products += 1
+        return m @ x
+    op = spla.LinearOperator(m.shape, matvec=matvec, dtype=np.float64)
+    # a seeded start vector: ARPACK's own start changes from call to call
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        lam = spla.eigs(op, k=1, which="LM", v0=v0, tol=0,
+                        return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        log.warning("ARPACK failed (%s); dense eigvals fallback used", exc)
+        return SpectralRadiusResult(_exact_radius(m.toarray()), products,
+                                    False)
+    return SpectralRadiusResult(float(np.abs(lam[0])), products, True)
 
 
 def _exact_radius(dense: np.ndarray) -> float:
@@ -189,7 +158,7 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
 
 
 def _as_dense(t) -> np.ndarray:
-    if sp.issparse(t) or isinstance(t, PagerankOperator):
+    if sp.issparse(t):
         return t.toarray()
     return np.asarray(t, dtype=np.float64)
 

@@ -10,6 +10,9 @@ import scipy.sparse.linalg
 import rewirebench
 from rewirebench import cli
 from rewirebench.cli import main
+from rewirebench.datasets import load_dataset
+from rewirebench.rewiring import cayley_graph, sl2_order
+from rewirebench.spectral import effective_resistance
 
 from test_datasets import write_canonical
 
@@ -95,6 +98,27 @@ class TestRewire:
         k = np.load(out / "kernel.npy")
         n = sum(1 for _ in open(f"{node_dataset}/labels.csv"))
         assert k.shape == (n, n)
+
+    @pytest.mark.parametrize("method", ["egp", "diffwire"])
+    def test_sparse_operator_written_dense(self, node_dataset, tmp_path,
+                                           method):
+        # EGP and DiffWire keep their operator as CSR; kernel.npy is its
+        # dense form, equal to A_Cay @ A and to Res on the edges of A
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire", method,
+                     "--out", str(out)]) == 0
+        g = load_dataset(node_dataset)
+        a = g.adjacency().toarray()
+        if method == "egp":
+            q = 2
+            while sl2_order(q) < g.num_nodes:
+                q += 1
+            keep = slice(0, g.num_nodes)
+            want = cayley_graph(q).adjacency().toarray()[keep, keep] @ a
+        else:
+            want = np.where(a > 0, effective_resistance(g).matrix, 0.0)
+        k = np.load(out / "kernel.npy")
+        assert k.dtype == np.float64 and np.array_equal(k, want)
 
     def test_invalid_param_exit_2(self, node_dataset, tmp_path):
         assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",

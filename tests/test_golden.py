@@ -5,7 +5,9 @@ pipeline. Five small datasets from `pipebench/generate.py` go through
 `cli.main`: a node task with SGC and SDRF rewiring, a node task with SGC
 on the default grid and heat rewiring, a node task with GESN, a node task
 on every personalized-PageRank path (SGC, and GESN under the `sym` and
-`mean` normalizations), and a graph collection with GESN. A
+`mean` normalizations), a node task with the operators that are not
+dense PageRank (GESN on DiffWire, EGP and heat, SGC on EGP and DiffWire),
+and a graph collection with GESN. A
 change that alters floats on purpose updates DIGESTS and states its
 tolerance and the selections it kept.
 """
@@ -47,6 +49,13 @@ CASES = {
                            "--jobs", "2", "--rewire", "pagerank",
                            "--diffusion-norm", "mean"]),
     )),
+    # CSR DiffWire and EGP operators and heat's closed-form rho(M)
+    "node-retyped": ("sbm_node_task", {"nodes": 150, "edges": 300}, tuple(
+        (f"run-{model}-{method}", ["run", "--model", model, "--grid", "tiny",
+                                   "--jobs", "1", "--rewire", method])
+        for model, method in (("gesn", "diffwire"), ("gesn", "egp"),
+                              ("gesn", "heat"), ("sgc", "diffwire"),
+                              ("sgc", "egp")))),
     "graph-gesn": ("graph_collection", {"graphs": 20}, (
         ("run", ["run", "--model", "gesn", "--grid", "tiny", "--jobs", "1",
                  "--rewire", "sdrf"]),
@@ -92,6 +101,38 @@ DIGESTS = {
             "48f9af1d42c004a2772243b6781feca1c9fa8f1cacf38a0876848a6d302c25ee",
         "run-sgc/summary.txt":
             "0dd98017fa9570157047c7f105cf494a93448d6278c46c6713ac1ac984a8ed1c",
+    },
+    "node-retyped": {
+        "run-gesn-diffwire/baseline_report.csv":
+            "643a6e685e18733d4c2f54587dd39d9e4cc6b17159fe52604a718d295d358870",
+        "run-gesn-diffwire/report.csv":
+            "667e037ba57093d5f54e9353c8e5864a5047a3f4d7a9601c285a5fd0323989d3",
+        "run-gesn-diffwire/summary.txt":
+            "9bb9415fff6c1c6a9a06ccd82af02165c8645b0fff81439598c5cc9255697a77",
+        "run-gesn-egp/baseline_report.csv":
+            "643a6e685e18733d4c2f54587dd39d9e4cc6b17159fe52604a718d295d358870",
+        "run-gesn-egp/report.csv":
+            "e5370e162b28252a16621f7dce32d4eccd75b3742f6159623a69f637d11b4d20",
+        "run-gesn-egp/summary.txt":
+            "d49c42aee01bf996c2dcf740ad358a0575cdc9ef4d1e20ca38338997cde495f2",
+        "run-gesn-heat/baseline_report.csv":
+            "643a6e685e18733d4c2f54587dd39d9e4cc6b17159fe52604a718d295d358870",
+        "run-gesn-heat/report.csv":
+            "33371685c101dbce6160fb175e82b94e4b987c521c45d496ddc1bdf9e0f27249",
+        "run-gesn-heat/summary.txt":
+            "f3cb985fc222a6a0ec09ba61cf9dc565cb15200e3a77f3aff5d831b8347ee731",
+        "run-sgc-diffwire/baseline_report.csv":
+            "3a9e8c34e7c95ec4758bf7cf8bae01fdb8fc4c091f629f55b2dfb332baece4d9",
+        "run-sgc-diffwire/report.csv":
+            "7e5256dd820d4300eaba4e7a08ff931d941576aa06d8d6f121d3d9fc08b701ba",
+        "run-sgc-diffwire/summary.txt":
+            "e85e0d446c2a18a488bb800d603b9925d7a7c2d8b75dc0f81ed552db46b140e8",
+        "run-sgc-egp/baseline_report.csv":
+            "3a9e8c34e7c95ec4758bf7cf8bae01fdb8fc4c091f629f55b2dfb332baece4d9",
+        "run-sgc-egp/report.csv":
+            "ec0656ecb8f183de9083d02456a54d8dbec8baed2bac2e31ecd5a5def39b186b",
+        "run-sgc-egp/summary.txt":
+            "1c309f5003243e752fad2800917fc819b0a2965882b3fc4cc7ef45cd3729076f",
     },
     "node-sgc-default": {
         "run-heat/baseline_report.csv":

@@ -50,7 +50,7 @@ class TestSGC:
         op = shift_operator(g, OperatorKind.ADJACENCY)
         x = rng.normal(size=(8, 2))
         dense = sgc_embed(op.matrix.toarray(), x, 3)
-        assert np.allclose(sgc_embed(op, x, 3), dense)
+        assert np.allclose(sgc_embed(op.matrix, x, 3), dense)
 
     def test_negative_hops(self):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rewirebench import (InputError, RewireConfig, apply_rewiring,
                          balanced_forman, build_graph, cayley_graph,
@@ -303,7 +304,8 @@ class TestEGP:
             n += 1
         a_cay = cayley_graph(n).adjacency().toarray()[:25, :25]
         a = g.adjacency().toarray()
-        assert np.allclose(out.operator, a_cay.astype(float) @ a)
+        assert sp.isspmatrix_csr(out.operator)
+        assert np.allclose(out.operator.toarray(), a_cay.astype(float) @ a)
 
 
 class TestDiffWire:
@@ -311,7 +313,8 @@ class TestDiffWire:
         g = random_graph(12, 0.3, rng, connected=True)
         out = rewire_diffwire(g)
         a = g.adjacency().toarray()
-        assert np.array_equal(out.operator > 0, a > 0)
+        assert sp.isspmatrix_csr(out.operator)
+        assert np.array_equal(out.operator.toarray() > 0, a > 0)
 
     def test_values_are_resistances(self):
         g = path_graph(4)
@@ -323,8 +326,8 @@ class TestDiffWire:
 
     def test_symmetric(self, rng):
         g = random_graph(10, 0.4, rng, connected=True)
-        out = rewire_diffwire(g)
-        assert np.allclose(out.operator, out.operator.T)
+        m = rewire_diffwire(g).operator.toarray()
+        assert np.allclose(m, m.T)
 
 
 class TestDispatch:
@@ -346,3 +349,24 @@ class TestDispatch:
         out = apply_rewiring(g, RewireConfig(method=method))
         assert out.operator is not None
         assert out.operator.shape == (12, 12)
+        # a closed-form rho(M') only where the kernel has one
+        assert (out.rho is None) == (method in ("egp", "diffwire"))
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean", "none"])
+    def test_diffusion_rho_matches_dense_eigvals(self, norm):
+        # random graphs with isolated nodes, and edgeless ones
+        rng = np.random.default_rng(4)
+        graphs = [random_graph(n, p, rng) for n in (2, 7, 20)
+                  for p in (0.0, 0.1, 0.4)]
+        configs = [RewireConfig(method="heat", t=t, diffusion_norm=norm)
+                   for t in (0.1, 1.0, 5.0)]
+        if norm != "none":
+            configs += [RewireConfig(method="pagerank", alpha=a,
+                                     diffusion_norm=norm) for a in (0.05, 0.5)]
+        for g in graphs:
+            for cfg in configs:
+                out = apply_rewiring(g, cfg)
+                m = out.operator
+                m = m if isinstance(m, np.ndarray) else m.toarray()
+                want = np.max(np.abs(np.linalg.eigvals(m)))
+                assert out.rho == pytest.approx(want, rel=1e-12), (g, cfg)

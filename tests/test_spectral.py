@@ -15,9 +15,7 @@ from rewirebench import (InputError, build_graph, cheeger_bruteforce,
                          shift_operator, spectral_gap, spectral_radius)
 
 from rewirebench import spectral
-from rewirebench.spectral import (DENSE_EIG_LIMIT, DENSE_GAP_ROWS,
-                                  EXACT_RADIUS_ROWS, EXACT_SPARSE_RADIUS_ROWS,
-                                  POWER_STEPS, _exact_radius)
+from rewirebench.spectral import DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -47,32 +45,6 @@ def sparse_random_graph(n, mean_degree, seed):
     return build_graph(np.stack([u[keep], v[keep]], axis=1), np.zeros((n, 1)))
 
 
-def power_iteration(m, seed, tol=1e-10, max_iter=2000):
-    """(value, iterations) of the Krylov power iteration, one product with m
-    per step, without the fit-residual guard: the bitwise reference for the
-    inputs that still iterate (dense above 1024 rows, sparse above 64)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.shape[0])
-    x /= np.linalg.norm(x)
-    y = m.dot(x)
-    est = 0.0
-    for it in range(1, max_iter + 1):
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0, it
-        z = m.dot(y)
-        coef, *_ = np.linalg.lstsq(np.stack([y, x], axis=1), z, rcond=None)
-        new_est = float(np.max(np.abs(np.roots([1.0, -coef[0], -coef[1]]))))
-        if not np.isfinite(new_est):
-            new_est = float(ny)
-        if it > 1 and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
-            return new_est, it
-        est = new_est
-        x = y / ny
-        y = z / ny
-    return est, max_iter
-
-
 class TestSpectralRadius:
     def test_identity(self):
         assert float(spectral_radius(np.eye(5))) == pytest.approx(1.0)
@@ -99,38 +71,41 @@ class TestSpectralRadius:
         assert res.value == np.max(np.abs(np.linalg.eigvals(w)))
         assert res.iterations == 0 and res.converged
 
-    def test_sparse_and_large_dense_iterate_as_before(self, rng):
+    def test_dense_above_1024_rows_is_exact(self, rng, monkeypatch):
+        # a dense input never reaches ARPACK, whatever its size
+        monkeypatch.setattr(spla, "eigs", None)
+        w = rng.uniform(-1, 1, size=(1025, 1025))
+        res = spectral_radius(w, seed=5)
+        assert res.value == np.max(np.abs(np.linalg.eigvals(w)))
+        assert res.iterations == 0 and res.converged
+
+    def test_sparse_by_arpack_matches_dense_eigvals(self, rng):
         mats = [shift_operator(random_graph(n, p, rng), "adjacency",
                                norm).matrix
                 for n, p, norm in ((65, 0.4, "none"), (80, 0.1, "sym"),
                                    (300, 0.02, "rw"), (300, 0.02, "none"))]
         mats.append(sp.random(500, 500, density=0.02, random_state=1,
                               format="csr"))
-        mats.append(rng.uniform(0, 1, size=(1025, 1025)))
         mats.append(sp.csr_matrix(rng.uniform(0, 1, size=(1100, 1100))))
         for seed, m in enumerate(mats):
             res = spectral_radius(m, seed=seed)
             assert res.converged and res.iterations > 0
-            assert (res.value, res.iterations) == power_iteration(m, seed)
+            exact = np.max(np.abs(np.linalg.eigvals(m.toarray())))
+            assert res.value == pytest.approx(exact, rel=1e-13)
+            # the seeded start makes a repeated call bitwise equal
+            assert spectral_radius(m, seed=seed) == res
 
-    def test_directed_three_cycle_never_settles(self, caplog):
-        # 22 directed 3-cycles: 66 sparse rows, above the exact cap
+    def test_directed_three_cycles_by_arpack(self):
+        # 22 directed 3-cycles: 66 sparse rows, above the exact cap, and
+        # every eigenvalue a cube root of unity
         cycle = np.roll(np.eye(3), 1, axis=1)
         m = sp.csr_matrix(np.kron(np.eye(22), cycle))
         assert m.shape[0] > EXACT_SPARSE_RADIUS_ROWS
-        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
-            res = spectral_radius(m)
-        assert not res.converged and res.iterations == POWER_STEPS
-        assert res.value == np.max(np.abs(np.linalg.eigvals(m.toarray())))
-        assert res.value == pytest.approx(1.0, abs=1e-15)
-        assert "dense eigvals fallback used" in caplog.text
-        # the 2-term fit repeats one wrong estimate on the rotating iterates,
-        # which the stopping rule alone takes for convergence
-        assert power_iteration(m, 0) == (pytest.approx(0.3260, abs=1e-4), 2)
-        three = sp.csr_matrix(cycle)
-        assert power_iteration(three, 0) == (pytest.approx(0.2212, abs=1e-4), 2)
+        res = spectral_radius(m)
+        assert res.converged and res.iterations > 0
+        assert res.value == pytest.approx(1.0, abs=1e-14)
         # one directed 3-cycle is small enough to be solved exactly
-        res = spectral_radius(three)
+        res = spectral_radius(sp.csr_matrix(cycle))
         assert res.converged and res.iterations == 0
         assert res.value == np.max(np.abs(np.linalg.eigvals(cycle)))
         assert res.value == pytest.approx(1.0, abs=1e-15)
@@ -145,57 +120,31 @@ class TestSpectralRadius:
                 assert (res.value, res.iterations) == (exact, 0)
             else:
                 assert res.iterations > 0
-                assert (res.value, res.iterations) == power_iteration(m, 3)
-                assert res.value == pytest.approx(exact, rel=1e-9)
+                assert res.value == pytest.approx(exact, rel=1e-13)
 
     def test_unconverged_above_dense_limit(self, monkeypatch, caplog):
-        monkeypatch.setattr(spectral, "EXACT_RADIUS_ROWS", 3)
-        monkeypatch.setattr(spectral, "EXACT_SPARSE_RADIUS_ROWS", 3)
-        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 6)
-        monkeypatch.setattr(spectral, "POWER_STEPS", 50)
-        # three directed 3-cycles: 9 rows, above both patched limits, and
-        # power iteration never settles on them
-        m = np.kron(np.eye(3), np.roll(np.eye(3), 1, axis=1))
+        # a sparse input above the exact cap that ARPACK fails on gets the
+        # exact value, flagged, with a warning
+        def failing(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(spla, "eigs", failing)
+        m = sp.csr_matrix(np.kron(np.eye(30), np.roll(np.eye(3), 1, axis=1)))
         with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
-            dense = spectral_radius(m)
-        assert not dense.converged and dense.iterations == 50
-        assert dense.value == np.max(np.abs(np.linalg.eigvals(m)))
+            res = spectral_radius(m)
+        assert not res.converged
+        assert res.value == np.max(np.abs(np.linalg.eigvals(m.toarray())))
         assert "dense eigvals fallback used" in caplog.text
-        caplog.clear()
-        # a sparse input keeps the last estimate
-        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
-            res = spectral_radius(sp.csr_matrix(m))
-        assert not res.converged and res.iterations == 50
-        assert res.value != pytest.approx(1.0, abs=1e-3)
-        assert "returning best estimate" in caplog.text
 
-    @pytest.mark.parametrize("n", [30, 1500])
-    def test_pagerank_operator_follows_dense_rule(self, n):
-        # exact eigvals of toarray() up to EXACT_RADIUS_ROWS, power iteration
-        # through the operator's products above
-        op = pagerank_kernel(sparse_random_graph(n, 8.0, n), 0.1, "rw")
-        res = spectral_radius(op, seed=2)
-        exact = _exact_radius(op.toarray())
-        assert res.converged
-        if n <= EXACT_RADIUS_ROWS:
-            assert (res.value, res.iterations) == (exact, 0)
-        else:
-            assert (res.value, res.iterations) == power_iteration(op, 2)
-            assert res.iterations > 0
-        assert res.value == pytest.approx(exact, abs=1e-10)
-
-    def test_pagerank_operator_unconverged_falls_back_to_exact(
-            self, monkeypatch, caplog):
-        # like a dense input, and unlike a sparse one above DENSE_EIG_LIMIT
-        monkeypatch.setattr(spectral, "EXACT_RADIUS_ROWS", 3)
-        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 6)
-        monkeypatch.setattr(spectral, "POWER_STEPS", 1)
-        op = pagerank_kernel(cycle_graph(9), 0.3, "sym")
-        with caplog.at_level(logging.WARNING, logger="rewirebench.spectral"):
-            res = spectral_radius(op)
-        assert not res.converged and res.iterations == 1
-        assert res.value == _exact_radius(op.toarray())
-        assert "dense eigvals fallback used" in caplog.text
+    @pytest.mark.parametrize("n", [2, 65, 500])
+    def test_edgeless_graph_is_zero_without_arpack(self, monkeypatch, n):
+        # ARPACK raises on an all-zero operator (ArpackError -9)
+        monkeypatch.setattr(spla, "eigs", None)
+        a = shift_operator(build_graph([], np.zeros((n, 1)))).matrix
+        assert spectral_radius(a) == spectral.SpectralRadiusResult(0.0, 0,
+                                                                    True)
+        # stored zeros count as zero
+        z = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(n, n))
+        assert spectral_radius(z).value == 0.0
 
     def test_not_square(self):
         with pytest.raises(InputError):
@@ -237,12 +186,11 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("norm", ["sym", "none"])
     def test_many_components_above_dense_limit(self, norm):
-        # 2001 disjoint edges: more components than eigenvalues a partial
-        # solver of the whole Laplacian would return
+        # 2001 disjoint edges (4002 nodes): more components than eigenvalues
+        # a partial solver of the whole Laplacian would return
         pairs = 2001
         g = build_graph([(2 * i, 2 * i + 1) for i in range(pairs)],
                         np.zeros((2 * pairs, 1)))
-        assert g.num_nodes > DENSE_EIG_LIMIT
         assert spectral_gap(g, norm) == 2.0
 
     @pytest.mark.parametrize("norm, want", [("sym", 1.0), ("none", 4.0)])
@@ -271,7 +219,7 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
     def test_component_above_dense_limit(self, norm, scale, monkeypatch):
-        k = DENSE_EIG_LIMIT + 100
+        k = 4100  # one component, four times DENSE_GAP_ROWS
         gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
         assert gap == pytest.approx(want, rel=1e-9)
         assert sizes == [k]
@@ -279,7 +227,7 @@ class TestSpectralGap:
     @pytest.mark.parametrize("k", [DENSE_GAP_ROWS, DENSE_GAP_ROWS + 1])
     @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
     def test_component_at_gap_limit(self, norm, scale, k, monkeypatch):
-        # eigsh starts one node past DENSE_GAP_ROWS, far below DENSE_EIG_LIMIT
+        # eigsh starts one node past DENSE_GAP_ROWS
         gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
         assert gap == pytest.approx(want, rel=1e-9)
         assert sizes == ([k] if k > DENSE_GAP_ROWS else [])
@@ -543,8 +491,8 @@ class TestPagerankKernel:
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_toarray_holds_little_beside_its_output(self, norm):
-        # rewire's kernel.npy and spectral_radius up to 1024 rows build the
-        # dense kernel; beside the n x n output it may hold 0.1 n^2 doubles
+        # rewire's kernel.npy builds the dense kernel; beside the n x n
+        # output it may hold 0.1 n^2 doubles
         n = 1000
         op = pagerank_kernel(sparse_random_graph(n, 4.0, 0), 0.1, norm)
         tracemalloc.start()

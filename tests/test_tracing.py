@@ -79,3 +79,21 @@ def test_traced_pagerank_node_run_reaches_the_kernel(tracing, tmp_path):
                      "tiny", "--jobs", "1", "--rewire", "pagerank"]) == 0
     # the rewired run builds the kernel once; the baseline run never does
     assert tracer.counters["spectral.pagerank_kernel.calls"] == 1
+
+
+def test_traced_diffwire_node_run_counts_both_operator_radii(tracing,
+                                                             tmp_path):
+    data = tmp_path / "data"
+    _load("generate").sbm_node_task(str(data), 0, nodes=120, edges=240)
+    with tracing.Tracer() as tracer:
+        assert main(["run", "--dataset", str(data), "--seed", "0", "--out",
+                     str(tmp_path / "out"), "--model", "gesn", "--grid",
+                     "tiny", "--jobs", "1", "--rewire", "diffwire"]) == 0
+    c = tracer.counters
+    # the CSR DiffWire operator of the rewired run and the adjacency of the
+    # baseline run: 120 rows each, so both go to ARPACK
+    assert c["spectral.spectral_radius.operator_calls"] == 2
+    assert c["spectral.spectral_radius.iterations"] > 0
+    assert c["spectral.spectral_radius.unconverged"] == 0
+    assert c["spectral.effective_resistance.calls"] == 1
+    assert c["models.gesn_embed.gflop"] > 0.0
