@@ -8,8 +8,8 @@ from .evaluation import (GraphTask, NodeTask, SearchSpace, accuracy, auroc,
                          make_splits, model_select, significance,
                          stratified_kfold)
 from .graph import (DatasetStats, Graph, Normalization, OperatorKind,
-                    ShiftOperator, build_graph, dataset_stats, diameter,
-                    edge_homophily, shift_operator)
+                    build_graph, dataset_stats, diameter, edge_homophily,
+                    shift_operator)
 from .models import (ReadoutParams, ReservoirParams, augment, gesn_embed,
                      gesn_init, input_features, one_hot, pool, predict,
                      ridge_fit, ridge_solve, sgc_embed)

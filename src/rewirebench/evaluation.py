@@ -37,6 +37,13 @@ NODE_ONLY_MODELS = ("sgc",)
 # ---------------------------------------------------------------------------
 # splits
 
+def _by_class(labels: np.ndarray) -> list[np.ndarray]:
+    """Positions of each class, classes ascending, positions in order."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+
+
 def stratified_kfold(labels, k: int = 5, seed: int = 0) -> list[np.ndarray]:
     """Deterministic stratified k-fold partition of range(len(labels)).
 
@@ -48,18 +55,15 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> list[np.ndarray]:
     if k > n:
         raise InputError(f"k={k} exceeds population {n}")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(n, dtype=np.int64)
     offset = 0
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
+    for idx in _by_class(labels):
         if idx.shape[0] < k:
             log.warning("class %s has %d < k members; stratification degraded",
-                        cls, idx.shape[0])
-        idx = rng.permutation(idx)
-        for j, i in enumerate(idx):
-            folds[(j + offset) % k].append(int(i))
+                        labels[idx[0]], idx.shape[0])
+        fold[rng.permutation(idx)] = (np.arange(idx.shape[0]) + offset) % k
         offset += idx.shape[0] % k
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+    return [np.flatnonzero(fold == f) for f in range(k)]
 
 
 def stratified_holdout(labels, indices: np.ndarray, frac: float,
@@ -67,15 +71,14 @@ def stratified_holdout(labels, indices: np.ndarray, frac: float,
     """Split `indices` into (rest, held) with `held` a stratified `frac` share."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
-    held: list[int] = []
-    for cls in np.unique(labels[indices]):
-        idx = indices[labels[indices] == cls]
-        idx = rng.permutation(idx)
-        take = int(round(frac * idx.shape[0]))
-        held.extend(int(i) for i in idx[:take])
-    held_arr = np.sort(np.array(held, dtype=np.int64))
-    rest = np.setdiff1d(indices, held_arr)
-    return rest, held_arr
+    held = np.zeros(labels.shape[0], dtype=bool)
+    for pos in _by_class(labels[indices]):
+        idx = rng.permutation(indices[pos])
+        held[idx[:int(round(frac * idx.shape[0]))]] = True
+    rest = np.zeros_like(held)
+    rest[indices] = True
+    rest[held] = False
+    return np.flatnonzero(rest), np.flatnonzero(held)
 
 
 class SealedLabels:
@@ -104,8 +107,10 @@ def make_splits(labels, k: int = 5, seed: int = 0) -> list[FoldSplit]:
     folds = stratified_kfold(labels, k=k, seed=seed)
     out = []
     for i, test in enumerate(folds):
-        rest = np.setdiff1d(np.arange(labels.shape[0]), test)
-        train, val = stratified_holdout(labels, rest, 0.25, seed + 1000 + i)
+        rest = np.ones(labels.shape[0], dtype=bool)
+        rest[test] = False
+        train, val = stratified_holdout(labels, np.flatnonzero(rest), 0.25,
+                                        seed + 1000 + i)
         out.append(FoldSplit(fold=i, train=train, val=val, test=test,
                              test_labels=SealedLabels(labels[test])))
     return out
@@ -315,7 +320,7 @@ def _sgc_embeddings(graph: Graph, operator, space: SearchSpace, budget: _Budget)
         specs = []
         for kind, norm, loops in space.sgc_operators:
             name = f"{kind.value}:{norm.value}:{'loops' if loops else 'plain'}"
-            specs.append((name, shift_operator(graph, kind, norm, loops).matrix))
+            specs.append((name, shift_operator(graph, kind, norm, loops)))
     max_hop = max(space.sgc_hops)
     for name, m in specs:
         h = x
@@ -347,7 +352,7 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         op = rw.operator
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
-                                Normalization.NONE).matrix
+                                Normalization.NONE)
         rho_m = (rw.rho if rw.rho is not None
                  else float(spectral_radius(op, seed=seed)))
         ops.append(op)

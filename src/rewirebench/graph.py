@@ -91,20 +91,6 @@ class Graph:
 
 
 @dataclass
-class ShiftOperator:
-    """A concrete message-passing matrix tied to its defining formula."""
-
-    kind: OperatorKind
-    normalization: Normalization
-    self_loops: bool
-    matrix: sp.spmatrix
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-@dataclass
 class DatasetStats:
     """Table-style summary.
 
@@ -172,7 +158,7 @@ def _inv_pow(d: np.ndarray, p: float) -> np.ndarray:
 
 def shift_operator(g: Graph, kind: OperatorKind | str = OperatorKind.ADJACENCY,
                    normalization: Normalization | str = Normalization.NONE,
-                   self_loops: bool = False) -> ShiftOperator:
+                   self_loops: bool = False) -> sp.csr_matrix:
     """Construct A, L, or one of their normalizations, optionally self-loop augmented."""
     kind = OperatorKind(kind)
     normalization = Normalization(normalization)
@@ -201,8 +187,7 @@ def shift_operator(g: Graph, kind: OperatorKind | str = OperatorKind.ADJACENCY,
             m = (sp.diags(d) - adj).tocsr()
         else:
             m = (sp.identity(g.num_nodes, format="csr") - adj).tocsr()
-    return ShiftOperator(kind=kind, normalization=normalization,
-                         self_loops=self_loops, matrix=m)
+    return m
 
 
 def edge_homophily(g: Graph) -> float:

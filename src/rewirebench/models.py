@@ -80,19 +80,20 @@ def gesn_init(x_dim: int, hidden: int, input_scaling: float, target_rho: float,
 def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     """Iterate h_v <- tanh(W_in x_v + sum_u M_vu W_hat h_u + b), h^(0) = 0.
 
-    Receiver-row convention: column v of the state update aggregates
-    neighbors u weighted by M_vu. Returns (num_nodes, H).
+    Receiver-row convention: row v of the state aggregates neighbors u
+    weighted by M_vu. The drive, the state and the result are C-ordered
+    (num_nodes, H) arrays; the result is the state itself.
     """
     x = input_features(np.asarray(x, dtype=np.float64))
-    drive = params.w_in @ x.T + params.bias[:, None]   # H x N
+    drive = x @ params.w_in.T + params.bias   # N x H
     w_hat = params.w_hat
     h = np.zeros_like(drive)
     for _ in range(params.iterations):
-        # row v of (M @ (W h)^T) aggregates neighbors u with weight M_vu;
-        # the state is updated in place, so a step holds two H x N temporaries
-        np.add(drive, (m @ (w_hat @ h).T).T, out=h)
+        # row v of M @ (h W^T) aggregates neighbors u with weight M_vu; the
+        # state is updated in place, so a step holds two N x H temporaries
+        np.add(drive, m @ (h @ w_hat.T), out=h)
         np.tanh(h, out=h)
-    return h.T
+    return h
 
 
 def pool(embeddings: np.ndarray, mode: str = "sum",

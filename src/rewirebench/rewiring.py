@@ -385,7 +385,7 @@ def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
     # alpha / (1 - (1 - alpha) rho(T)) need no eigensolver.
     if config.method == "heat":
         norm = Normalization(config.diffusion_norm)
-        t_op = shift_operator(g, OperatorKind.ADJACENCY, norm).matrix
+        t_op = shift_operator(g, OperatorKind.ADJACENCY, norm)
         rho_t = (float(spectral_radius(t_op)) if norm is Normalization.NONE
                  else float(g.num_edges > 0))
         return RewiredGraph(method="heat", graph=g,

@@ -97,7 +97,7 @@ def spectral_gap(g: Graph,
         raise InputError("spectral gap needs at least 2 nodes")
     norm = (Normalization.NONE if laplacian is Normalization.NONE
             else Normalization.SYM)
-    mat = shift_operator(g, OperatorKind.LAPLACIAN, norm).matrix.tocsr()
+    mat = shift_operator(g, OperatorKind.LAPLACIAN, norm)
     comp = connected_components(g)
     sizes = np.bincount(comp)
     gap = 1.0 if norm is Normalization.SYM and np.any(sizes == 1) else np.inf
@@ -121,7 +121,8 @@ def spectral_gap(g: Graph,
 def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the combinatorial Laplacian, by
     eigendecomposition with a relative zero-eigenvalue cutoff."""
-    lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).dense
+    lap = shift_operator(g, OperatorKind.LAPLACIAN,
+                         Normalization.NONE).toarray()
     w, v = np.linalg.eigh(lap)
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     inv = np.where(w > PINV_CUTOFF * max(lam_max, 1.0),

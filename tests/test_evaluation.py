@@ -79,7 +79,71 @@ def blob_graph_task(n_graphs=40, seed=0):
     return GraphTask(graphs=graphs, labels=labels, name="density")
 
 
+def reference_kfold(labels, k, seed):
+    """The per-node fold protocol that the array version replaced."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for cls in np.unique(labels):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        for j, i in enumerate(idx):
+            folds[(j + offset) % k].append(int(i))
+        offset += idx.shape[0] % k
+    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+
+
+def reference_holdout(labels, indices, frac, seed):
+    rng = np.random.default_rng(seed)
+    held = []
+    for cls in np.unique(labels[indices]):
+        idx = rng.permutation(indices[labels[indices] == cls])
+        held.extend(int(i) for i in idx[:int(round(frac * idx.shape[0]))])
+    held = np.sort(np.array(held, dtype=np.int64))
+    return np.setdiff1d(indices, held), held
+
+
+def reference_splits(labels, k, seed):
+    out = []
+    for i, test in enumerate(reference_kfold(labels, k, seed)):
+        rest = np.setdiff1d(np.arange(labels.shape[0]), test)
+        out.append((*reference_holdout(labels, rest, 0.25, seed + 1000 + i),
+                    test))
+    return out
+
+
+SPLIT_LABELS = {
+    "three_classes": np.random.default_rng(0).integers(0, 3, size=97),
+    "unbalanced_binary": np.array([0] * 90 + [1] * 7)[
+        np.random.default_rng(1).permutation(97)],
+    "fewer_than_k": np.array([4] * 30 + [9] * 3 + [2] * 1 + [7] * 12),
+    "negative_sparse_ids": np.random.default_rng(2).choice(
+        [-5, -1, 3, 40], size=61, p=[0.1, 0.4, 0.3, 0.2]),
+}
+
+
 class TestSplits:
+    @pytest.mark.parametrize("name", sorted(SPLIT_LABELS))
+    @pytest.mark.parametrize("seed", [0, 1, 5, 123])
+    def test_splits_equal_reference_protocol(self, name, seed):
+        labels = SPLIT_LABELS[name]
+        for k in (2, 5):
+            for got, want in zip(stratified_kfold(labels, k, seed),
+                                 reference_kfold(labels, k, seed), strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            for split, (train, val, test) in zip(
+                    make_splits(labels, k, seed),
+                    reference_splits(labels, k, seed), strict=True):
+                assert np.array_equal(split.train, train)
+                assert np.array_equal(split.val, val)
+                assert np.array_equal(split.test, test)
+        # an unsorted subset keeps its per-class draw order
+        subset = np.random.default_rng(seed).permutation(labels.shape[0])[:40]
+        for got, want in zip(stratified_holdout(labels, subset, 0.3, seed),
+                             reference_holdout(labels, subset, 0.3, seed),
+                             strict=True):
+            assert np.array_equal(got, want)
+
     def test_kfold_partitions(self):
         labels = np.array([0] * 20 + [1] * 15)
         folds = stratified_kfold(labels, k=5, seed=1)
@@ -438,7 +502,7 @@ def reference_gesn(rewired, space, seed, pooling=None):
                     op = rw.operator
                     if op is None:
                         op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
-                                            Normalization.NONE).matrix
+                                            Normalization.NONE)
                     rho_m = (rw.rho if rw.rho is not None
                              else float(spectral_radius(op, seed=seed)))
                     rho_m = rho_m if rho_m > 0 else 1.0

@@ -38,32 +38,33 @@ class TestBuildGraph:
 class TestShiftOperator:
     def test_k2_sym_identity_scaled(self):
         g = path_graph(2)
-        m = shift_operator(g, "adjacency", "sym").dense
+        m = shift_operator(g, "adjacency", "sym").toarray()
         assert np.allclose(m, [[0, 1], [1, 0]])
 
     def test_p3_rw_column_stochastic(self):
         g = path_graph(3)
-        m = shift_operator(g, "adjacency", "rw").dense
+        m = shift_operator(g, "adjacency", "rw").toarray()
         assert np.allclose(m.sum(axis=0), 1.0)
 
     def test_mean_row_stochastic(self):
         g = cycle_graph(5)
-        m = shift_operator(g, "adjacency", "mean").dense
+        m = shift_operator(g, "adjacency", "mean").toarray()
         assert np.allclose(m.sum(axis=1), 1.0)
 
     def test_k2_laplacian(self):
         g = path_graph(2)
-        m = shift_operator(g, "laplacian", "none").dense
+        m = shift_operator(g, "laplacian", "none").toarray()
         assert np.allclose(m, [[1, -1], [-1, 1]])
 
     def test_laplacian_rows_sum_zero(self):
         g = random_graph(12, 0.4, np.random.default_rng(0))
-        m = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).dense
+        m = shift_operator(g, OperatorKind.LAPLACIAN,
+                           Normalization.NONE).toarray()
         assert np.allclose(m.sum(axis=1), 0.0)
 
     def test_self_loops_added(self):
         g = path_graph(2)
-        m = shift_operator(g, "adjacency", "none", self_loops=True).dense
+        m = shift_operator(g, "adjacency", "none", self_loops=True).toarray()
         assert np.allclose(m, [[1, 1], [1, 1]])
 
     def test_sym_formula_exact(self, rng):
@@ -72,12 +73,12 @@ class TestShiftOperator:
         d = a.sum(axis=1)
         dh = np.diag(np.where(d > 0, d ** -0.5, 0.0))
         want = dh @ a @ dh
-        got = shift_operator(g, "adjacency", "sym").dense
+        got = shift_operator(g, "adjacency", "sym").toarray()
         assert np.allclose(got, want)
 
     def test_isolated_node_rows_zero(self):
         g = build_graph([(0, 1)], np.zeros((3, 1)))
-        m = shift_operator(g, "adjacency", "sym").dense
+        m = shift_operator(g, "adjacency", "sym").toarray()
         assert np.all(m[2] == 0) and np.all(m[:, 2] == 0)
 
     def test_permutation_conjugation(self, rng):
@@ -89,8 +90,8 @@ class TestShiftOperator:
             g2 = build_graph([(perm[u], perm[v]) for u, v in g.edges],
                              np.zeros((10, 1)))
             for norm in Normalization:
-                m1 = shift_operator(g, "adjacency", norm).dense
-                m2 = shift_operator(g2, "adjacency", norm).dense
+                m1 = shift_operator(g, "adjacency", norm).toarray()
+                m2 = shift_operator(g2, "adjacency", norm).toarray()
                 assert np.allclose(m2, p @ m1 @ p.T), norm
 
 

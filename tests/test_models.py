@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rewirebench import models
 from rewirebench import (InputError, ReadoutParams, augment, gesn_embed,
@@ -49,8 +51,8 @@ class TestSGC:
         g = random_graph(8, 0.4, rng)
         op = shift_operator(g, OperatorKind.ADJACENCY)
         x = rng.normal(size=(8, 2))
-        dense = sgc_embed(op.matrix.toarray(), x, 3)
-        assert np.allclose(sgc_embed(op.matrix, x, 3), dense)
+        dense = sgc_embed(op.toarray(), x, 3)
+        assert np.allclose(sgc_embed(op, x, 3), dense)
 
     def test_negative_hops(self):
         with pytest.raises(InputError):
@@ -155,11 +157,29 @@ class TestGESNEmbed:
         m = g.adjacency().toarray() if dense else g.adjacency()
         x = rng.normal(size=(30, 2))
         p = gesn_init(2, 12, 1.0, 0.9, seed=6, iterations=9)
-        drive = p.w_in @ x.T + p.bias[:, None]
+        drive = x @ p.w_in.T + p.bias
         h = np.zeros_like(drive)
         for _ in range(p.iterations):
-            h = np.tanh(drive + (m @ (p.w_hat @ h).T).T)
-        assert np.array_equal(gesn_embed(m, x, p), h.T)
+            h = np.tanh(drive + m @ (h @ p.w_hat.T))
+        assert np.array_equal(gesn_embed(m, x, p), h)
+
+    def test_holds_four_state_sized_arrays(self):
+        # drive, state, h W^T and M @ (h W^T): no transposed copy of the
+        # state is made for the sparse product, and the state is returned
+        n, hidden = 20_000, 16
+        rng = np.random.default_rng(0)
+        a = sp.random(n, n, density=2e-4, random_state=rng, format="csr")
+        m = (a + a.T).tocsr()
+        x = rng.normal(size=(n, 2))
+        p = gesn_init(2, hidden, 1.0, 0.9, seed=0, iterations=3)
+        tracemalloc.start()
+        try:
+            out = gesn_embed(m, x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * hidden * 8, peak / (n * hidden * 8)
+        assert out.flags.c_contiguous
 
     def test_featureless_graph(self):
         p = gesn_init(1, 8, 1.0, 0.5, seed=1)

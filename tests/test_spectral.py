@@ -50,17 +50,17 @@ class TestSpectralRadius:
         assert float(spectral_radius(np.eye(5))) == pytest.approx(1.0)
 
     def test_k2_adjacency(self):
-        a = shift_operator(path_graph(2)).matrix
+        a = shift_operator(path_graph(2))
         assert float(spectral_radius(a)) == pytest.approx(1.0, abs=1e-8)
 
     def test_c4_adjacency(self):
-        a = shift_operator(cycle_graph(4)).matrix
+        a = shift_operator(cycle_graph(4))
         assert float(spectral_radius(a)) == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
             g = random_graph(12, 0.4, rng)
-            a = shift_operator(g).dense
+            a = shift_operator(g).toarray()
             want = np.max(np.abs(np.linalg.eigvals(a)))
             assert float(spectral_radius(a)) == pytest.approx(want, abs=1e-7)
 
@@ -81,7 +81,7 @@ class TestSpectralRadius:
 
     def test_sparse_by_arpack_matches_dense_eigvals(self, rng):
         mats = [shift_operator(random_graph(n, p, rng), "adjacency",
-                               norm).matrix
+                               norm)
                 for n, p, norm in ((65, 0.4, "none"), (80, 0.1, "sym"),
                                    (300, 0.02, "rw"), (300, 0.02, "none"))]
         mats.append(sp.random(500, 500, density=0.02, random_state=1,
@@ -139,7 +139,7 @@ class TestSpectralRadius:
     def test_edgeless_graph_is_zero_without_arpack(self, monkeypatch, n):
         # ARPACK raises on an all-zero operator (ArpackError -9)
         monkeypatch.setattr(spla, "eigs", None)
-        a = shift_operator(build_graph([], np.zeros((n, 1)))).matrix
+        a = shift_operator(build_graph([], np.zeros((n, 1))))
         assert spectral_radius(a) == spectral.SpectralRadiusResult(0.0, 0,
                                                                     True)
         # stored zeros count as zero
@@ -167,7 +167,7 @@ class TestSpectralGap:
     def test_matches_dense_oracle(self, rng):
         for _ in range(5):
             g = random_graph(10, 0.5, rng, connected=True)
-            lap = shift_operator(g, "laplacian", "sym").dense
+            lap = shift_operator(g, "laplacian", "sym").toarray()
             vals = np.sort(np.linalg.eigvalsh(lap))
             want = vals[vals > 1e-9][0]
             assert spectral_gap(g, "sym") == pytest.approx(want, abs=1e-9)
@@ -178,7 +178,7 @@ class TestSpectralGap:
         for n in (5, 20, 60):
             for _ in range(4):
                 g = random_graph(n, 1.5 / n, rng)
-                lap = shift_operator(g, "laplacian", norm).dense
+                lap = shift_operator(g, "laplacian", norm).toarray()
                 vals = np.linalg.eigvalsh(lap)
                 pos = vals[vals > 1e-9 * max(1.0, np.max(np.abs(vals)))]
                 want = pos.min() if pos.size else 0.0
@@ -248,7 +248,7 @@ class TestPseudoinverseAndResistance:
 
     def test_l_lplus_l(self, rng):
         g = random_graph(10, 0.4, rng, connected=True)
-        lap = shift_operator(g, "laplacian", "none").dense
+        lap = shift_operator(g, "laplacian", "none").toarray()
         lp = laplacian_pseudoinverse(g)
         assert np.allclose(lap @ lp @ lap, lap, atol=1e-8)
         assert np.allclose(lp, lp.T)
@@ -293,7 +293,7 @@ class TestPseudoinverseAndResistance:
 
 class TestDiffusionKernels:
     def test_heat_identity_limit(self):
-        t_op = shift_operator(cycle_graph(4), "adjacency", "rw").matrix
+        t_op = shift_operator(cycle_graph(4), "adjacency", "rw")
         k = heat_kernel(t_op, 1e-8)
         assert np.allclose(k, np.eye(4), atol=1e-6)
 
@@ -301,7 +301,7 @@ class TestDiffusionKernels:
         assert np.allclose(heat_kernel(np.eye(3), 2.0), np.eye(3), atol=1e-12)
 
     def test_heat_matches_series(self):
-        t_op = shift_operator(cycle_graph(4), "adjacency", "rw").dense
+        t_op = shift_operator(cycle_graph(4), "adjacency", "rw").toarray()
         k = heat_kernel(t_op, 1.0)
         want = series_kernel(t_op, heat_coeffs(1.0, 40))
         assert np.abs(k - want).max() < 1e-10
@@ -312,13 +312,13 @@ class TestDiffusionKernels:
         assert np.allclose(k, 0.7 * np.eye(3))
 
     def test_pagerank_near_one(self):
-        t_op = shift_operator(cycle_graph(5), "adjacency", "sym").dense
+        t_op = shift_operator(cycle_graph(5), "adjacency", "sym").toarray()
         k = pagerank_kernel(cycle_graph(5), 0.99, "sym").toarray()
         want = series_kernel(t_op, pagerank_coeffs(0.99, 60))
         assert np.abs(k - want).max() < 1e-8
 
     def test_pagerank_k2_series(self):
-        t_op = shift_operator(path_graph(2), "adjacency", "sym").dense
+        t_op = shift_operator(path_graph(2), "adjacency", "sym").toarray()
         k = pagerank_kernel(path_graph(2), 0.5, "sym").toarray()
         want = series_kernel(t_op, pagerank_coeffs(0.5, 60))
         assert np.abs(k - want).max() < 1e-10
@@ -330,7 +330,7 @@ class TestDiffusionKernels:
         # node i of the permuted graph is node perm[i] of g
         gp = build_graph(np.argsort(perm)[g.edges], g.features[perm])
         for fn in (lambda h: heat_kernel(
-                       shift_operator(h, "adjacency", "rw").dense, 0.7),
+                       shift_operator(h, "adjacency", "rw").toarray(), 0.7),
                    lambda h: pagerank_kernel(h, 0.3, "rw").toarray()):
             assert np.allclose(fn(gp), p @ fn(g) @ p.T, atol=1e-10)
 
@@ -365,7 +365,7 @@ class TestPagerankKernel:
     def test_matches_solve_and_series(self, graph, alpha, norm):
         g = PAGERANK_GRAPHS[graph]
         n = g.num_nodes
-        t_op = shift_operator(g, "adjacency", norm).dense
+        t_op = shift_operator(g, "adjacency", norm).toarray()
         k = pagerank_kernel(g, alpha, norm).toarray()
         assert k.flags.c_contiguous and k.dtype == np.float64
         lu = alpha * np.linalg.solve(np.eye(n) - (1 - alpha) * t_op, np.eye(n))
@@ -392,7 +392,7 @@ class TestPagerankKernel:
     def test_matches_solve_across_blocks(self, norm):
         # a 300-node graph, beyond the small graphs above
         g = random_graph(300, 0.02, np.random.default_rng(4))
-        t_op = shift_operator(g, "adjacency", norm).dense
+        t_op = shift_operator(g, "adjacency", norm).toarray()
         lu = 0.1 * np.linalg.solve(np.eye(300) - 0.9 * t_op, np.eye(300))
         k = pagerank_kernel(g, 0.1, norm).toarray()
         assert np.abs(k - lu).max() <= 1e-12
