@@ -100,18 +100,14 @@ def curvature_delta(g_before: Graph, g_after: Graph, vb: np.ndarray,
     each graph's edge_curvatures (vb, va)."""
     if g_before.num_nodes != g_after.num_nodes:
         raise InputError("graphs must share the same node set")
-    eb = {tuple(e) for e in g_before.edges}
-    ea = {tuple(e) for e in g_after.edges}
-    common = sorted(eb & ea)
-    if not common:
-        z = np.zeros(0)
-        return CurvatureDelta(np.zeros((0, 2), dtype=np.int64), z, z, 0, 0)
-    idx_b = {tuple(e): i for i, e in enumerate(g_before.edges)}
-    idx_a = {tuple(e): i for i, e in enumerate(g_after.edges)}
-    before = np.array([vb[idx_b[e]] for e in common])
-    after = np.array([va[idx_a[e]] for e in common])
+    # canonical edges are unique (u, v) rows, so u * n + v keys sort as rows
+    n = g_before.num_nodes
+    kb, ka = (e[:, 0] * n + e[:, 1] for e in (g_before.edges, g_after.edges))
+    common, ib, ia = np.intersect1d(kb, ka, assume_unique=True,
+                                    return_indices=True)
+    before, after = vb[ib], va[ia]
     delta = after - before
-    return CurvatureDelta(edges=np.array(common, dtype=np.int64),
+    return CurvatureDelta(edges=np.stack([common // n, common % n], axis=1),
                           before=before, after=after,
                           improved=int(np.sum(delta > 0)),
                           worsened=int(np.sum(delta < 0)))

@@ -130,14 +130,21 @@ def accuracy(preds, labels) -> float:
 def auroc(scores, labels) -> float:
     """Area under the ROC curve as the Mann-Whitney rank statistic with
     midrank tie handling. Binary labels; both classes must be present."""
-    scores = np.asarray(scores, dtype=np.float64)
+    return _auroc(np.asarray(scores, dtype=np.float64), _positives(labels))
+
+
+def _positives(labels) -> np.ndarray:
+    """Mask of the greater of the two classes that labels must hold."""
     labels = np.asarray(labels)
     classes = np.unique(labels)
     if classes.shape[0] != 2:
         raise InputError("auroc needs exactly two classes present")
-    pos = labels == classes[1]
+    return labels == classes[1]
+
+
+def _auroc(scores, pos) -> float:
     n_pos = int(pos.sum())
-    n_neg = labels.shape[0] - n_pos
+    n_neg = pos.shape[0] - n_pos
     if np.isnan(scores).any():
         return float("nan")
     # midranks: each tie group's mean position, an exact half-integer
@@ -408,11 +415,11 @@ def _lambda_scores(scores, classes, labels, metric: str) -> list:
 
     Accuracy takes one argmax and one mean over the block: the mean of 0/1
     values is exact, so each equals accuracy() of that lambda bit for bit.
-    AUROC scores each lambda on its own.
+    AUROC finds the positives once and ranks each lambda on its own.
     """
     if metric == "auroc":
-        return [_score(None, scores[:, j], labels, metric)
-                for j in range(scores.shape[1])]
+        pos, col = _positives(labels), 1 if scores.shape[2] > 1 else 0
+        return [_auroc(scores[:, j, col], pos) for j in range(scores.shape[1])]
     if labels.shape[0] == 0:
         raise InputError("empty prediction set")
     hits = classes[np.argmax(scores, axis=2)] == labels[:, None]

@@ -82,7 +82,7 @@ class Graph:
     def with_edges(self, edges: np.ndarray, name: str | None = None) -> "Graph":
         """New graph sharing features/labels with a different edge set."""
         return build_graph(
-            [tuple(e) for e in np.asarray(edges)],
+            np.asarray(edges),
             self.features,
             self.labels,
             num_nodes=self.num_nodes,
@@ -111,7 +111,8 @@ class DatasetStats:
 
 def canonical_edges(edge_list, num_nodes: int) -> np.ndarray:
     """Dedup, drop self-loops, store each pair once as (min, max), sort."""
-    arr = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    arr = edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
         raise InputError(f"edge endpoint out of range [0, {num_nodes})")
     lo = np.minimum(arr[:, 0], arr[:, 1])

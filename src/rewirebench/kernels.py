@@ -82,6 +82,12 @@ def balanced_forman_edges(indptr, indices, us, vs):
     return ric, tri, sq_uv, sq_vu, gamma
 
 
+def wedge_counts(adj, u, v):
+    """{w: c_w} for each w in N(u) \\ N[v], as _square_side counts it."""
+    far = adj[v] - adj[u]
+    return {w: len(adj[w] & far) - 1 for w in adj[u] - adj[v] if w != v}
+
+
 def _square_side(adj, u, v):
     """(#w in N(u) \\ N[v] on a diagonal-free 4-cycle u-w-k-v, the most such
     cycles through one w), with c_w = |N(w) ∩ (N(v) \\ N(u))| - 1."""

@@ -93,9 +93,9 @@ def write_edit_log(edit_log, path) -> None:
 
 def _adj_sets(g: Graph) -> list[set]:
     adj = [set() for _ in range(g.num_nodes)]
-    for u, v in g.edges:
-        adj[u].add(int(v))
-        adj[v].add(int(u))
+    for u, v in g.edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -123,21 +123,24 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
     add the one giving the largest strict increase of Ric_uv (ties to the
     lowest index pair). The curvatures live in an array aligned with the edge
     list, allocated for every edge an add can append, and the softmax runs
-    over its live prefix. Each iteration scores all its candidates in one
-    curvature call, and an add refreshes the edges it can change in one
-    more.
+    over its live prefix. Two lemmas on the integer counts keep it exact:
+
+    - Candidates: adding (a, b), a in N(u) \\ {v}, b in N(v) \\ {u}, moves
+      no degree, triangle or wedge set of (u, v); if a ∉ N(v) and b ∉ N(u)
+      the wedge counts c_a, c_b (kernels.wedge_counts) each rise by one, so
+      sq_uv += [c_a = 0], sq_vu += [c_b = 0], gamma = max(gamma, c_a + 1,
+      c_b + 1). Candidates with u or v as an endpoint are recounted.
+    - Refresh: an add of (a, b) changes only the counts of edges that touch
+      a or b, or that join N(a) \\ {b} to N(b) \\ {a}.
     """
     rng = np.random.default_rng(config.seed)
     adj = _adj_sets(g)
-    edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
+    edges: list[tuple[int, int]] = list(map(tuple, g.edges.tolist()))
     iters = config.num_iterations(len(edges))
     ric = np.zeros(len(edges) + iters)
     ric[:len(edges)] = local_balanced_forman(adj, edges)
-    # node -> indices of its edges in `edges`, ascending; grows with each add
-    incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for j, (x, y) in enumerate(edges):
-        incident[x].append(j)
-        incident[y].append(j)
+    # edge, in either orientation -> its index in `edges`; grows with each add
+    pos = {e: j for j, (x, y) in enumerate(edges) for e in ((x, y), (y, x))}
     edit_log = []
     tau = config.tau
     deadline = config.deadline()
@@ -153,20 +156,28 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
         i = int(rng.choice(len(edges), p=probs))
         u, v = edges[i]
 
-        pairs = list(dict.fromkeys(
-            (min(up, vp), max(up, vp))
-            for up in sorted(adj[u] | {u}) for vp in sorted(adj[v] | {v})
-            if up != vp and vp not in adj[up]))
-        counts = []
-        for a, b in pairs:
-            adj[a].add(b)
-            adj[b].add(a)
-            counts.append(kernels.set_counts(adj, u, v))
-            adj[a].remove(b)
-            adj[b].remove(a)
+        du, dv, tri, sq_uv, sq_vu, gamma = base = kernels.set_counts(adj, u, v)
+        cu, cv = kernels.wedge_counts(adj, u, v), kernels.wedge_counts(adj, v, u)
+        counts = {}  # candidate pair -> its counts of (u, v), in draw order
+        for up in sorted(adj[u] | {u}):
+            for vp in sorted(adj[v] | {v}):
+                pair = (min(up, vp), max(up, vp))
+                if up == vp or vp in adj[up] or pair in counts:
+                    continue
+                if up == u or vp == v:
+                    adj[up].add(vp); adj[vp].add(up)
+                    counts[pair] = kernels.set_counts(adj, u, v)
+                    adj[up].remove(vp); adj[vp].remove(up)
+                elif up in cu and vp in cv:
+                    ca, cb = cu[up], cv[vp]
+                    counts[pair] = (du, dv, tri, sq_uv + (ca == 0),
+                                    sq_vu + (cb == 0), max(gamma, ca + 1, cb + 1))
+                else:
+                    counts[pair] = base
         best_gain = 0.0
         best_pair = None
-        for pair, gain in zip(pairs, (_curvatures(counts) - ric[i]).tolist()):
+        gains = _curvatures(list(counts.values())) - ric[i]
+        for pair, gain in zip(counts, gains.tolist()):
             if gain > best_gain + 1e-12 or (
                     best_pair is not None and
                     abs(gain - best_gain) <= 1e-12 and pair < best_pair):
@@ -179,13 +190,11 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
         a, b = best_pair
         adj[a].add(b)
         adj[b].add(a)
-        incident[a].append(len(edges))
-        incident[b].append(len(edges))
+        pos[a, b] = pos[b, a] = len(edges)
         edges.append(best_pair)
         edit_log.append((it, "add", a, b))
-        # an edge's counts read the neighbour sets of its endpoints and of
-        # their neighbours, so the add changes only edges that touch N[a] ∪ N[b]
-        near = sorted({j for x in adj[a] | adj[b] for j in incident[x]})
+        near = sorted({pos[x, y] for x in (a, b) for y in adj[x]}.union(
+            pos[x, y] for x in adj[a] - {b} for y in adj[x] & adj[b] if y != a))
         ric[near] = local_balanced_forman(adj, [edges[j] for j in near])
 
     new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
@@ -208,23 +217,24 @@ def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
     Per iteration: sample (u, v) with probability proportional to
     1 / (triangles + 1), then flip the pair (u, u'), (v, v') into
     (u, v'), (v, u') minimizing the net change in total triangle count.
-    Degree sequence is preserved exactly.
+    Degree sequence is preserved exactly. The triangle counts live in a dict
+    in edge-list order, and a flip recounts only the edges at u, v, u', v'.
     """
     rng = np.random.default_rng(config.seed)
     adj = _adj_sets(g)
-    edges: list[tuple[int, int]] = [tuple(map(int, e)) for e in g.edges]
+    tri = {e: _tri(adj, *e) for e in map(tuple, g.edges.tolist())}
     edit_log = []
-    iters = config.num_iterations(len(edges))
+    iters = config.num_iterations(len(tri))
     deadline = config.deadline()
 
     for it in range(iters):
-        if not edges:
+        if not tri:
             break
         if deadline is not None and _now() > deadline:
             raise BudgetExceeded(f"grlef exceeded {config.budget_seconds}s")
         flipped = False
-        tri_counts = np.array([_tri(adj, *e) for e in edges], dtype=np.float64)
-        probs = 1.0 / (tri_counts + 1.0)
+        edges = list(tri)
+        probs = 1.0 / (np.fromiter(tri.values(), np.float64, len(tri)) + 1.0)
         probs /= probs.sum()
         for _ in range(GRLEF_DRAWS):
             u, v = edges[int(rng.choice(len(edges), p=probs))]
@@ -235,10 +245,10 @@ def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
                 for vp in sorted(adj[v] - {u}):
                     if up == vp or vp in adj[u] or up in adj[v]:
                         continue
-                    destroyed = _tri(adj, u, up) + _tri(adj, v, vp)
+                    destroyed = tri[_key(u, up)] + tri[_key(v, vp)]
                     _apply_flip(adj, u, v, up, vp)
                     created = _tri(adj, u, vp) + _tri(adj, v, up)
-                    _undo_flip(adj, u, v, up, vp)
+                    _apply_flip(adj, u, v, vp, up)  # flips it back
                     delta = created - destroyed
                     if delta < best_delta:
                         best_delta = delta
@@ -247,10 +257,11 @@ def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
                 continue
             up, vp = best
             _apply_flip(adj, u, v, up, vp)
-            for old in ((min(u, up), max(u, up)), (min(v, vp), max(v, vp))):
-                edges.remove(old)
-            for new in ((min(u, vp), max(u, vp)), (min(v, up), max(v, up))):
-                edges.append(new)
+            del tri[_key(u, up)], tri[_key(v, vp)]
+            tri.update(dict.fromkeys((_key(u, vp), _key(v, up)), 0))
+            for x in (u, v, up, vp):
+                for y in adj[x]:
+                    tri[_key(x, y)] = _tri(adj, x, y)
             edit_log.append((it, "flip", u, v))
             flipped = True
             break
@@ -258,8 +269,12 @@ def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
             edit_log.append((it, "skip", -1, -1))
             log.debug("grlef: iteration %d found no legal flip", it)
 
-    new_graph = g.with_edges(np.array(edges, dtype=np.int64).reshape(-1, 2))
+    new_graph = g.with_edges(np.array(list(tri), dtype=np.int64).reshape(-1, 2))
     return RewiredGraph(method="grlef", graph=new_graph, edit_log=edit_log)
+
+
+def _key(x, y):
+    return (x, y) if x < y else (y, x)
 
 
 def _apply_flip(adj, u, v, up, vp):
@@ -267,13 +282,6 @@ def _apply_flip(adj, u, v, up, vp):
     adj[v].remove(vp); adj[vp].remove(v)
     adj[u].add(vp); adj[vp].add(u)
     adj[v].add(up); adj[up].add(v)
-
-
-def _undo_flip(adj, u, v, up, vp):
-    adj[u].remove(vp); adj[vp].remove(u)
-    adj[v].remove(up); adj[up].remove(v)
-    adj[u].add(up); adj[up].add(u)
-    adj[v].add(vp); adj[vp].add(v)
 
 
 # ---------------------------------------------------------------------------

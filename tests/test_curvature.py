@@ -3,7 +3,8 @@ import pytest
 
 from rewirebench import (InputError, balanced_forman, build_graph,
                          curvature_delta, curvature_distribution)
-from rewirebench.curvature import edge_curvatures
+from rewirebench.curvature import (CurvatureDelta, edge_curvatures,
+                                  write_delta_csv)
 
 from conftest import (brute_balanced_forman, complete_graph, cycle_graph,
                       path_graph, random_graph)
@@ -102,6 +103,37 @@ class TestDelta:
         for (u, v), b, a in zip(d.edges, d.before, d.after):
             assert b == pytest.approx(vb[(u, v)])
             assert a == pytest.approx(va[(u, v)])
+
+    def test_partial_overlap_matches_set_reference(self, rng, tmp_path):
+        # two random graphs on one node set share only part of their edges;
+        # the reference matches rows through sets of edge tuples
+        for _ in range(5):
+            gb, ga = random_graph(20, 0.2, rng), random_graph(20, 0.2, rng)
+            vb, va = edge_curvatures(gb), edge_curvatures(ga)
+            d = curvature_delta(gb, ga, vb, va)
+            ib = {tuple(e): i for i, e in enumerate(gb.edges.tolist())}
+            ia = {tuple(e): i for i, e in enumerate(ga.edges.tolist())}
+            common = sorted(ib.keys() & ia.keys())
+            assert 0 < len(common) < min(len(ib), len(ia))
+            before = np.array([vb[ib[e]] for e in common])
+            after = np.array([va[ia[e]] for e in common])
+            want = CurvatureDelta(np.array(common), before, after,
+                                  int(np.sum(after > before)),
+                                  int(np.sum(after < before)))
+            assert d.edges.tolist() == [list(e) for e in common]
+            assert np.array_equal(d.before, before)
+            assert np.array_equal(d.after, after)
+            assert (d.improved, d.worsened) == (want.improved, want.worsened)
+            write_delta_csv(d, tmp_path / "got.csv")
+            write_delta_csv(want, tmp_path / "want.csv")
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())
+
+    def test_disjoint_edge_sets(self):
+        d = curvature_delta(path_graph(4), build_graph([(0, 3)], np.zeros((4, 1))),
+                            edge_curvatures(path_graph(4)), np.zeros(1))
+        assert d.edges.shape == (0, 2) and d.before.size == d.after.size == 0
+        assert d.improved == d.worsened == 0
 
     def test_node_set_mismatch(self):
         with pytest.raises(InputError):

@@ -6,6 +6,7 @@ from rewirebench import (InputError, RewireConfig, apply_rewiring,
                          balanced_forman, build_graph, cayley_graph,
                          rewire_diffwire, rewire_egp, rewire_grlef,
                          rewire_sdrf, sl2_order)
+from rewirebench import kernels, rewiring
 from rewirebench.graph import Normalization
 from rewirebench.rewiring import _adj_sets, local_balanced_forman
 from rewirebench.spectral import effective_resistance, heat_kernel
@@ -167,6 +168,96 @@ def _sdrf_cases(rng):
     yield complete_graph(5), 3
 
 
+def _refresh_set(adj, a, b):
+    """Edges, as (min, max), whose counts the add of (a, b) can change: those
+    touching a or b, and those joining N(a) \\ {b} to N(b) \\ {a}."""
+    out = {(min(x, y), max(x, y)) for x in (a, b) for y in adj[x]}
+    for x in adj[a] - {b}:
+        out |= {(min(x, y), max(x, y)) for y in adj[x] & adj[b] if y != a}
+    return out
+
+
+def _closed_form_counts(adj, u, v, a, b):
+    """Counts of the edge (u, v) once (a, b) is added, a in N(u) \\ {v} and
+    b in N(v) \\ {u}, from the graph without it."""
+    du, dv, tri, sq_uv, sq_vu, gamma = kernels.set_counts(adj, u, v)
+    cu, cv = kernels.wedge_counts(adj, u, v), kernels.wedge_counts(adj, v, u)
+    if a in adj[v] or b in adj[u]:
+        return du, dv, tri, sq_uv, sq_vu, gamma
+    return (du, dv, tri, sq_uv + (cu[a] == 0), sq_vu + (cv[b] == 0),
+            max(gamma, cu[a] + 1, cv[b] + 1))
+
+
+class TestSDRFLemmas:
+    def test_refresh_set_holds_every_change(self, rng):
+        for g, _ in _sdrf_cases(rng):
+            adj = _adj_sets(g)
+            edges = [tuple(e) for e in g.edges.tolist()]
+            missing = [(a, b) for a in range(g.num_nodes)
+                       for b in range(a + 1, g.num_nodes) if b not in adj[a]]
+            for k in rng.permutation(len(missing))[:8]:
+                a, b = missing[k]
+                before = {e: kernels.set_counts(adj, *e) for e in edges}
+                adj[a].add(b)
+                adj[b].add(a)
+                near = _refresh_set(adj, a, b)
+                for e in edges:
+                    if e not in near:
+                        assert kernels.set_counts(adj, *e) == before[e], e
+                adj[a].remove(b)
+                adj[b].remove(a)
+
+    def test_closed_form_candidates(self, rng):
+        kinds = set()
+        for g, _ in _sdrf_cases(rng):
+            adj = _adj_sets(g)
+            for i in rng.permutation(g.num_edges)[:6]:
+                u, v = g.edges[i].tolist()
+                for up in adj[u] | {u}:
+                    for vp in adj[v] | {v}:
+                        if up == vp or vp in adj[up]:
+                            continue
+                        endpoint = up == u or vp == v
+                        if not endpoint:
+                            want = _closed_form_counts(adj, u, v, up, vp)
+                            kinds.add("triangle" if up in adj[v] or vp in adj[u]
+                                      else "open")
+                        adj[up].add(vp)
+                        adj[vp].add(up)
+                        got = kernels.set_counts(adj, u, v)
+                        adj[up].remove(vp)
+                        adj[vp].remove(up)
+                        if endpoint:
+                            kinds.add("endpoint")
+                            # an endpoint candidate moves d_u or d_v
+                            assert got[:2] != kernels.set_counts(adj, u, v)[:2]
+                        else:
+                            assert got == want, (u, v, up, vp)
+        assert kinds == {"triangle", "open", "endpoint"}
+
+    def test_refresh_calls_only_the_lemma_set(self, rng, monkeypatch):
+        calls = []
+        inner = rewiring.local_balanced_forman
+
+        def spy(adj, edges):
+            calls.append(list(edges))
+            return inner(adj, edges)
+
+        monkeypatch.setattr(rewiring, "local_balanced_forman", spy)
+        g = random_graph(200, 0.03, rng)
+        out = rewire_sdrf(g, RewireConfig(method="sdrf", seed=0))
+        adds = [(a, b) for _, op, a, b in out.edit_log if op == "add"]
+        assert len(adds) > 10 and len(calls) == 1 + len(adds)
+        assert calls[0] == [tuple(e) for e in g.edges.tolist()]
+        adj = _adj_sets(g)
+        for (a, b), edges in zip(adds, calls[1:]):
+            adj[a].add(b)
+            adj[b].add(a)
+            assert len(edges) == len(set(edges))
+            assert set(edges) == _refresh_set(adj, a, b)
+            assert (a, b) in edges
+
+
 class TestSDRF:
     def test_matches_reference_loop(self, rng):
         for g, iterations in _sdrf_cases(rng):
@@ -229,7 +320,68 @@ class TestSDRF:
                 assert r == balanced_forman(g, (u, v)).total
 
 
+def _reference_grlef(g, config):
+    """GRLEF as one loop that recounts every edge's triangles in every
+    iteration and keeps the edge list by list.remove and append."""
+    rng = np.random.default_rng(config.seed)
+    adj = _adj_sets(g)
+    edges = [tuple(map(int, e)) for e in g.edges]
+    edit_log = []
+
+    def tri(x, y):
+        return len(adj[x] & adj[y])
+
+    def flip(u, v, up, vp):
+        adj[u].remove(up); adj[up].remove(u)
+        adj[v].remove(vp); adj[vp].remove(v)
+        adj[u].add(vp); adj[vp].add(u)
+        adj[v].add(up); adj[up].add(v)
+
+    for it in range(config.num_iterations(len(edges))):
+        counts = np.array([tri(*e) for e in edges], dtype=np.float64)
+        probs = 1.0 / (counts + 1.0)
+        probs /= probs.sum()
+        flipped = False
+        for _ in range(10):
+            u, v = edges[int(rng.choice(len(edges), p=probs))]
+            best, best_delta = None, np.inf
+            for up in sorted(adj[u] - {v}):
+                for vp in sorted(adj[v] - {u}):
+                    if up == vp or vp in adj[u] or up in adj[v]:
+                        continue
+                    destroyed = tri(u, up) + tri(v, vp)
+                    flip(u, v, up, vp)
+                    created = tri(u, vp) + tri(v, up)
+                    flip(u, v, vp, up)
+                    if created - destroyed < best_delta:
+                        best_delta, best = created - destroyed, (up, vp)
+            if best is None:
+                continue
+            up, vp = best
+            flip(u, v, up, vp)
+            edges.remove((min(u, up), max(u, up)))
+            edges.remove((min(v, vp), max(v, vp)))
+            edges += [(min(u, vp), max(u, vp)), (min(v, up), max(v, up))]
+            edit_log.append((it, "flip", u, v))
+            flipped = True
+            break
+        if not flipped:
+            edit_log.append((it, "skip", -1, -1))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), edit_log
+
+
 class TestGRLEF:
+    def test_matches_reference_loop(self, rng):
+        for g, iterations in _sdrf_cases(rng):
+            for seed in (0, 1):
+                cfg = RewireConfig(method="grlef", iterations=iterations,
+                                   seed=seed)
+                out = rewire_grlef(g, cfg)
+                want_edges, want_log = _reference_grlef(g, cfg)
+                assert out.edit_log == want_log
+                assert np.array_equal(out.graph.edges,
+                                      g.with_edges(want_edges).edges)
+
     def test_degree_sequence_preserved(self, rng):
         g = random_graph(16, 0.3, rng, connected=True)
         out = rewire_grlef(g, RewireConfig(method="grlef", iterations=8, seed=2))
