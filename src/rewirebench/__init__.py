@@ -16,8 +16,8 @@ from .models import (ReadoutParams, ReservoirParams, augment, gesn_embed,
 from .rewiring import (RewireConfig, RewiredGraph, apply_rewiring,
                        cayley_graph, rewire_diffwire, rewire_egp, rewire_grlef,
                        rewire_sdrf, sl2_order)
-from .spectral import (PagerankOperator, ResistanceMatrix, cheeger_bruteforce,
-                       effective_resistance, heat_kernel,
+from .spectral import (HeatOperator, PagerankOperator, ResistanceMatrix,
+                       cheeger_bruteforce, effective_resistance, heat_kernel,
                        laplacian_pseudoinverse, pagerank_kernel,
                        spectral_gap, spectral_radius)
 

@@ -116,10 +116,8 @@ def cmd_rewire(args) -> int:
 
     artifacts = []
     if rewired.operator is not None:
-        kernel = rewired.operator
-        if not isinstance(kernel, np.ndarray):
-            kernel = kernel.toarray()
-        np.save(os.path.join(args.out, "kernel.npy"), kernel)
+        np.save(os.path.join(args.out, "kernel.npy"),
+                rewired.operator.toarray())
         artifacts.append("kernel.npy")
     edges_path = os.path.join(args.out, "rewired_edges.tsv")
     with open(edges_path, "w") as fh:
@@ -129,8 +127,9 @@ def cmd_rewire(args) -> int:
     write_edit_log(rewired.edit_log, os.path.join(args.out, "edit_log.tsv"))
     artifacts.append("edit_log.tsv")
 
+    same = rewired.graph is g   # kernel methods and baseline keep the edges
     before = curvature_distribution(g)
-    after = curvature_distribution(rewired.graph)
+    after = before if same else curvature_distribution(rewired.graph)
     write_histogram_csv(before, os.path.join(args.out, "curvature_before.csv"))
     write_histogram_csv(after, os.path.join(args.out, "curvature_after.csv"))
     delta = curvature_delta(g, rewired.graph, before.values, after.values)
@@ -141,8 +140,9 @@ def cmd_rewire(args) -> int:
     with open(os.path.join(args.out, "spectral.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gap_before", "gap_after"])
-        w.writerow([f"{spectral_gap(g):.10g}",
-                    f"{spectral_gap(rewired.graph):.10g}"])
+        gap = spectral_gap(g)
+        gap_after = gap if same else spectral_gap(rewired.graph)
+        w.writerow([f"{gap:.10g}", f"{gap_after:.10g}"])
     artifacts.append("spectral.csv")
 
     _write_manifest(args.out, {"command": "rewire", "dataset": args.dataset,

@@ -352,7 +352,7 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     block-diagonal operator whose block i is M_i / ρ(M_i), so the reservoir
     carries only the config's ρ, and pooling reduces over graph offsets. A
     single graph keeps its operator as given and 1/ρ(M) in the reservoir, so
-    a dense n×n kernel is not copied and node embeddings keep their bits.
+    the operator is applied unscaled and node embeddings keep their bits.
     """
     ops, rhos, xs = [], [], []
     for rw in rewired:

@@ -87,8 +87,9 @@ def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:
     x = input_features(np.asarray(x, dtype=np.float64))
     drive = x @ params.w_in.T + params.bias   # N x H
     w_hat = params.w_hat
-    h = np.zeros_like(drive)
-    for _ in range(params.iterations):
+    # h^(0) = 0, so step 1 is tanh(drive) without a product
+    h = np.tanh(drive) if params.iterations else np.zeros_like(drive)
+    for _ in range(params.iterations - 1):
         # row v of M @ (h W^T) aggregates neighbors u with weight M_vu; the
         # state is updated in place, so a step holds two N x H temporaries
         np.add(drive, m @ (h @ w_hat.T), out=h)

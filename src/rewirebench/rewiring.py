@@ -4,8 +4,8 @@ Five families: diffusion kernels (heat / personalized PageRank), curvature
 driven edge addition (SDRF), triangle-guided edge flips (GRLEF), expander
 graph propagation (EGP, Cayley graphs of SL(2, Z_n)), and resistance
 reweighting (DiffWire). Edge-editing methods return a new edge set; kernel
-methods return a message-passing operator: CSR for EGP and DiffWire, a dense
-matrix for heat, and for PageRank one applied from a sparse factorization.
+methods return a message-passing operator without an n x n array: CSR for
+EGP and DiffWire, heat's series in the sparse T, PageRank's sparse solve.
 Heat and PageRank also carry their spectral radius in closed form.
 """
 
@@ -23,8 +23,9 @@ import scipy.sparse as sp
 from . import kernels
 from .errors import BudgetExceeded, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
-from .spectral import (PagerankOperator, effective_resistance, heat_kernel,
-                       pagerank_kernel, spectral_radius)
+# heat_kernel stays a module attribute for pipebench/tracing.py
+from .spectral import (HeatOperator, PagerankOperator, effective_resistance,
+                       heat_kernel, pagerank_kernel, spectral_radius)  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -73,10 +74,9 @@ class RewireConfig:
 class RewiredGraph:
     method: str
     graph: Graph                       # rewired edge set (or the input, unchanged)
-    # M' of the kernel methods: CSR for EGP and DiffWire, dense for heat;
-    # PageRank applies it by a sparse solve and builds it only through
-    # toarray()
-    operator: sp.csr_matrix | np.ndarray | PagerankOperator | None = None
+    # M' of the kernel methods: CSR for EGP and DiffWire; heat and PageRank
+    # build their dense kernel only through toarray()
+    operator: sp.csr_matrix | HeatOperator | PagerankOperator | None = None
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
     rho: float | None = None           # rho(M') in closed form (heat, PageRank)
 
@@ -374,9 +374,10 @@ def rewire_egp(g: Graph) -> RewiredGraph:
 # DiffWire
 
 def rewire_diffwire(g: Graph) -> RewiredGraph:
-    """Resistance-weighted adjacency M' = Res ⊙ A (same sparsity pattern as A)."""
-    m = g.adjacency().multiply(effective_resistance(g).matrix).tocsr()
-    return RewiredGraph(method="diffwire", graph=g, operator=m)
+    """M' = Res ⊙ A, with Res read on the edges of A only."""
+    m = g.adjacency().tocoo()
+    m.data = effective_resistance(g).values(m.row, m.col)
+    return RewiredGraph(method="diffwire", graph=g, operator=m.tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
         rho_t = (float(spectral_radius(t_op)) if norm is Normalization.NONE
                  else float(g.num_edges > 0))
         return RewiredGraph(method="heat", graph=g,
-                            operator=heat_kernel(t_op, config.t),
+                            operator=HeatOperator(t_op, config.t, rho_t),
                             rho=math.exp(-config.t * (1.0 - rho_t)))
     if config.method == "pagerank":
         kernel = pagerank_kernel(g, config.alpha, config.diffusion_norm)

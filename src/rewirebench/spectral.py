@@ -4,13 +4,14 @@ and diffusion kernels."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import InputError
 from .graph import (Graph, Normalization, OperatorKind, connected_components,
@@ -25,11 +26,12 @@ EXACT_SPARSE_RADIUS_ROWS = 64
 # which at 2708 nodes takes 0.46 s against eigvalsh's 2.6 s
 DENSE_GAP_ROWS = 1000
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
+HEAT_TAIL = 1e-17         # HeatOperator's first omitted term over the sum
 # PagerankOperator: toarray() applies the operator to this many column
-# blocks of the identity; the Schur inverse is symmetrized in column blocks
-# of SYMMETRIZE_COLUMNS
+# blocks of the identity; its Schur inverse and the grounded Laplacian's
+# inverse are symmetrized in column blocks of SYMMETRIZE_COLUMNS
 TOARRAY_BLOCKS = 64
-SYMMETRIZE_COLUMNS = 64
+SYMMETRIZE_COLUMNS = 32
 
 
 @dataclass
@@ -132,11 +134,24 @@ def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
 
 @dataclass
 class ResistanceMatrix:
-    """Pairwise effective resistances; np.inf across components."""
+    """Res_uv = G_uu + G_vv - 2 G_uv from the grounded Laplacian's inverse G
+    (exactly symmetric), clipped at 0, np.inf across components. `values`
+    reads pairs; `matrix` builds all n x n of them by the same arithmetic."""
 
-    matrix: np.ndarray
+    inverse: np.ndarray      # G, zero in each grounded node's row and column
     components: np.ndarray
     total_degree: float
+
+    def values(self, u, v) -> np.ndarray:
+        """Res_uv for index arrays u and v."""
+        g = self.inverse
+        res = np.maximum(g[u, u] + g[v, v] - 2.0 * g[u, v], 0.0)
+        return np.where(self.components[u] == self.components[v], res, np.inf)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        nodes = np.arange(self.components.size)
+        return self.values(nodes[:, None], nodes[None, :])
 
     def commute_time(self) -> np.ndarray:
         """Com_uv = Res_uv * sum of all degrees."""
@@ -144,18 +159,34 @@ class ResistanceMatrix:
 
 
 def effective_resistance(g: Graph) -> ResistanceMatrix:
-    """Res_uv = (1_u - 1_v)^T L^+ (1_u - 1_v), per connected component."""
-    lp = laplacian_pseudoinverse(g)
-    d = np.diag(lp)
-    res = d[:, None] + d[None, :] - 2.0 * lp
+    """Res_uv = (1_u - 1_v)^T L^+ (1_u - 1_v), per connected component.
+
+    The lowest node of each component is grounded (its Laplacian row and
+    column become unit vectors), and the positive definite result is
+    inverted in place in one Fortran n x n array by dpotrf and dpotri."""
     comp = connected_components(g)
-    cross = comp[:, None] != comp[None, :]
-    res[cross] = np.inf
-    np.fill_diagonal(res, 0.0)
-    res = np.maximum(res, 0.0)
-    res = 0.5 * (res + res.T)
-    return ResistanceMatrix(matrix=res, components=comp,
+    _, grounded = np.unique(comp, return_index=True)
+    lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).tocoo()
+    inv = np.zeros(lap.shape, order="F")
+    inv[lap.row, lap.col] = lap.data
+    inv[grounded] = inv[:, grounded] = 0.0
+    inv[grounded, grounded] = 1.0
+    inv, info = dpotrf(inv, lower=True, clean=True, overwrite_a=True)
+    if info:
+        raise RuntimeError(f"grounded Laplacian not positive definite ({info})")
+    inv, _ = dpotri(inv, lower=True, overwrite_c=True)
+    _mirror_lower(inv)
+    inv[grounded, grounded] = 0.0
+    return ResistanceMatrix(inverse=inv, components=comp,
                             total_degree=float(np.sum(g.degrees)))
+
+
+def _mirror_lower(inv: np.ndarray) -> None:
+    """Copy inv's strictly lower triangle into its zero upper one a column
+    block at a time, so that no second n x n array is held."""
+    for j in range(0, inv.shape[0], SYMMETRIZE_COLUMNS):
+        inv[j:j + SYMMETRIZE_COLUMNS] += np.tril(
+            inv[:, j:j + SYMMETRIZE_COLUMNS], -j - 1).T
 
 
 def _as_dense(t) -> np.ndarray:
@@ -165,12 +196,42 @@ def _as_dense(t) -> np.ndarray:
 
 
 def heat_kernel(t_matrix, t: float) -> np.ndarray:
-    """Heat diffusion exp(-t (I - T)) = sum_m e^{-t} t^m/m! T^m."""
+    """Heat diffusion exp(-t (I - T)) = sum_m e^{-t} t^m/m! T^m, dense."""
     if t <= 0:
         raise InputError("heat kernel requires t > 0")
     td = _as_dense(t_matrix)
     n = td.shape[0]
     return scipy.linalg.expm(-t * (np.eye(n) - td))
+
+
+class HeatOperator(spla.LinearOperator):
+    """Heat kernel exp(-t (I - T)) of a sparse T, applied as its series
+    e^{-t} sum_{m<=M} t^m/m! T^m X in two n x k arrays. With s = t rho(T),
+    M is the smallest count past the peak of s^m/m! whose next term is at
+    most HEAT_TAIL e^s; rho(T) = ||T|| in the 1-, infinity- or 2-norm for
+    rw, mean and sym (and the symmetric A). toarray() is heat_kernel.
+    Threads may share one operator: T is only read."""
+
+    def __init__(self, t_matrix, t: float, rho: float):
+        n = t_matrix.shape[0]
+        super().__init__(dtype=np.float64, shape=(n, n))
+        self._t_matrix, self._t = t_matrix, t
+        s, self.terms = t * rho, int(t * rho)
+        while s > 0 and ((self.terms + 1) * math.log(s) - math.lgamma(
+                self.terms + 2) > math.log(HEAT_TAIL) + s):
+            self.terms += 1
+
+    def _matmat(self, x):
+        term = out = np.array(x, dtype=np.float64)
+        for m in range(1, self.terms + 1):
+            term = self._t_matrix @ term
+            term *= self._t / m
+            out += term
+        out *= math.exp(-self._t)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return heat_kernel(self._t_matrix, self._t)
 
 
 class PagerankOperator(spla.LinearOperator):
@@ -211,11 +272,7 @@ class PagerankOperator(spla.LinearOperator):
         del lower, ptr, rows, vals
         inv *= np.sqrt(pivots)
         inv, _ = dpotri(inv, lower=True, overwrite_c=True)
-        # mirror the lower triangle into the upper one a column block at a
-        # time, so that no second t x t array is held
-        for j in range(0, n - h, SYMMETRIZE_COLUMNS):
-            inv[j:j + SYMMETRIZE_COLUMNS] += np.tril(
-                inv[:, j:j + SYMMETRIZE_COLUMNS], -j - 1).T
+        _mirror_lower(inv)
         self._tail_inverse = inv
         self._head_nodes, self._tail_nodes = order[:h], order[h:]
         kp = k[order][:, order]

@@ -37,6 +37,14 @@ def random_graph(n, p, rng, features=2, labels=False, connected=False):
             return g
 
 
+def sparse_random_graph(n, mean_degree, seed):
+    """G(n, p) with p = mean_degree / n, drawn without a Python pair loop."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < mean_degree / n
+    return build_graph(np.stack([u[keep], v[keep]], axis=1), np.zeros((n, 1)))
+
+
 def _is_connected(g):
     from rewirebench.graph import connected_components
     return connected_components(g).max() == 0

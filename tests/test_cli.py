@@ -166,6 +166,38 @@ class TestRewire:
         assert "budget exceeded" in capsys.readouterr().err
         assert not (out / "rewired_edges.tsv").exists()
 
+    @pytest.mark.parametrize("method, calls", [("heat", 1), ("sdrf", 2)])
+    def test_unchanged_graph_measured_once(self, node_dataset, tmp_path,
+                                           monkeypatch, method, calls):
+        # heat returns the input graph itself: its curvature and gap are
+        # computed once and written as both "before" and "after"
+        counted = {"gap": 0, "curv": 0}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                counted[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(cli, "spectral_gap", spy("gap", cli.spectral_gap))
+        monkeypatch.setattr(cli, "curvature_distribution",
+                            spy("curv", cli.curvature_distribution))
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire", method,
+                     "--out", str(out)]) == 0
+        assert counted == {"gap": calls, "curv": calls}
+        monkeypatch.undo()
+        g = load_dataset(node_dataset)
+        edges = np.loadtxt(out / "rewired_edges.tsv", dtype=np.int64, ndmin=2)
+        after = g.with_edges(edges)
+        for name, graph in (("before", g), ("after", after)):
+            cli.write_histogram_csv(cli.curvature_distribution(graph),
+                                    tmp_path / name)
+            assert ((tmp_path / name).read_bytes()
+                    == (out / f"curvature_{name}.csv").read_bytes())
+        gaps = f"{cli.spectral_gap(g):.10g},{cli.spectral_gap(after):.10g}"
+        assert (out / "spectral.csv").read_text().splitlines() == [
+            "gap_before,gap_after", gaps]
+
     def test_rewire_deterministic_artifacts(self, node_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

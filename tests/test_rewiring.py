@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from rewirebench.rewiring import _adj_sets, local_balanced_forman
 from rewirebench.spectral import effective_resistance, heat_kernel
 
 from conftest import (brute_balanced_forman, complete_graph, cycle_graph,
-                      path_graph, random_graph)
+                      path_graph, random_graph, sparse_random_graph)
 
 
 class TestConfig:
@@ -55,7 +57,7 @@ class TestDiffusion:
         a = g.adjacency().toarray().astype(float)
         deg = a.sum(axis=0)
         t_rw = a / np.where(deg > 0, deg, 1.0)[None, :]
-        assert np.allclose(out.operator, heat_kernel(t_rw, 1.0))
+        assert np.allclose(out.operator.toarray(), heat_kernel(t_rw, 1.0))
 
     def test_pagerank_columns_stochastic(self):
         g = cycle_graph(6)
@@ -73,7 +75,8 @@ class TestDiffusion:
         g = cycle_graph(6)
         out = apply_rewiring(g, RewireConfig(
             method="heat", diffusion_norm=Normalization.SYM))
-        assert np.allclose(out.operator, out.operator.T)
+        k = out.operator.toarray()
+        assert np.allclose(k, k.T)
 
 
 def _reference_square_side(adj, u, v):
@@ -480,6 +483,25 @@ class TestDiffWire:
         g = random_graph(10, 0.4, rng, connected=True)
         m = rewire_diffwire(g).operator.toarray()
         assert np.allclose(m, m.T)
+
+
+class TestKernelMemory:
+    """apply_rewiring at n = 1000 under tracemalloc: heat keeps only the
+    sparse T, DiffWire one n x n inverse beside the O(m) edge values."""
+
+    @pytest.mark.parametrize("method, bound", [("heat", 0.1),
+                                               ("diffwire", 1.1)])
+    def test_peak_in_doubles_of_n_squared(self, method, bound):
+        n = 1000
+        g = sparse_random_graph(n, 4.0, 0)
+        g.adjacency()
+        tracemalloc.start()
+        try:
+            apply_rewiring(g, RewireConfig(method=method))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 8, peak / (n * n * 8)
 
 
 class TestDispatch:

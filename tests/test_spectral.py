@@ -9,15 +9,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rewirebench import (InputError, build_graph, cheeger_bruteforce,
+from rewirebench import (InputError, RewireConfig, apply_rewiring,
+                         build_graph, cheeger_bruteforce,
                          effective_resistance, heat_kernel,
                          laplacian_pseudoinverse, pagerank_kernel,
                          shift_operator, spectral_gap, spectral_radius)
 
 from rewirebench import spectral
+from rewirebench.graph import connected_components
 from rewirebench.spectral import DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
+                      sparse_random_graph)
 
 
 def series_kernel(t_dense, coeffs):
@@ -35,14 +38,6 @@ def heat_coeffs(t, terms=60):
 
 def pagerank_coeffs(alpha, terms=200):
     return [alpha * (1 - alpha) ** m for m in range(terms)]
-
-
-def sparse_random_graph(n, mean_degree, seed):
-    """G(n, p) with p = mean_degree / n, drawn without a Python pair loop."""
-    rng = np.random.default_rng(seed)
-    u, v = np.triu_indices(n, 1)
-    keep = rng.random(u.size) < mean_degree / n
-    return build_graph(np.stack([u[keep], v[keep]], axis=1), np.zeros((n, 1)))
 
 
 class TestSpectralRadius:
@@ -502,6 +497,94 @@ class TestPagerankKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * n * n * 8
+
+
+class TestHeatOperator:
+    """The heat series product against the dense expm kernel, its term
+    count against the tail criterion, and its thread safety."""
+
+    @pytest.mark.parametrize("graph", sorted(PAGERANK_GRAPHS))
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean", "none"])
+    def test_matches_dense_kernel(self, graph, t, norm):
+        g = PAGERANK_GRAPHS[graph]
+        op = apply_rewiring(g, RewireConfig(method="heat", t=t,
+                                            diffusion_norm=norm)).operator
+        assert isinstance(op, spectral.HeatOperator)
+        want = heat_kernel(shift_operator(g, "adjacency", norm), t)
+        got = op @ np.eye(g.num_nodes)
+        tol = 1e-10 if norm == "none" else 1e-13
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert np.array_equal(op.toarray(), want)
+
+    @staticmethod
+    def _expected_terms(s):
+        """Smallest M >= floor(s) whose next term s^{M+1}/(M+1)! is at most
+        1e-17 e^s, by direct evaluation."""
+        m = math.floor(s)
+        while s ** (m + 1) / math.factorial(m + 1) > 1e-17 * math.exp(s):
+            m += 1
+        return m
+
+    @pytest.mark.parametrize("t, rho", [(1.0, 1.0), (0.1, 1.0), (5.0, 1.0),
+                                        (5.0, 5.0), (1.0, 0.0), (0.3, 2.5)])
+    def test_one_product_per_term(self, t, rho):
+        t_op = shift_operator(cycle_graph(5), "adjacency", "rw")
+        products = []
+
+        def matmat(x):
+            products.append(x.shape)
+            return t_op @ x
+        spy = spla.LinearOperator(t_op.shape, matvec=lambda x: t_op @ x,
+                                  matmat=matmat, dtype=np.float64)
+        spectral.HeatOperator(spy, t, rho) @ np.ones((5, 3))
+        assert len(products) == self._expected_terms(t * rho)
+        if (t, rho) == (1.0, 1.0):
+            assert len(products) == 18
+
+    def test_threads_share_one_operator(self):
+        g = sparse_random_graph(1000, 8.0, 1)
+        op = apply_rewiring(g, RewireConfig(method="heat")).operator
+        TestPagerankKernel._threads_equal_serial(op)
+
+
+class TestResistanceOracle:
+    """effective_resistance against the pseudoinverse formula."""
+
+    @staticmethod
+    def _oracle(g):
+        lp = laplacian_pseudoinverse(g)
+        d = np.diag(lp)
+        res = np.maximum(d[:, None] + d[None, :] - 2.0 * lp, 0.0)
+        comp = connected_components(g)
+        res[comp[:, None] != comp[None, :]] = np.inf
+        np.fill_diagonal(res, 0.0)
+        return res
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pseudoinverse(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(int(rng.integers(5, 40)), 0.08, rng)
+        assert connected_components(g).max() > 0
+        want = self._oracle(g)
+        r = effective_resistance(g)
+        res = r.matrix
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(res), finite)
+        assert np.abs(res[finite] - want[finite]).max() <= 1e-12
+        assert np.array_equal(res, res.T)
+        assert np.all(np.diag(res) == 0.0)
+        u, v = np.indices(res.shape).reshape(2, -1)
+        assert np.array_equal(r.values(u, v), res.ravel())
+
+    @pytest.mark.parametrize("graph", sorted(PAGERANK_GRAPHS))
+    def test_pagerank_graphs(self, graph):
+        g = PAGERANK_GRAPHS[graph]
+        want = self._oracle(g)
+        res = effective_resistance(g).matrix
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(res), finite)
+        assert np.abs(res[finite] - want[finite]).max() <= 1e-12
 
 
 class TestCheeger:
