@@ -3,7 +3,7 @@ models."""
 
 from .curvature import balanced_forman, curvature_delta, curvature_distribution
 from .datasets import load_canonical, load_dataset, load_tudataset
-from .errors import BudgetExceeded, CompatibilityError, InputError
+from .errors import Budget, BudgetExceeded, CompatibilityError, InputError
 from .evaluation import (GraphTask, NodeTask, SearchSpace, accuracy, auroc,
                          make_splits, model_select, significance,
                          stratified_kfold)

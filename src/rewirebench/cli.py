@@ -20,7 +20,7 @@ import numpy as np
 from .curvature import (curvature_delta, curvature_distribution,
                         write_delta_csv, write_histogram_csv)
 from .datasets import load_dataset
-from .errors import BudgetExceeded, InputError
+from .errors import Budget, BudgetExceeded, InputError
 from .evaluation import (ExperimentReport, GraphTask, NodeTask, SearchSpace,
                          model_select, significance)
 from .graph import Graph, dataset_stats
@@ -49,9 +49,9 @@ def _load_task(path: str, fmt: str):
     name = os.path.basename(os.path.normpath(path))
     if isinstance(data, Graph):
         metric = "accuracy"
-        if data.labels is not None and len(np.unique(data.labels)) == 2:
-            counts = np.bincount(data.labels - data.labels.min())
-            if counts.min() / max(counts.max(), 1) < 0.5:
+        if data.labels is not None:
+            counts = np.unique(data.labels, return_counts=True)[1]
+            if len(counts) == 2 and counts.min() / counts.max() < 0.5:
                 metric = "auroc"   # unbalanced binary node task
         return NodeTask(graph=data, metric=metric, name=name)
     graphs, labels = data
@@ -61,11 +61,12 @@ def _load_task(path: str, fmt: str):
 
 
 def _rewire_config(args) -> RewireConfig:
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, not {args.seed}")
     return RewireConfig(
         method=args.rewire, t=args.t, alpha=args.alpha,
         iteration_fraction=args.fraction, tau=args.tau, seed=args.seed,
-        diffusion_norm=Normalization(args.diffusion_norm),
-        budget_seconds=args.budget_seconds)
+        diffusion_norm=Normalization(args.diffusion_norm))
 
 
 def cmd_stats(args) -> int:
@@ -101,17 +102,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rewire(args) -> int:
-    data = load_dataset(args.dataset, args.format)
-    if not isinstance(data, Graph):
+    g = load_dataset(args.dataset, args.format)
+    if not isinstance(g, Graph):
         raise InputError("rewire command expects a single-graph dataset")
-    g = data
     config = _rewire_config(args)
     os.makedirs(args.out, exist_ok=True)
     try:
-        rewired = apply_rewiring(g, config)
+        rewired = apply_rewiring(g, config, Budget(args.budget_seconds))
     except BudgetExceeded:
         with open(os.path.join(args.out, "OOR"), "w") as fh:
-            fh.write(f"method {config.method} exceeded {config.budget_seconds}s\n")
+            fh.write(f"method {config.method} exceeded {args.budget_seconds}s\n")
         raise
 
     artifacts = []
@@ -146,8 +146,8 @@ def cmd_rewire(args) -> int:
     artifacts.append("spectral.csv")
 
     _write_manifest(args.out, {"command": "rewire", "dataset": args.dataset,
-                               "format": args.format,
-                               "rewire": config.__dict__}, artifacts)
+                               "format": args.format, "rewire": config.__dict__,
+                               "budget_seconds": args.budget_seconds}, artifacts)
     print(f"rewired with {config.method}: |E| {g.num_edges} -> "
           f"{rewired.graph.num_edges}; {len(delta.edges)} common edges, "
           f"{delta.worsened} with negative curvature delta")
@@ -212,7 +212,7 @@ def cmd_run(args) -> int:
     _write_manifest(args.out, {
         "command": "run", "dataset": args.dataset, "format": args.format,
         "model": args.model, "rewire": config.__dict__, "grid": args.grid,
-        "seed": args.seed}, artifacts)
+        "seed": args.seed, "budget_seconds": args.budget_seconds}, artifacts)
     print(summary, end="")
     return 3 if oor else 0
 

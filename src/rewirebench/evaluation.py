@@ -12,7 +12,6 @@ scoring stage.
 from __future__ import annotations
 
 import logging
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import stdtr
 
-from .errors import BudgetExceeded, CompatibilityError, InputError
+from .errors import Budget, BudgetExceeded, CompatibilityError, InputError
 from .graph import Graph, Normalization, OperatorKind, shift_operator
 from .models import (augment, gesn_embed, gesn_init, input_features, one_hot,
                      pool, predict, ridge_fit, ridge_solve)
@@ -297,24 +296,10 @@ class ExperimentReport:
             self.std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
 
 
-class _Budget:
-    def __init__(self, seconds: float | None):
-        self.start = time.monotonic()
-        self.seconds = seconds
-
-    def check(self) -> None:
-        if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise BudgetExceeded(f"budget of {self.seconds}s exceeded")
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
-
-
 # ---------------------------------------------------------------------------
 # embedding generation
 
-def _sgc_embeddings(graph: Graph, operator, space: SearchSpace, budget: _Budget):
+def _sgc_embeddings(graph: Graph, operator, space: SearchSpace, budget: Budget):
     """Yield ({config}, node embeddings) for the SGC grid.
 
     With a kernel-rewired operator the operator-type grid collapses to the
@@ -339,7 +324,7 @@ def _sgc_embeddings(graph: Graph, operator, space: SearchSpace, budget: _Budget)
 
 
 def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
-                     budget: _Budget, jobs: int, pooling: tuple | None = None):
+                     budget: Budget, jobs: int, pooling: tuple | None = None):
     """Yield ({config}, embeddings) for the GESN grid over rewired graphs.
 
     ρ(M) comes from the rewiring where it has a closed form (heat, PageRank)
@@ -441,9 +426,9 @@ def model_select(task, model: str, rconfig: RewireConfig,
     """Run the full protocol for one (task, model, rewiring) triple.
 
     For each outer fold the best-validation configuration is refit on
-    train+val and scored once on the sealed test fold. Selection is one pass
-    over the grid for all folds, so a budget overrun marks the report OOR with
-    no folds instead of raising.
+    train+val and scored once on the sealed test fold. Selection is one
+    pass over the grid for all folds under one Budget(budget_seconds) that
+    the rewiring shares; an overrun marks the report OOR with no folds.
     """
     check_compatibility(task.kind, model, rconfig.method)
     space = space or SearchSpace()
@@ -451,7 +436,7 @@ def model_select(task, model: str, rconfig: RewireConfig,
     splits = make_splits(labels, k=5, seed=seed)
     report = ExperimentReport(dataset=task.name, task=task.kind, model=model,
                               method=rconfig.method, metric_name=task.metric)
-    budget = _Budget(budget_seconds)
+    budget = Budget(budget_seconds)
     try:
         # one pass over the grid keeps each fold's best (val, cfg, emb); a
         # fold compares configs and lambdas in grid order, first one wins ties
@@ -503,23 +488,18 @@ def model_select(task, model: str, rconfig: RewireConfig,
 
 
 def _all_embeddings(task, model: str, rconfig: RewireConfig,
-                    space: SearchSpace, seed: int, budget: _Budget, jobs: int):
-    if task.kind == "node":
-        rewired = apply_rewiring(task.graph, rconfig)
-        if model == "sgc":
-            yield from _sgc_embeddings(rewired.graph, rewired.operator, space,
-                                       budget)
-        elif model == "gesn":
-            yield from _gesn_embeddings([rewired], space, seed, budget, jobs)
-        else:
-            raise InputError(f"unknown model {model!r}")
+                    space: SearchSpace, seed: int, budget: Budget, jobs: int):
+    if model not in ("sgc", "gesn"):   # check_compatibility keeps sgc to nodes
+        raise InputError(f"unknown model {model!r}")
+    node = task.kind == "node"
+    rewired = []
+    for gi, g in enumerate([task.graph] if node else task.graphs):
+        budget.check()
+        rewired.append(apply_rewiring(
+            g, replace(rconfig, seed=rconfig.seed + 104729 * gi), budget))
+    if model == "sgc":
+        yield from _sgc_embeddings(rewired[0].graph, rewired[0].operator,
+                                   space, budget)
     else:
-        if model != "gesn":
-            raise InputError(f"model {model!r} not available for graph tasks")
-        rewired = []
-        for gi, g in enumerate(task.graphs):
-            budget.check()
-            rewired.append(apply_rewiring(
-                g, replace(rconfig, seed=rconfig.seed + 104729 * gi)))
         yield from _gesn_embeddings(rewired, space, seed, budget, jobs,
-                                    space.pooling)
+                                    None if node else space.pooling)

@@ -43,7 +43,6 @@ class ReservoirParams:
     rho_raw: float          # spectral radius of w_raw
     input_scaling: float
     target_rho: float
-    seed: int
     iterations: int = 30
 
     @property
@@ -73,8 +72,7 @@ def gesn_init(x_dim: int, hidden: int, input_scaling: float, target_rho: float,
     rho_raw = float(spectral_radius(w_raw, seed=seed))
     return ReservoirParams(unit_in=unit_in, w_raw=w_raw, unit_bias=unit_bias,
                            rho_raw=rho_raw, input_scaling=input_scaling,
-                           target_rho=target_rho, seed=seed,
-                           iterations=iterations)
+                           target_rho=target_rho, iterations=iterations)
 
 
 def gesn_embed(m, x: np.ndarray, params: ReservoirParams) -> np.ndarray:

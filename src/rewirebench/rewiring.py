@@ -15,13 +15,12 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from time import monotonic as _now
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import BudgetExceeded, InputError
+from .errors import Budget, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
 # heat_kernel stays a module attribute for pipebench/tracing.py
 from .spectral import (HeatOperator, PagerankOperator, effective_resistance,
@@ -42,13 +41,14 @@ class RewireConfig:
     tau: float = 0.5                   # sdrf softmax temperature
     seed: int = 0
     diffusion_norm: Normalization = Normalization.RW
-    budget_seconds: float | None = None
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise InputError(f"unknown rewiring method {self.method!r}")
         if self.method == "heat" and not 0.1 <= self.t <= 5.0:
             raise InputError("heat diffusion requires t in [0.1, 5]")
+        if self.method == "sdrf" and not self.tau > 0:   # NaN fails too
+            raise InputError("sdrf requires a softmax temperature tau > 0")
         if self.method == "pagerank" and not 0.01 <= self.alpha <= 0.99:
             raise InputError("pagerank requires alpha in [0.01, 0.99]")
         if (self.method == "pagerank"
@@ -64,10 +64,6 @@ class RewireConfig:
         if self.iterations is not None:
             return self.iterations
         return max(1, int(round(self.iteration_fraction * num_edges)))
-
-    def deadline(self) -> float | None:
-        return None if self.budget_seconds is None else (
-            _now() + self.budget_seconds)
 
 
 @dataclass
@@ -115,15 +111,17 @@ def local_balanced_forman(adj: list[set], edges) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # SDRF
 
-def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
+def rewire_sdrf(g: Graph, config: RewireConfig,
+                budget: Budget | None = None) -> RewiredGraph:
     """Curvature-driven edge addition; it never removes an edge.
 
-    Per iteration: sample an edge with probability softmax(-Ric / tau), then
-    among candidate supports (u', v') with u' in N(u) ∪ {u}, v' in N(v) ∪ {v}
-    add the one giving the largest strict increase of Ric_uv (ties to the
-    lowest index pair). The curvatures live in an array aligned with the edge
-    list, allocated for every edge an add can append, and the softmax runs
-    over its live prefix. Two lemmas on the integer counts keep it exact:
+    Per iteration: budget.check() (BudgetExceeded once it is spent), sample
+    an edge with probability softmax(-Ric / tau), then among candidate
+    supports (u', v') with u' in N(u) ∪ {u}, v' in N(v) ∪ {v} add the one
+    giving the largest strict increase of Ric_uv (ties to the lowest index
+    pair). The curvatures live in an array aligned with the edge list,
+    allocated for every edge an add can append, and the softmax runs over
+    its live prefix. Two lemmas on the integer counts keep it exact:
 
     - Candidates: adding (a, b), a in N(u) \\ {v}, b in N(v) \\ {u}, moves
       no degree, triangle or wedge set of (u, v); if a ∉ N(v) and b ∉ N(u)
@@ -143,13 +141,12 @@ def rewire_sdrf(g: Graph, config: RewireConfig) -> RewiredGraph:
     pos = {e: j for j, (x, y) in enumerate(edges) for e in ((x, y), (y, x))}
     edit_log = []
     tau = config.tau
-    deadline = config.deadline()
+    budget = budget or Budget()
 
     for it in range(iters):
         if not edges:
             break
-        if deadline is not None and _now() > deadline:
-            raise BudgetExceeded(f"sdrf exceeded {config.budget_seconds}s")
+        budget.check()
         vals = ric[:len(edges)]
         w = np.exp(-vals / tau - np.max(-vals / tau))
         probs = w / w.sum()
@@ -211,12 +208,13 @@ def _tri(adj, u, v) -> int:
 GRLEF_DRAWS = 10  # edge draws per GRLEF iteration before it logs a skip
 
 
-def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
+def rewire_grlef(g: Graph, config: RewireConfig,
+                 budget: Budget | None = None) -> RewiredGraph:
     """Triangle-guided edge flipping.
 
-    Per iteration: sample (u, v) with probability proportional to
-    1 / (triangles + 1), then flip the pair (u, u'), (v, v') into
-    (u, v'), (v, u') minimizing the net change in total triangle count.
+    Per iteration: budget.check(), as in SDRF, sample (u, v) with probability
+    proportional to 1 / (triangles + 1), then flip the pair (u, u'), (v, v')
+    into (u, v'), (v, u') minimizing the net change in total triangle count.
     Degree sequence is preserved exactly. The triangle counts live in a dict
     in edge-list order, and a flip recounts only the edges at u, v, u', v'.
     """
@@ -225,13 +223,12 @@ def rewire_grlef(g: Graph, config: RewireConfig) -> RewiredGraph:
     tri = {e: _tri(adj, *e) for e in map(tuple, g.edges.tolist())}
     edit_log = []
     iters = config.num_iterations(len(tri))
-    deadline = config.deadline()
+    budget = budget or Budget()
 
     for it in range(iters):
         if not tri:
             break
-        if deadline is not None and _now() > deadline:
-            raise BudgetExceeded(f"grlef exceeded {config.budget_seconds}s")
+        budget.check()
         flipped = False
         edges = list(tri)
         probs = 1.0 / (np.fromiter(tri.values(), np.float64, len(tri)) + 1.0)
@@ -383,7 +380,10 @@ def rewire_diffwire(g: Graph) -> RewiredGraph:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
+def apply_rewiring(g: Graph, config: RewireConfig,
+                   budget: Budget | None = None) -> RewiredGraph:
+    """Rewire g by config.method; only SDRF and GRLEF read budget (None: no
+    limit), with one budget.check() per iteration."""
     config.validate()
     if config.method == "baseline":
         return RewiredGraph(method="baseline", graph=g)
@@ -405,9 +405,9 @@ def apply_rewiring(g: Graph, config: RewireConfig) -> RewiredGraph:
         return RewiredGraph(method="pagerank", graph=g, operator=kernel,
                             rho=1.0 if g.num_edges else config.alpha)
     if config.method == "sdrf":
-        return rewire_sdrf(g, config)
+        return rewire_sdrf(g, config, budget)
     if config.method == "grlef":
-        return rewire_grlef(g, config)
+        return rewire_grlef(g, config, budget)
     if config.method == "egp":
         return rewire_egp(g)
     if config.method == "diffwire":

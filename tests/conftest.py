@@ -127,6 +127,28 @@ def rng():
     return np.random.default_rng(12345)
 
 
+class FakeClock:
+    """Stands in for the `time` module of rewirebench.errors, so that a
+    Budget reads `now` and each read moves it on by `step` seconds."""
+
+    def __init__(self):
+        self.now, self.step, self.reads = 0.0, 0.0, 0
+
+    def monotonic(self):
+        self.reads += 1
+        self.now += self.step
+        return self.now - self.step
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The clock every Budget made in this test reads."""
+    from rewirebench import errors
+    fake = FakeClock()
+    monkeypatch.setattr(errors, "time", fake)
+    return fake
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting: one pass/fail line per criterion at the end of the run
 

@@ -251,6 +251,23 @@ class TestRun:
             assert "features.csv: row 18 (node 17) holds a non-finite" in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("classes, sizes, metric", [
+        ((-1, 1), (30, 30), "accuracy"),
+        ((3, 7), (30, 30), "accuracy"),
+        ((-1, 1), (10, 50), "auroc"),
+        ((0, 1), (30, 30), "accuracy"),
+        ((0, 1), (10, 50), "auroc"),
+    ])
+    def test_binary_metric_from_class_sizes(self, tmp_path, classes, sizes,
+                                            metric):
+        # AUROC only for two classes whose smaller is under half the larger,
+        # whatever the two label values are
+        labels = np.repeat(classes, sizes)
+        d = tmp_path / "binary"
+        write_canonical(d, [(i, i + 1) for i in range(labels.size - 1)],
+                        np.ones((labels.size, 1)), labels=labels)
+        assert cli._load_task(str(d), "canonical").metric == metric
+
     def test_budget_zero_marks_oor(self, node_dataset, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--dataset", node_dataset, "--model", "gesn",
@@ -302,6 +319,35 @@ class TestRun:
         assert (a / "summary.txt").read_bytes() == (b / "summary.txt").read_bytes()
         # timing differs between runs; it lives outside the report files
         assert (a / "timing.txt").exists()
+
+
+class TestBadValues:
+    """Values that argparse accepts but the program cannot use exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rewire", "--rewire", "sdrf", "--seed", "-1"],
+         "--seed must be non-negative"),
+        (["run", "--seed", "-1"], "--seed must be non-negative"),
+        (["rewire", "--rewire", "sdrf", "--tau", "0"],
+         "sdrf requires a softmax temperature tau > 0"),
+        (["rewire", "--rewire", "sdrf", "--tau", "-1"],
+         "sdrf requires a softmax temperature tau > 0"),
+        (["rewire", "--rewire", "sdrf", "--budget-seconds", "nan"],
+         "budget must be >= 0 seconds, not nan"),
+        (["rewire", "--rewire", "sdrf", "--budget-seconds", "-1"],
+         "budget must be >= 0 seconds, not -1"),
+        (["run", "--budget-seconds", "nan"],
+         "budget must be >= 0 seconds, not nan"),
+        (["run", "--budget-seconds", "-1"],
+         "budget must be >= 0 seconds, not -1"),
+    ], ids=["rewire-seed", "run-seed", "tau-zero", "tau-negative",
+            "rewire-budget-nan", "rewire-budget-negative", "run-budget-nan",
+            "run-budget-negative"])
+    def test_exit_2(self, node_dataset, tmp_path, capsys, argv, message):
+        run = ["--model", "gesn", "--grid", "tiny", "--jobs", "1"]
+        assert main([*argv, *(run if argv[0] == "run" else []), "--dataset",
+                     node_dataset, "--out", str(tmp_path / "out")]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -370,8 +416,8 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         rewire = manifest["config"]["rewire"]
         assert rewire["t"] == 0.5 and isinstance(rewire["t"], float)
-        assert rewire["budget_seconds"] == 120.0
-        assert isinstance(rewire["budget_seconds"], float)
+        assert manifest["config"]["budget_seconds"] == 120.0
+        assert isinstance(manifest["config"]["budget_seconds"], float)
         assert rewire["seed"] == 3 and isinstance(rewire["seed"], int)
 
 

@@ -8,14 +8,14 @@ import pytest
 import scipy.sparse.linalg as spla
 import scipy.stats
 
-from rewirebench import (BudgetExceeded, CompatibilityError, GraphTask,
-                         InputError, NodeTask, Normalization, OperatorKind,
-                         RewireConfig, SearchSpace, accuracy, apply_rewiring,
-                         auroc, build_graph, gesn_embed, gesn_init,
-                         input_features, make_splits, model_select, pool,
-                         predict, ridge_fit, shift_operator, significance,
-                         spectral_radius, stratified_kfold)
-from rewirebench import evaluation
+from rewirebench import (Budget, BudgetExceeded, CompatibilityError,
+                         GraphTask, InputError, NodeTask, Normalization,
+                         OperatorKind, RewireConfig, SearchSpace, accuracy,
+                         apply_rewiring, auroc, build_graph, gesn_embed,
+                         gesn_init, input_features, make_splits, model_select,
+                         pool, predict, ridge_fit, shift_operator,
+                         significance, spectral_radius, stratified_kfold)
+from rewirebench import evaluation, rewiring
 from rewirebench.evaluation import check_compatibility, stratified_holdout
 from rewirebench.rewiring import RewiredGraph
 
@@ -461,7 +461,7 @@ def reference_selection(task, model, space, seed, table=None):
     list gets each fold's [(config, lambda, val metric)]."""
     labels = np.asarray(task.labels)
     embeddings = list(evaluation._all_embeddings(
-        task, model, RewireConfig(), space, seed, evaluation._Budget(None), 1))
+        task, model, RewireConfig(), space, seed, Budget(None), 1))
     out = []
     for split in make_splits(labels, k=5, seed=seed):
         best = None
@@ -519,7 +519,7 @@ def reference_gesn(rewired, space, seed, pooling=None):
 
 
 def gesn_grid(task, rconfig, jobs=1, seed=2):
-    budget = evaluation._Budget(None)
+    budget = Budget(None)
     return list(evaluation._all_embeddings(task, "gesn", rconfig, GESN_SPACE,
                                            seed, budget, jobs))
 
@@ -596,7 +596,7 @@ class TestGESNGrid:
                                   graph=build_graph([], np.zeros((0, 2))),
                                   operator=np.zeros((0, 0)))
         grid = evaluation._gesn_embeddings(rewired, GESN_SPACE, 2,
-                                           evaluation._Budget(None), 1,
+                                           Budget(None), 1,
                                            GESN_SPACE.pooling)
         with pytest.raises(InputError, match="cannot pool an empty graph"):
             next(grid)
@@ -658,3 +658,27 @@ class TestGESNGrid:
                               SearchSpace.tiny(), seed=0, budget_seconds=0.0)
         assert report.oor
         assert report.folds == []
+
+    @pytest.mark.parametrize("graph, iteration", [(0, 0), (1, 2), (6, 1)])
+    def test_collection_rewiring_shares_the_selection_budget(
+            self, clock, monkeypatch, graph, iteration):
+        # the selection's budget starts at t = 0 and each later read is one
+        # second on; graph i is checked at t = 4i + 1 and its SDRF iteration
+        # k at t = 4i + 2 + k, so a budget of 4i + 2 + k s is spent there
+        clock.step = 1.0
+        calls, real_sdrf = [], rewiring.rewire_sdrf
+
+        def recording_sdrf(g, config, budget=None):
+            calls.append(clock.reads)
+            return real_sdrf(g, config, budget)
+
+        monkeypatch.setattr(rewiring, "rewire_sdrf", recording_sdrf)
+        report = model_select(blob_graph_task(10), "gesn",
+                              RewireConfig(method="sdrf", iterations=3),
+                              SearchSpace.tiny(), seed=0,
+                              budget_seconds=4 * graph + 2 + iteration)
+        assert report.oor and report.folds == []
+        assert len(calls) == graph + 1
+        # the raising call read the clock once per iteration up to k, and
+        # model_select once more for its wall clock
+        assert clock.reads - calls[-1] == iteration + 2

@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rewirebench import (InputError, RewireConfig, apply_rewiring,
+from rewirebench import (Budget, BudgetExceeded, InputError, RewireConfig,
+                         apply_rewiring,
                          balanced_forman, build_graph, cayley_graph,
                          rewire_diffwire, rewire_egp, rewire_grlef,
                          rewire_sdrf, sl2_order)
@@ -28,7 +30,10 @@ class TestConfig:
                                     dict(method="pagerank",
                                          diffusion_norm=Normalization.NONE),
                                     dict(method="sdrf", iteration_fraction=0.5),
-                                    dict(method="grlef", iteration_fraction=0.0)])
+                                    dict(method="grlef", iteration_fraction=0.0),
+                                    dict(method="sdrf", tau=0.0),
+                                    dict(method="sdrf", tau=-1.0),
+                                    dict(method="sdrf", tau=math.nan)])
     def test_out_of_range(self, kw):
         with pytest.raises(InputError):
             RewireConfig(**kw).validate()
@@ -544,3 +549,40 @@ class TestDispatch:
                 m = m if isinstance(m, np.ndarray) else m.toarray()
                 want = np.max(np.abs(np.linalg.eigvals(m)))
                 assert out.rho == pytest.approx(want, rel=1e-12), (g, cfg)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("seconds", [math.nan, -1.0, -math.inf])
+    def test_rejects_nan_and_negative_seconds(self, seconds):
+        with pytest.raises(InputError, match="budget must be >= 0 seconds"):
+            Budget(seconds)
+
+    @pytest.mark.parametrize("method", ["sdrf", "grlef"])
+    def test_zero_budget_raises_at_first_iteration(self, method):
+        with pytest.raises(BudgetExceeded):
+            apply_rewiring(cycle_graph(6), RewireConfig(method=method),
+                           Budget(0.0))
+
+    @pytest.mark.parametrize("seconds", [None, math.inf])
+    @pytest.mark.parametrize("method", ["sdrf", "grlef"])
+    def test_unlimited_budget_never_raises(self, method, seconds, clock, rng):
+        g = random_graph(12, 0.3, rng, connected=True)
+        budget = Budget(seconds)
+        clock.now = 1e12   # far past any finite budget
+        cfg = RewireConfig(method=method, iterations=6, seed=1)
+        out = apply_rewiring(g, cfg, budget)
+        assert len({it for it, *_ in out.edit_log}) == 6
+        assert out.edit_log == apply_rewiring(g, cfg).edit_log
+
+    @pytest.mark.parametrize("method", ["sdrf", "grlef"])
+    @pytest.mark.parametrize("iteration", [0, 4])
+    def test_iteration_after_budget_spent_raises(self, method, iteration,
+                                                 clock, rng):
+        # the budget starts at t = 0, each later read is one second on, and
+        # iteration k checks at t = k + 1: a budget of k + 1 s is spent there
+        clock.step = 1.0
+        g = random_graph(12, 0.3, rng, connected=True)
+        budget = Budget(iteration + 1.0)
+        with pytest.raises(BudgetExceeded):
+            apply_rewiring(g, RewireConfig(method=method, iterations=6), budget)
+        assert clock.reads == iteration + 2
