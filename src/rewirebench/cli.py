@@ -60,9 +60,17 @@ def _load_task(path: str, fmt: str):
     return GraphTask(graphs=graphs, labels=labels, name=name)
 
 
-def _rewire_config(args) -> RewireConfig:
+def _check_common(args) -> None:
+    """Refuse values of the options every command takes that argparse
+    accepts but the program cannot use."""
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, not {args.seed}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
+    Budget(args.budget_seconds)   # refuses a NaN or negative budget
+
+
+def _rewire_config(args) -> RewireConfig:
     return RewireConfig(
         method=args.rewire, t=args.t, alpha=args.alpha,
         iteration_fraction=args.fraction, tau=args.tau, seed=args.seed,
@@ -317,6 +325,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_common(args)
         if args.command == "stats":
             return cmd_stats(args)
         if args.command == "rewire":

@@ -20,10 +20,12 @@ import os
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, canonical_edges
 
 
-def _read_int_pairs(path, sep=None):
+def _read_int_pairs(path, sep=None) -> np.ndarray:
+    """An (m, 2) int64 array; the row list is freed before anything else
+    is read."""
     try:
         rows = []
         with open(path) as fh:
@@ -35,7 +37,7 @@ def _read_int_pairs(path, sep=None):
                 if len(parts) < 2:
                     raise InputError(f"{path}:{ln}: expected two columns")
                 rows.append((int(parts[0]), int(parts[1])))
-        return rows
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read edge file {path}: {exc}") from exc
 
@@ -102,40 +104,55 @@ def _check_count(path, found: int, expected: int, what: str, per: str) -> None:
         raise InputError(f"{path} has {found} {what} for {expected} {per}")
 
 
-def _groups(keys: np.ndarray, num: int) -> list:
-    """Indices of the items of each key 0..num-1, in input order."""
-    counts = np.bincount(keys, minlength=num)
-    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
-
-
 def _split_collection(edges, features, node_labels, gids, graph_labels, name):
     """Split a node-level edge list into one graph per graph id; a graph's
     nodes keep their order and are renumbered 0..n_i-1. An edge with an
-    endpoint out of range, or joining two graphs, is an InputError."""
+    endpoint out of range, or joining two graphs, is an InputError.
+
+    The whole edge list is canonicalized once. Renumbering is increasing
+    within a graph, so each graph's slice of it is already the graph's
+    canonical edge array, the one build_graph would make."""
     uniq, graph_of = np.unique(gids, return_inverse=True)
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    num_nodes = graph_of.shape[0]
-    if e.size and (e.min() < 0 or e.max() >= num_nodes):
+    num_nodes, num_graphs = graph_of.shape[0], uniq.shape[0]
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise InputError(f"edge endpoint out of range for {num_nodes} nodes")
-    crossing = np.flatnonzero(graph_of[e[:, 0]] != graph_of[e[:, 1]])
+    crossing = np.flatnonzero(graph_of[edges[:, 0]] != graph_of[edges[:, 1]])
     if crossing.size:
-        u, v = e[crossing[0]]
+        u, v = edges[crossing[0]]
         raise InputError(f"an edge joins graphs {gids[u]} and {gids[v]}")
+    order = np.argsort(graph_of, kind="stable")
+    sizes = np.bincount(graph_of, minlength=num_graphs)
+    starts = np.cumsum(sizes) - sizes
     local = np.empty(num_nodes, dtype=np.int64)
-    graphs, majority = [], []
-    for gi, nodes, sub in zip(uniq, _groups(graph_of, uniq.shape[0]),
-                              _groups(graph_of[e[:, 0]], uniq.shape[0])):
-        local[nodes] = np.arange(nodes.shape[0])
-        graphs.append(build_graph(
-            local[e[sub]], features[nodes],
-            node_labels[nodes] if node_labels is not None else None,
-            name=f"{name}[{gi}]"))
-        if graph_labels is None and node_labels is not None:
-            vals, counts = np.unique(node_labels[nodes], return_counts=True)
-            majority.append(vals[np.argmax(counts)])
+    local[order] = np.arange(num_nodes) - np.repeat(starts, sizes)
+    canon = canonical_edges(edges, num_nodes)
+    edge_graph = graph_of[canon[:, 0]]
+    by_graph = np.argsort(edge_graph, kind="stable")
+    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs))
+    split_edges = np.split(local[canon[by_graph]], edge_ends[:-1])
+    split_nodes = np.split(order, np.cumsum(sizes)[:-1])
+    graphs = [Graph(num_nodes=int(n), edges=ge, features=features[nodes],
+                    labels=(node_labels[nodes] if node_labels is not None
+                            else None),
+                    name=f"{name}[{gi}]")
+              for gi, n, nodes, ge in zip(uniq.tolist(), sizes, split_nodes,
+                                          split_edges)]
     if graph_labels is not None:
         return graphs, np.asarray(graph_labels, dtype=np.int64)
-    return graphs, np.array(majority, dtype=np.int64) if majority else None
+    if node_labels is None or not graphs:
+        return graphs, None
+    return graphs, _majority(graph_of, node_labels)
+
+
+def _majority(graph_of: np.ndarray, node_labels: np.ndarray) -> np.ndarray:
+    """Each graph's most frequent node label, the least one on a tie."""
+    classes, label_of = np.unique(node_labels, return_inverse=True)
+    pairs, counts = np.unique(graph_of * classes.shape[0] + label_of,
+                              return_counts=True)
+    graph, label = np.divmod(pairs, classes.shape[0])
+    # per graph, by count descending then label ascending; first one wins
+    first = np.lexsort((label, -counts, graph))
+    return classes[label[first][np.diff(graph[first], prepend=-1) != 0]]
 
 
 def load_tudataset(path: str, name: str | None = None):
@@ -147,7 +164,7 @@ def load_tudataset(path: str, name: str | None = None):
     for required in ("A", "graph_indicator", "graph_labels"):
         if not os.path.exists(f(required)):
             raise InputError(f"missing TUDataset file {f(required)}")
-    edges = np.asarray(_read_int_pairs(f("A")), dtype=np.int64) - 1
+    edges = _read_int_pairs(f("A")) - 1
     indicator = _read_ints(f("graph_indicator"))
     graph_labels = _read_ints(f("graph_labels"))
     _check_count(f("graph_labels"), graph_labels.shape[0],

@@ -21,16 +21,20 @@ import scipy.sparse as sp
 from scipy.special import stdtr
 
 from .errors import Budget, BudgetExceeded, CompatibilityError, InputError
-from .graph import Graph, Normalization, OperatorKind, shift_operator
+from .graph import (Graph, Normalization, OperatorKind, disjoint_union,
+                    shift_operator)
 from .models import (augment, gesn_embed, gesn_init, input_features, one_hot,
                      pool, predict, ridge_fit, ridge_solve)
 from .rewiring import RewireConfig, apply_rewiring
-from .spectral import spectral_radius
+from .spectral import EXACT_SPARSE_RADIUS_ROWS, spectral_radius
 
 log = logging.getLogger(__name__)
 
 NODE_ONLY_REWIRING = ("heat", "pagerank")   # diffusion defined for node tasks
 NODE_ONLY_MODELS = ("sgc",)
+# doubles per dense stack of equal-size blocks whose spectral radii are
+# taken in one call (8 MB)
+RADIUS_STACK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -328,34 +332,30 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     """Yield ({config}, embeddings) for the GESN grid over rewired graphs.
 
     ρ(M) comes from the rewiring where it has a closed form (heat, PageRank)
-    and is measured once per graph otherwise. The reservoir is drawn once
-    per hidden size; a config only rescales that draw. A node task (one
-    graph, no `pooling`) gets node embeddings, a graph task one row per
-    graph and mode.
+    and is measured otherwise. The reservoir is drawn once per hidden size;
+    a config only rescales that draw. A node task (one graph, no `pooling`)
+    gets node embeddings, a graph task one row per graph and mode.
 
-    Several graphs are embedded in one pass over their disjoint union: a
-    block-diagonal operator whose block i is M_i / ρ(M_i), so the reservoir
-    carries only the config's ρ, and pooling reduces over graph offsets. A
-    single graph keeps its operator as given and 1/ρ(M) in the reservoir, so
-    the operator is applied unscaled and node embeddings keep their bits.
+    Several graphs are embedded in one pass over their disjoint union (see
+    _union_operator), so the reservoir carries only the config's ρ, and
+    pooling reduces over graph offsets. A single graph keeps its operator
+    as given and 1/ρ(M) in the reservoir, so the operator is applied
+    unscaled and node embeddings keep their bits.
     """
-    ops, rhos, xs = [], [], []
-    for rw in rewired:
+    if len(rewired) == 1:
+        rw = rewired[0]
         op = rw.operator
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE)
         rho_m = (rw.rho if rw.rho is not None
                  else float(spectral_radius(op, seed=seed)))
-        ops.append(op)
-        rhos.append(rho_m if rho_m > 0 else 1.0)
-        xs.append(input_features(rw.graph.features))
-    if len(ops) == 1:
-        op, rho_m, x = ops[0], rhos[0], xs[0]
+        rho_m = rho_m if rho_m > 0 else 1.0
+        x, offsets = input_features(rw.graph.features), np.zeros(1, np.int64)
     else:
-        op = sp.block_diag([o / r for o, r in zip(ops, rhos)], format="csr")
-        rho_m, x = 1.0, np.concatenate(xs)
-    offsets = np.cumsum([0] + [xi.shape[0] for xi in xs[:-1]])
+        union, offsets = disjoint_union([rw.graph for rw in rewired])
+        op, rho_m = _union_operator(rewired, union, offsets, seed), 1.0
+        x = input_features(union.features)
     draws = {h: gesn_init(x.shape[1], h, 1.0, 1.0, seed=seed)
              for h in space.gesn_hidden}
     configs = [(h, s, r) for h in space.gesn_hidden
@@ -372,17 +372,95 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         return [({**base, "pooling": p}, pool(emb, p, offsets))
                 for p in pooling]
 
-    # at most `workers` configs run ahead of the one being consumed, so memory
+    # at most `jobs` configs run ahead of the one being consumed, so memory
     # holds one embedding per worker, not the whole grid
-    workers = max(1, jobs)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
         ahead = deque()
         for cfg in configs:
             ahead.append(ex.submit(compute, cfg))
-            if len(ahead) > workers:
+            if len(ahead) > jobs:
                 yield from ahead.popleft().result()
         while ahead:
             yield from ahead.popleft().result()
+
+
+def _union_operator(rewired: list, union: Graph, offsets: np.ndarray,
+                    seed: int) -> sp.csr_matrix:
+    """The collection's block-diagonal CSR operator, block i being
+    M_i / ρ(M_i) (the adjacency where the rewiring gave no operator, and
+    ρ 0 taken as 1): sp.block_diag of the scaled blocks in data, indices
+    and indptr, built without a per-graph step where no operator is given.
+
+    ρ comes from the rewiring where it has a closed form. Otherwise graphs
+    of at most EXACT_SPARSE_RADIUS_ROWS nodes get it from one
+    spectral_radius call per stack of equal-size dense blocks, and each
+    larger graph from its own operator (ARPACK).
+    """
+    sizes = np.diff(offsets, append=union.num_nodes)
+    if all(rw.operator is None for rw in rewired):
+        m = union.adjacency()
+    else:
+        blocks = [rw.graph.adjacency() if rw.operator is None
+                  else sp.csr_matrix(rw.operator) for rw in rewired]
+        nnz = [b.nnz for b in blocks]
+        m = sp.csr_matrix((
+            np.concatenate([b.data for b in blocks], dtype=np.float64),
+            np.concatenate([b.indices for b in blocks])
+            + np.repeat(offsets, nnz),
+            np.concatenate([[0]] + [np.diff(b.indptr) for b in blocks])
+            .cumsum()), shape=(union.num_nodes,) * 2)
+        m.sum_duplicates()   # sorts each row, as block_diag's COO does
+    rhos = np.array([np.nan if rw.rho is None else rw.rho for rw in rewired])
+    for i in np.flatnonzero(np.isnan(rhos)
+                            & (sizes > EXACT_SPARSE_RADIUS_ROWS)):
+        op = rewired[i].operator
+        if op is None:
+            op = shift_operator(rewired[i].graph, OperatorKind.ADJACENCY,
+                                Normalization.NONE)
+        rhos[i] = float(spectral_radius(op, seed=seed))
+    small = np.flatnonzero(np.isnan(rhos) & (sizes > 0))
+    if small.size:
+        rhos[small] = _block_radii(m, offsets, sizes, small)
+    rhos[~(rhos > 0)] = 1.0
+    row_scale = np.repeat(1.0 / rhos, sizes)
+    return sp.csr_matrix((m.data * np.repeat(row_scale, np.diff(m.indptr)),
+                          m.indices, m.indptr), shape=m.shape)
+
+
+def _block_radii(m: sp.csr_matrix, offsets: np.ndarray, sizes: np.ndarray,
+                 blocks: np.ndarray) -> np.ndarray:
+    """ρ of the diagonal blocks `blocks` of the block-diagonal CSR m, with
+    one spectral_radius call per stack of equal-size dense blocks; a stack
+    holds at most RADIUS_STACK_ENTRIES doubles (or one block)."""
+    by_size = blocks[np.argsort(sizes[blocks], kind="stable")]
+    n = sizes[by_size]
+    rank = np.arange(n.size) - np.searchsorted(n, n)   # place among its size
+    slot = rank % np.maximum(1, RADIUS_STACK_ENTRIES // (n * n))
+    stack = np.cumsum(slot == 0) - 1
+    stack_start = np.searchsorted(stack, np.arange(stack[-1] + 2))
+    # each block's stack (-1 outside `blocks`) and its start in that stack,
+    # then each entry's place in its stack's flat k * n * n array
+    stack_of = np.full(sizes.size, -1)
+    stack_of[by_size] = stack
+    base = np.zeros(sizes.size, dtype=np.int64)
+    base[by_size] = slot * n * n
+    row_nnz = np.diff(m.indptr)
+    block = np.repeat(np.repeat(np.arange(sizes.size), sizes), row_nnz)
+    row = np.repeat(np.arange(m.shape[0]), row_nnz) - offsets[block]
+    flat = base[block] + row * sizes[block] + m.indices - offsets[block]
+    order = np.argsort(stack_of[block], kind="stable")
+    entry_start = np.searchsorted(stack_of[block][order],
+                                  np.arange(stack[-1] + 2))
+    radii = np.empty(sizes.size)
+    for s in range(stack[-1] + 1):
+        lo, hi = stack_start[s], stack_start[s + 1]
+        k, size = hi - lo, n[lo]
+        entries = order[entry_start[s]:entry_start[s + 1]]
+        dense = np.zeros(k * size * size)
+        dense[flat[entries]] = m.data[entries]
+        radii[by_size[lo:hi]] = spectral_radius(
+            dense.reshape(k, size, size)).value
+    return radii[blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -382,11 +382,18 @@ def rewire_diffwire(g: Graph) -> RewiredGraph:
 
 def apply_rewiring(g: Graph, config: RewireConfig,
                    budget: Budget | None = None) -> RewiredGraph:
-    """Rewire g by config.method; only SDRF and GRLEF read budget (None: no
-    limit), with one budget.check() per iteration."""
+    """Rewire g by config.method under budget (None: no limit). SDRF and
+    GRLEF check it once per iteration; a kernel method (heat, PageRank,
+    EGP, DiffWire) checks it before its build and again after it."""
     config.validate()
     if config.method == "baseline":
         return RewiredGraph(method="baseline", graph=g)
+    if config.method == "sdrf":
+        return rewire_sdrf(g, config, budget)
+    if config.method == "grlef":
+        return rewire_grlef(g, config, budget)
+    budget = budget or Budget()
+    budget.check()
     # diffusion: a kernel of the normalized adjacency (node tasks only; the
     # evaluation harness enforces the restriction). A normalized T has
     # rho(T) = 1 on a graph with an edge and 0 on one without, so
@@ -397,19 +404,16 @@ def apply_rewiring(g: Graph, config: RewireConfig,
         t_op = shift_operator(g, OperatorKind.ADJACENCY, norm)
         rho_t = (float(spectral_radius(t_op)) if norm is Normalization.NONE
                  else float(g.num_edges > 0))
-        return RewiredGraph(method="heat", graph=g,
-                            operator=HeatOperator(t_op, config.t, rho_t),
-                            rho=math.exp(-config.t * (1.0 - rho_t)))
-    if config.method == "pagerank":
+        rewired = RewiredGraph(method="heat", graph=g,
+                               operator=HeatOperator(t_op, config.t, rho_t),
+                               rho=math.exp(-config.t * (1.0 - rho_t)))
+    elif config.method == "pagerank":
         kernel = pagerank_kernel(g, config.alpha, config.diffusion_norm)
-        return RewiredGraph(method="pagerank", graph=g, operator=kernel,
-                            rho=1.0 if g.num_edges else config.alpha)
-    if config.method == "sdrf":
-        return rewire_sdrf(g, config, budget)
-    if config.method == "grlef":
-        return rewire_grlef(g, config, budget)
-    if config.method == "egp":
-        return rewire_egp(g)
-    if config.method == "diffwire":
-        return rewire_diffwire(g)
-    raise InputError(f"unknown rewiring method {config.method!r}")
+        rewired = RewiredGraph(method="pagerank", graph=g, operator=kernel,
+                               rho=1.0 if g.num_edges else config.alpha)
+    elif config.method == "egp":
+        rewired = rewire_egp(g)
+    else:
+        rewired = rewire_diffwire(g)
+    budget.check()
+    return rewired

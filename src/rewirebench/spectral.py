@@ -45,20 +45,23 @@ class SpectralRadiusResult:
 
 
 def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
-    """|lambda_max| of a dense array or a scipy sparse matrix.
+    """|lambda_max| of a dense array, a stack of them, or a scipy sparse matrix.
 
     A dense array, or a sparse one of at most EXACT_SPARSE_RADIUS_ROWS rows,
     gets exact eigenvalues (iterations 0), and an all-zero sparse matrix
-    radius 0. Any other sparse matrix makes one ARPACK call for the
-    eigenvalue of largest modulus, from a seeded start and to working
-    precision; iterations counts its products with m. If ARPACK raises, a
-    warning is logged and the exact value returned, flagged unconverged.
+    radius 0. A dense k x n x n stack (n >= 1) gets one radius per matrix,
+    as an array in `value`, each equal to that matrix's own radius. Any
+    other sparse matrix makes one ARPACK call for the eigenvalue of largest
+    modulus, from a seeded start and to working precision; iterations
+    counts its products with m. If ARPACK raises, a warning is logged and
+    the exact value returned, flagged unconverged.
     """
     sparse = sp.issparse(m)
     if not sparse:
         m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
-    if m.ndim != 2 or n != m.shape[1]:
+    n = m.shape[-1]
+    stack = not sparse and m.ndim == 3
+    if (m.ndim != 2 and not stack) or n != m.shape[-2]:
         raise InputError("spectral_radius requires a square matrix")
     if n == 0 or (sparse and m.count_nonzero() == 0):
         return SpectralRadiusResult(0.0, 0, True)
@@ -83,8 +86,11 @@ def spectral_radius(m, seed: int = 0) -> SpectralRadiusResult:
     return SpectralRadiusResult(float(np.abs(lam[0])), products, True)
 
 
-def _exact_radius(dense: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(dense))))
+def _exact_radius(dense: np.ndarray):
+    """A float for one matrix, an array of them for a stack: eigvals treats
+    each matrix of a stack on its own, so each radius has the same bits."""
+    radius = np.max(np.abs(np.linalg.eigvals(dense)), axis=-1)
+    return float(radius) if dense.ndim == 2 else radius
 
 
 def spectral_gap(g: Graph,

@@ -156,7 +156,8 @@ class TestRewire:
                      "--diffusion-norm", "none", "--out", str(out)]) == 0
         assert (out / "kernel.npy").exists()
 
-    @pytest.mark.parametrize("method", ["sdrf", "grlef"])
+    @pytest.mark.parametrize("method", ["sdrf", "grlef", "heat", "pagerank",
+                                        "egp", "diffwire"])
     def test_budget_zero_writes_oor(self, node_dataset, tmp_path, capsys,
                                     method):
         out = tmp_path / "rw"
@@ -340,14 +341,38 @@ class TestBadValues:
          "budget must be >= 0 seconds, not nan"),
         (["run", "--budget-seconds", "-1"],
          "budget must be >= 0 seconds, not -1"),
+        (["run", "--jobs", "0"], "--jobs must be at least 1, not 0"),
+        (["run", "--jobs", "-4"], "--jobs must be at least 1, not -4"),
+        (["rewire", "--rewire", "sdrf", "--jobs", "0"],
+         "--jobs must be at least 1, not 0"),
+        (["stats", "--seed", "-1"], "--seed must be non-negative"),
+        (["stats", "--jobs", "0"], "--jobs must be at least 1, not 0"),
+        (["stats", "--budget-seconds", "nan"],
+         "budget must be >= 0 seconds, not nan"),
+        (["stats", "--budget-seconds", "-1"],
+         "budget must be >= 0 seconds, not -1"),
     ], ids=["rewire-seed", "run-seed", "tau-zero", "tau-negative",
             "rewire-budget-nan", "rewire-budget-negative", "run-budget-nan",
-            "run-budget-negative"])
+            "run-budget-negative", "run-jobs-zero", "run-jobs-negative",
+            "rewire-jobs-zero", "stats-seed", "stats-jobs-zero",
+            "stats-budget-nan", "stats-budget-negative"])
     def test_exit_2(self, node_dataset, tmp_path, capsys, argv, message):
+        # the run options come first, so that a value in argv wins
         run = ["--model", "gesn", "--grid", "tiny", "--jobs", "1"]
-        assert main([*argv, *(run if argv[0] == "run" else []), "--dataset",
-                     node_dataset, "--out", str(tmp_path / "out")]) == 2
+        assert main([argv[0], *(run if argv[0] == "run" else []), *argv[1:],
+                     "--dataset", node_dataset,
+                     "--out", str(tmp_path / "out")]) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["stats"], ["rewire"],
+                                         ["run", "--grid", "tiny"]])
+    def test_benchmark_values_stay_valid(self, node_dataset, tmp_path,
+                                         command):
+        # every command takes --seed 0 and --jobs 1 or 2
+        for jobs in ("1", "2"):
+            assert main([*command, "--dataset", node_dataset, "--seed", "0",
+                         "--jobs", jobs, "--out",
+                         str(tmp_path / jobs)]) == 0
 
 
 class TestConfigFile:

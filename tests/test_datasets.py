@@ -38,13 +38,16 @@ def random_collection(rng, num_graphs, contiguous):
 
 
 def same_graphs(got, want):
+    """Equal fields, dtypes and shapes (an edgeless graph's edges too)."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.name == b.name and a.num_nodes == b.num_nodes
-        assert np.array_equal(a.edges, b.edges)
-        assert np.array_equal(a.features, b.features)
+        for x, y in ((a.edges, b.edges), (a.features, b.features)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
         assert (a.labels is None) == (b.labels is None)
         if a.labels is not None:
+            assert a.labels.dtype == b.labels.dtype
             assert np.array_equal(a.labels, b.labels)
 
 

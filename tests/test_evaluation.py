@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.stats
 
@@ -17,6 +18,8 @@ from rewirebench import (Budget, BudgetExceeded, CompatibilityError,
                          significance, spectral_radius, stratified_kfold)
 from rewirebench import evaluation, rewiring
 from rewirebench.evaluation import check_compatibility, stratified_holdout
+from rewirebench.graph import disjoint_union
+from rewirebench.spectral import EXACT_SPARSE_RADIUS_ROWS
 from rewirebench.rewiring import RewiredGraph
 
 from conftest import random_graph
@@ -603,7 +606,13 @@ class TestGESNGrid:
 
     @pytest.mark.parametrize("kind", ["node", "graph"])
     def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):
+        # a collection's rho(M_i) come from one call per size: the blob
+        # graphs have 10 nodes, and two of them are swapped for 12-node ones
         task = blob_node_task(10) if kind == "node" else blob_graph_task(6)
+        if kind == "graph":
+            rng = np.random.default_rng(1)
+            task.graphs[1:3] = [random_graph(12, 0.5, rng, connected=True)
+                                for _ in range(2)]
         calls = {"gesn_init": 0, "spectral_radius": 0}
 
         def counting(name):
@@ -617,9 +626,8 @@ class TestGESNGrid:
         for name in calls:
             monkeypatch.setattr(evaluation, name, counting(name))
         gesn_grid(task, RewireConfig(), jobs=2)
-        num_graphs = 1 if kind == "node" else len(task.graphs)
         assert calls == {"gesn_init": len(GESN_SPACE.gesn_hidden),
-                         "spectral_radius": num_graphs}
+                         "spectral_radius": 1 if kind == "node" else 2}
 
     def test_graph_task_report_independent_of_jobs(self):
         task = blob_graph_task(n_graphs=20)
@@ -682,3 +690,68 @@ class TestGESNGrid:
         # the raising call read the clock once per iteration up to k, and
         # model_select once more for its wall clock
         assert clock.reads - calls[-1] == iteration + 2
+def mixed_collection(rng):
+    """Graph sizes that repeat, graphs above the exact radius cap (one of
+    them edgeless), a one-node graph and disconnected graphs."""
+    return [random_graph(70, 0.08, rng), random_graph(12, 0.4, rng),
+            build_graph([], rng.normal(size=(1, 2))),
+            random_graph(12, 0.3, rng), build_graph([], rng.normal(size=(5, 2))),
+            random_graph(30, 0.05, rng), random_graph(12, 0.5, rng),
+            build_graph([], rng.normal(size=(66, 2))),
+            random_graph(30, 0.2, rng)]
+
+
+class TestUnionOperator:
+    @staticmethod
+    def per_graph(rewired, seed):
+        """Each graph's operator and rho(M_i) from its own call (0 as 1)."""
+        ops, rhos = [], []
+        for rw in rewired:
+            op = rw.operator
+            if op is None:
+                op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
+                                    Normalization.NONE)
+            rho = float(spectral_radius(op, seed=seed))
+            ops.append(op)
+            rhos.append(rho if rho > 0 else 1.0)
+        return ops, rhos
+
+    @pytest.mark.parametrize("cap", [1 << 20, 300])
+    @pytest.mark.parametrize("method",
+                             ["baseline", "sdrf", "grlef", "egp", "diffwire"])
+    def test_equals_block_diag_of_scaled_operators(self, method, cap,
+                                                   monkeypatch):
+        # a cap of 300 doubles puts two 12-node blocks in a stack, and one
+        # 30-node block alone
+        monkeypatch.setattr(evaluation, "RADIUS_STACK_ENTRIES", cap)
+        graphs = mixed_collection(np.random.default_rng(5))
+        task = GraphTask(graphs=graphs, labels=np.arange(len(graphs)) % 2)
+        rewired = rewire_each(task, RewireConfig(method=method, seed=3))
+        union, offsets = disjoint_union([rw.graph for rw in rewired])
+        got = evaluation._union_operator(rewired, union, offsets, 2)
+        ops, rhos = self.per_graph(rewired, 2)
+        want = sp.block_diag([o / r for o, r in zip(ops, rhos)], format="csr")
+        assert got.shape == want.shape and got.dtype == want.dtype
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+    @pytest.mark.parametrize("method", ["baseline", "egp"])
+    def test_block_radii_equal_per_graph_radius(self, method, monkeypatch):
+        # EGP's A_Cay A is not symmetric
+        monkeypatch.setattr(evaluation, "RADIUS_STACK_ENTRIES", 300)
+        graphs = mixed_collection(np.random.default_rng(6))
+        rewired = [apply_rewiring(g, RewireConfig(method=method))
+                   for g in graphs]
+        ops, _ = self.per_graph(rewired, 0)
+        if method == "egp":
+            assert any((abs(op - op.T) > 0).nnz for op in ops)
+        sizes = np.array([g.num_nodes for g in graphs])
+        blocks = np.flatnonzero((sizes > 0)
+                                & (sizes <= EXACT_SPARSE_RADIUS_ROWS))
+        got = evaluation._block_radii(
+            sp.block_diag(ops, format="csr"), np.cumsum(sizes) - sizes,
+            sizes, blocks)
+        assert got.tolist() == [float(spectral_radius(ops[i]))
+                                for i in blocks]
+
+

@@ -7,7 +7,8 @@ on the default grid and heat rewiring, a node task with GESN, a node task
 on every personalized-PageRank path (SGC, and GESN under the `sym` and
 `mean` normalizations), a node task with the operators that are not
 dense PageRank (GESN on DiffWire, EGP and heat, SGC on EGP and DiffWire),
-and a graph collection with GESN. A
+a graph collection with GESN, and a collection's `stats` with GESN on
+EGP and DiffWire. A
 change that alters floats on purpose updates DIGESTS and states its
 tolerance and the selections it kept.
 """
@@ -60,10 +61,21 @@ CASES = {
         ("run", ["run", "--model", "gesn", "--grid", "tiny", "--jobs", "1",
                  "--rewire", "sdrf"]),
     )),
+    # a collection's stats, and GESN on the per-graph CSR operators of EGP
+    # and DiffWire; sizes 50-70 repeat, and some graphs are above the exact
+    # spectral-radius cap of 64 rows
+    "graph-retyped": ("graph_collection",
+                      {"graphs": 40, "min_nodes": 50, "max_nodes": 70}, (
+        ("stats", ["stats"]),
+        ("run-gesn-egp", ["run", "--model", "gesn", "--grid", "tiny",
+                          "--jobs", "1", "--rewire", "egp"]),
+        ("run-gesn-diffwire", ["run", "--model", "gesn", "--grid", "tiny",
+                               "--jobs", "2", "--rewire", "diffwire"]),
+    )),
 }
 
 DIGESTED = ("report.csv", "baseline_report.csv", "summary.txt",
-            "rewired_edges.tsv")
+            "rewired_edges.tsv", "stats.csv")
 
 DIGESTS = {
     "graph-gesn": {
@@ -73,6 +85,22 @@ DIGESTS = {
             "e7387151324161928fba5a61354e5fe02996de010cf4255d999c576820e0a116",
         "run/summary.txt":
             "6161d2152871c41de158d2a5cd047483c60fd28e165ebb2746a01a5ca0faf106",
+    },
+    "graph-retyped": {
+        "run-gesn-diffwire/baseline_report.csv":
+            "fd6426e2abbd0f3a791333db0bfd0af712cdecddcb8be78847abeb26e7bba1ea",
+        "run-gesn-diffwire/report.csv":
+            "5c9e99a5bfc917577a78ddf501ac759966b3ee6fce9985b741cf3e10d7b5ff26",
+        "run-gesn-diffwire/summary.txt":
+            "ca61f4a2a74d5d8cb82c1b17c96b3c0f8c1f5d24b3a5f608b0d01c86064b5ad2",
+        "run-gesn-egp/baseline_report.csv":
+            "fd6426e2abbd0f3a791333db0bfd0af712cdecddcb8be78847abeb26e7bba1ea",
+        "run-gesn-egp/report.csv":
+            "a37a73e6be0e324b7228c965a5c41cb803f9fbfae96b4d5f80b05a55296845bf",
+        "run-gesn-egp/summary.txt":
+            "18003a19496ca4da44b20c7ce6768ffc03e01d23ef0e4b5bc4113e3409e9900a",
+        "stats/stats.csv":
+            "7266cd9c90ca01c88ec622b7bc65f5c173ff6a640543380e8d4e91cc60e7dc66",
     },
     "node-gesn": {
         "run/baseline_report.csv":

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from rewirebench import (InputError, Normalization, OperatorKind,
                          balanced_forman, build_graph, dataset_stats,
                          edge_homophily, shift_operator)
-from rewirebench.graph import connected_components, diameter
+from rewirebench import graph as graph_module
+from rewirebench.graph import connected_components, diameter, disjoint_union
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       brute_components, brute_diameter, brute_hop_distances,
@@ -21,6 +23,17 @@ class TestBuildGraph:
     def test_empty_edge_set(self):
         g = build_graph([], np.zeros((3, 2)))
         assert g.num_nodes == 3 and g.num_edges == 0
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_edges_sorted_pairs_of_the_set(self, rng, n):
+        # duplicates, both directions and self-loops, in random order
+        raw = rng.integers(0, n, (4 * n, 2))
+        g = build_graph(raw, np.zeros((n, 1)))
+        want = sorted({(min(u, v), max(u, v)) for u, v in raw.tolist()
+                       if u != v})
+        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert g.edges.tolist() == [list(p) for p in want]
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(InputError):
@@ -200,14 +213,60 @@ class TestStats:
         assert diameter(g) == 299
         assert rows == [256, 44]
 
-    @pytest.mark.parametrize("edges, expected", [
+    TIES = [
         ([(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)], 3),  # path + star
         ([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7)], 2),  # star + path
-    ])
+    ]
+
+    @pytest.mark.parametrize("edges, expected", TIES)
     def test_diameter_size_tie_takes_lowest_component(self, edges, expected):
         g = build_graph(edges, np.zeros((8, 1)))
         dist = brute_hop_distances(g.adjacency().toarray())
         assert diameter(g) == expected == brute_diameter(dist)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_union_diameters_equal_per_graph(self, block, monkeypatch):
+        # empty, one-node, edgeless and disconnected graphs, components tied
+        # in size, graphs of equal size; a source block of 1, 3 or 7 nodes
+        # spans several graphs, or ends inside one
+        rng = np.random.default_rng(3)
+        graphs = [g for g in self._oracle_graphs() if g.num_nodes <= 80]
+        graphs += [build_graph(edges, np.zeros((8, 1)))
+                   for edges, _ in self.TIES]
+        graphs += [random_graph(9, 0.25, rng, features=1) for _ in range(40)]
+        want = [brute_diameter(brute_hop_distances(g.adjacency().toarray()))
+                for g in graphs]
+        monkeypatch.setattr(graph_module, "_SOURCE_BLOCK", block)
+        rows, real = [], csgraph.shortest_path
+
+        def recording(a, *args, indices, **kwargs):
+            rows.append((len(indices), a.shape[0]))
+            return real(a, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", recording)
+        got = diameter(*disjoint_union(graphs))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert len(set(want)) > 3 and 0 in want
+        # each call searches the node range of the graphs its sources cover
+        largest = max(g.num_nodes for g in graphs)
+        assert all(n <= block and m <= n + 2 * largest for n, m in rows)
+
+    def test_disjoint_union(self):
+        rng = np.random.default_rng(4)
+        graphs = [random_graph(n, 0.4, rng) for n in (5, 1, 7, 5)]
+        union, offsets = disjoint_union(graphs)
+        assert offsets.tolist() == [0, 5, 6, 13]
+        assert union.num_nodes == 18
+        assert np.array_equal(union.edges, np.concatenate(
+            [g.edges + o for g, o in zip(graphs, offsets)]))
+        # still canonical: the edge array build_graph would make
+        assert np.array_equal(union.edges,
+                              build_graph(union.edges, union.features).edges)
+        assert np.array_equal(union.features,
+                              np.concatenate([g.features for g in graphs]))
+        want = sp.block_diag([g.adjacency() for g in graphs], format="csr")
+        assert (union.adjacency() != want).nnz == 0
 
     def test_single_graph_stats(self):
         g = build_graph([(0, 1), (1, 2)], np.zeros((3, 2)), [0, 1, 1])
@@ -221,6 +280,7 @@ class TestStats:
         gs = [cycle_graph(4), cycle_graph(6)]
         s = dataset_stats(gs)
         assert s.nodes == 5.0
+        assert s.diameter == 2.5
         assert s.edges == 5.0       # mean undirected |E|
         assert s.average_degree == 2.0
         assert s.num_graphs == 2

@@ -586,3 +586,28 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             apply_rewiring(g, RewireConfig(method=method, iterations=6), budget)
         assert clock.reads == iteration + 2
+
+    @pytest.mark.parametrize("method, build", [
+        ("heat", "HeatOperator"), ("pagerank", "pagerank_kernel"),
+        ("egp", "rewire_egp"), ("diffwire", "rewire_diffwire")])
+    def test_kernel_build_checks_before_and_after(self, method, build, clock,
+                                                   monkeypatch, rng):
+        # the budget starts at t = 0 and each check is one second on: the
+        # check before the build is at t = 1 and the one after it at t = 2
+        clock.step = 1.0
+        calls, real = [], getattr(rewiring, build)
+
+        def recording(*args, **kwargs):
+            calls.append(clock.reads)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rewiring, build, recording)
+        g = random_graph(12, 0.3, rng, connected=True)
+        cfg = RewireConfig(method=method)
+        with pytest.raises(BudgetExceeded):   # spent before the build
+            apply_rewiring(g, cfg, Budget(0.5))
+        assert calls == []
+        with pytest.raises(BudgetExceeded):   # spent during the build
+            apply_rewiring(g, cfg, Budget(1.5))
+        assert len(calls) == 1
+        assert apply_rewiring(g, cfg, Budget(2.5)).method == method

@@ -146,6 +146,26 @@ class TestSpectralRadius:
             spectral_radius(np.ones((2, 3)))
         with pytest.raises(InputError):
             spectral_radius(sp.csr_matrix((2, 3)))
+        with pytest.raises(InputError):
+            spectral_radius(np.ones((4, 2, 3)))
+        with pytest.raises(InputError):
+            spectral_radius(np.ones((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 40])
+    def test_stack_equals_each_matrix(self, rng, n):
+        # one call on a k x n x n stack gives each matrix the bits of its own
+        # call, dense or sparse: non-symmetric, all-zero and symmetric 0/1
+        stack = rng.normal(size=(5, n, n))
+        stack[1] = 0.0
+        stack[3] = np.triu(rng.random((n, n)) < 0.3, 1)
+        stack[3] += stack[3].T
+        res = spectral_radius(stack)
+        assert (res.iterations, res.converged) == (0, True)
+        assert res.value.shape == (5,)
+        want = [float(spectral_radius(m)) for m in stack]
+        assert res.value.tolist() == want
+        assert want == [float(spectral_radius(sp.csr_matrix(m)))
+                        for m in stack]
 
 
 class TestSpectralGap:
