@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -281,10 +282,15 @@ def _config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    path = _config_path(argv)
-    if path is None:
-        return argv
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built once per process."""
+    return build_parser()
+
+
+def _config_parser(path: str) -> argparse.ArgumentParser:
+    """A fresh parser whose subcommands default to the config file's values."""
+    parser = build_parser()
     subparsers = [sub for action in parser._actions
                   if isinstance(action, argparse._SubParsersAction)
                   for sub in action.choices.values()]
@@ -315,15 +321,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 raise InputError(f"config file {path}: {opt.dest}="
                                  f"{opt.default!r} is not one of "
                                  f"{list(opt.choices)}")
-    return argv
+    return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.WARNING)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        path = _config_path(argv)
+        parser = _shared_parser() if path is None else _config_parser(path)
         args = parser.parse_args(argv)
         _check_common(args)
         if args.command == "stats":

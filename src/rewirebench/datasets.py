@@ -23,22 +23,24 @@ from .errors import InputError
 from .graph import Graph, build_graph, canonical_edges
 
 
-def _read_int_pairs(path, sep=None) -> np.ndarray:
-    """An (m, 2) int64 array; the row list is freed before anything else
-    is read."""
+def _read_int_pairs(path) -> np.ndarray:
+    """An (m, 2) int64 array of the first two columns of the non-blank lines,
+    from one np.loadtxt with commas turned into spaces (so a line of commas
+    alone is blank); a one-column line is an InputError that names it."""
     try:
-        rows = []
         with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.replace(",", " ").split(sep)
-                if len(parts) < 2:
-                    raise InputError(f"{path}:{ln}: expected two columns")
-                rows.append((int(parts[0]), int(parts[1])))
-        return np.array(rows, dtype=np.int64).reshape(-1, 2)
-    except (OSError, ValueError) as exc:
+            lines = fh.read().replace(",", " ").splitlines()
+    except OSError as exc:
+        raise InputError(f"cannot read edge file {path}: {exc}") from exc
+    if not any(map(str.strip, lines)):   # loadtxt warns on no data
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        return np.loadtxt(lines, dtype=np.int64, comments=None,
+                          usecols=(0, 1), ndmin=2)
+    except ValueError as exc:
+        for ln, line in enumerate(lines, 1):
+            if len(line.split()) == 1:
+                raise InputError(f"{path}:{ln}: expected two columns") from exc
         raise InputError(f"cannot read edge file {path}: {exc}") from exc
 
 

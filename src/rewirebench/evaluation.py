@@ -26,15 +26,12 @@ from .graph import (Graph, Normalization, OperatorKind, disjoint_union,
 from .models import (augment, gesn_embed, gesn_init, input_features, one_hot,
                      pool, predict, ridge_fit, ridge_solve)
 from .rewiring import RewireConfig, apply_rewiring
-from .spectral import EXACT_SPARSE_RADIUS_ROWS, spectral_radius
+from .spectral import spectral_radius
 
 log = logging.getLogger(__name__)
 
 NODE_ONLY_REWIRING = ("heat", "pagerank")   # diffusion defined for node tasks
 NODE_ONLY_MODELS = ("sgc",)
-# doubles per dense stack of equal-size blocks whose spectral radii are
-# taken in one call (8 MB)
-RADIUS_STACK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +328,15 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
                      budget: Budget, jobs: int, pooling: tuple | None = None):
     """Yield ({config}, embeddings) for the GESN grid over rewired graphs.
 
-    ρ(M) comes from the rewiring where it has a closed form (heat, PageRank)
-    and is measured otherwise. The reservoir is drawn once per hidden size;
-    a config only rescales that draw. A node task (one graph, no `pooling`)
-    gets node embeddings, a graph task one row per graph and mode.
+    The reservoir is drawn once per hidden size; a config only rescales
+    that draw. A node task (one graph, no `pooling`) gets node embeddings,
+    a graph task one row per graph and mode.
 
     Several graphs are embedded in one pass over their disjoint union (see
     _union_operator), so the reservoir carries only the config's ρ, and
     pooling reduces over graph offsets. A single graph keeps its operator
-    as given and 1/ρ(M) in the reservoir, so the operator is applied
-    unscaled and node embeddings keep their bits.
+    as given and 1/ρ(M) in the reservoir (from the rewiring where it has a
+    closed form, heat and PageRank), so node embeddings keep their bits.
     """
     if len(rewired) == 1:
         rw = rewired[0]
@@ -389,14 +385,8 @@ def _union_operator(rewired: list, union: Graph, offsets: np.ndarray,
     """The collection's block-diagonal CSR operator, block i being
     M_i / ρ(M_i) (the adjacency where the rewiring gave no operator, and
     ρ 0 taken as 1): sp.block_diag of the scaled blocks in data, indices
-    and indptr, built without a per-graph step where no operator is given.
-
-    ρ comes from the rewiring where it has a closed form. Otherwise graphs
-    of at most EXACT_SPARSE_RADIUS_ROWS nodes get it from one
-    spectral_radius call per stack of equal-size dense blocks, and each
-    larger graph from its own operator (ARPACK).
-    """
-    sizes = np.diff(offsets, append=union.num_nodes)
+    and indptr. One spectral_radius call takes every ρ(M_i) from the
+    unscaled union, whose blocks keep each operator's entry order."""
     if all(rw.operator is None for rw in rewired):
         m = union.adjacency()
     else:
@@ -409,69 +399,16 @@ def _union_operator(rewired: list, union: Graph, offsets: np.ndarray,
             + np.repeat(offsets, nnz),
             np.concatenate([[0]] + [np.diff(b.indptr) for b in blocks])
             .cumsum()), shape=(union.num_nodes,) * 2)
-        m.sum_duplicates()   # sorts each row, as block_diag's COO does
-    rhos = np.array([np.nan if rw.rho is None else rw.rho for rw in rewired])
-    for i in np.flatnonzero(np.isnan(rhos)
-                            & (sizes > EXACT_SPARSE_RADIUS_ROWS)):
-        op = rewired[i].operator
-        if op is None:
-            op = shift_operator(rewired[i].graph, OperatorKind.ADJACENCY,
-                                Normalization.NONE)
-        rhos[i] = float(spectral_radius(op, seed=seed))
-    small = np.flatnonzero(np.isnan(rhos) & (sizes > 0))
-    if small.size:
-        rhos[small] = _block_radii(m, offsets, sizes, small)
+    rhos = spectral_radius(m, seed=seed, offsets=offsets).value
     rhos[~(rhos > 0)] = 1.0
-    row_scale = np.repeat(1.0 / rhos, sizes)
+    m.sum_duplicates()   # sorts each row, as block_diag's COO does
+    row_scale = np.repeat(1.0 / rhos, np.diff(offsets, append=union.num_nodes))
     return sp.csr_matrix((m.data * np.repeat(row_scale, np.diff(m.indptr)),
                           m.indices, m.indptr), shape=m.shape)
 
 
-def _block_radii(m: sp.csr_matrix, offsets: np.ndarray, sizes: np.ndarray,
-                 blocks: np.ndarray) -> np.ndarray:
-    """ρ of the diagonal blocks `blocks` of the block-diagonal CSR m, with
-    one spectral_radius call per stack of equal-size dense blocks; a stack
-    holds at most RADIUS_STACK_ENTRIES doubles (or one block)."""
-    by_size = blocks[np.argsort(sizes[blocks], kind="stable")]
-    n = sizes[by_size]
-    rank = np.arange(n.size) - np.searchsorted(n, n)   # place among its size
-    slot = rank % np.maximum(1, RADIUS_STACK_ENTRIES // (n * n))
-    stack = np.cumsum(slot == 0) - 1
-    stack_start = np.searchsorted(stack, np.arange(stack[-1] + 2))
-    # each block's stack (-1 outside `blocks`) and its start in that stack,
-    # then each entry's place in its stack's flat k * n * n array
-    stack_of = np.full(sizes.size, -1)
-    stack_of[by_size] = stack
-    base = np.zeros(sizes.size, dtype=np.int64)
-    base[by_size] = slot * n * n
-    row_nnz = np.diff(m.indptr)
-    block = np.repeat(np.repeat(np.arange(sizes.size), sizes), row_nnz)
-    row = np.repeat(np.arange(m.shape[0]), row_nnz) - offsets[block]
-    flat = base[block] + row * sizes[block] + m.indices - offsets[block]
-    order = np.argsort(stack_of[block], kind="stable")
-    entry_start = np.searchsorted(stack_of[block][order],
-                                  np.arange(stack[-1] + 2))
-    radii = np.empty(sizes.size)
-    for s in range(stack[-1] + 1):
-        lo, hi = stack_start[s], stack_start[s + 1]
-        k, size = hi - lo, n[lo]
-        entries = order[entry_start[s]:entry_start[s + 1]]
-        dense = np.zeros(k * size * size)
-        dense[flat[entries]] = m.data[entries]
-        radii[by_size[lo:hi]] = spectral_radius(
-            dense.reshape(k, size, size)).value
-    return radii[blocks]
-
-
 # ---------------------------------------------------------------------------
 # model selection
-
-def _score(preds, scores, labels, metric: str) -> float:
-    if metric == "auroc":
-        pos_col = 1 if scores.shape[1] > 1 else 0
-        return auroc(scores[:, pos_col], labels)
-    return accuracy(preds, labels)
-
 
 def _lambda_scores(scores, classes, labels, metric: str) -> list:
     """The validation score of each lambda from the n x L x C score block.
@@ -551,9 +488,10 @@ def model_select(task, model: str, rconfig: RewireConfig,
             fit_idx = np.concatenate([split.train, split.val])
             readout = ridge_fit(sel_emb[fit_idx], labels[fit_idx],
                                 sel_cfg["ridge_lambda"])
-            preds, scores = predict(sel_emb[split.test], readout)
-            test_labels = split.test_labels.reveal()
-            metric = _score(preds, scores, test_labels, task.metric)
+            _, scores = predict(sel_emb[split.test], readout)
+            metric = _lambda_scores(scores[:, None, :], readout.classes,
+                                    split.test_labels.reveal(),
+                                    task.metric)[0]
             report.folds.append(FoldResult(fold=split.fold, metric=metric,
                                            selected=sel_cfg,
                                            val_metric=val_metric))

@@ -8,6 +8,7 @@ series/parallel closed forms, eigen-quantities from dense eigendecompositions.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rewirebench import build_graph
 
@@ -52,6 +53,21 @@ def _is_connected(g):
 
 # ---------------------------------------------------------------------------
 # brute-force curvature oracle (dense adjacency scans)
+
+def block_union(blocks):
+    """The block-diagonal CSR matrix of square sparse `blocks` and the first
+    row of each block. Unlike sp.block_diag, each block keeps its stored
+    entry order, as a collection's union operator does."""
+    blocks = [sp.csr_matrix(b) for b in blocks]
+    sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    m = sp.csr_matrix((
+        np.concatenate([b.data for b in blocks]),
+        np.concatenate([b.indices + o for b, o in zip(blocks, offsets)]),
+        np.concatenate([[0]] + [np.diff(b.indptr) for b in blocks]).cumsum()),
+        shape=(sizes.sum(),) * 2)
+    return m, offsets
+
 
 def brute_triangles(a, u, v):
     return int(np.sum(a[u] * a[v]))

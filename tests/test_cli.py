@@ -387,6 +387,42 @@ class TestConfigFile:
         assert manifest["config"]["grid"] == "tiny"
         assert manifest["config"]["seed"] == 9
 
+    def test_config_does_not_leak_into_the_next_call(self, node_dataset,
+                                                     tmp_path):
+        # a call with --config sets its values as defaults on a parser of its
+        # own; a later call in the same process reads the built-in defaults
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("grid=tiny\nseed=9\nrewire=sdrf\n")
+        for name, config in (("with", ["--config", str(cfgfile)]),
+                             ("without", [])):
+            assert main([*config, "run", "--dataset", node_dataset,
+                         "--jobs", "1", "--grid", "tiny",
+                         "--out", str(tmp_path / name)]) == 0
+        read = [json.loads((tmp_path / name / "manifest.json").read_text())
+                ["config"] for name in ("with", "without")]
+        assert [(c["seed"], c["rewire"]["method"]) for c in read] == [
+            (9, "sdrf"), (0, "baseline")]
+
+    def test_parser_built_once_without_config(self, node_dataset, tmp_path,
+                                              monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._shared_parser.cache_clear()
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("seed=1\n")
+        try:
+            for config in ([], [], ["--config", str(cfgfile)], []):
+                assert main([*config, "stats", "--dataset", node_dataset,
+                             "--out", str(tmp_path / "stats")]) == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 2   # the shared parser and the --config one
+
     def test_missing_config_file(self, node_dataset):
         assert main(["--config", "/nonexistent", "stats",
                      "--dataset", node_dataset]) == 2

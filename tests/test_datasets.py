@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rewirebench import (InputError, build_graph, load_canonical,
                          load_dataset, load_tudataset)
+from rewirebench.datasets import _read_int_pairs
 
 
 def write_canonical(root, edges, features, labels=None, graph_ids=None,
@@ -290,3 +293,49 @@ class TestDispatch:
         write_canonical(d, [(0, 1)], np.ones((2, 1)))
         g = load_dataset(str(d), fmt="canonical")
         assert g.num_nodes == 2
+
+
+class TestEdgeFile:
+    @staticmethod
+    def read(tmp_path, text):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text)
+        return _read_int_pairs(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        got = self.read(tmp_path, "\n0 1\n\n  \t\n2 3\n\n")
+        assert got.dtype == np.int64 and got.tolist() == [[0, 1], [2, 3]]
+
+    def test_comma_and_whitespace_separate(self, tmp_path):
+        got = self.read(tmp_path, "0,1\n2\t3\n4, 5\n 6  ,\t7 \r\n8,,9\n")
+        assert got.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+
+    def test_extra_columns_ignored(self, tmp_path):
+        got = self.read(tmp_path, "0 1 0.5 x\n2,3,7\n-4 5\n")
+        assert got.tolist() == [[0, 1], [2, 3], [-4, 5]]
+
+    @pytest.mark.parametrize("text, line", [("0 1\n\n2\n", 3),
+                                            ("3,\n0 1\n", 1),
+                                            ("0 1\n2 3\n  ,7\n", 3)])
+    def test_one_column_names_its_line(self, tmp_path, text, line):
+        with pytest.raises(InputError,
+                           match=f"edges.tsv:{line}: expected two columns"):
+            self.read(tmp_path, text)
+
+    @pytest.mark.parametrize("text", ["0\tx\n", "0 1\n1.5 2\n",
+                                      "# a comment\n0 1\n",
+                                      "0 99999999999999999999\n"])
+    def test_non_integer_refused(self, tmp_path, text):
+        with pytest.raises(InputError, match="cannot read edge file"):
+            self.read(tmp_path, text)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n"])
+    def test_empty_file_gives_no_rows_without_warning(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.read(tmp_path, text)
+        assert got.dtype == np.int64 and got.shape == (0, 2)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read edge file"):
+            _read_int_pairs(str(tmp_path / "absent.tsv"))

@@ -16,13 +16,13 @@ from rewirebench import (Budget, BudgetExceeded, CompatibilityError,
                          gesn_init, input_features, make_splits, model_select,
                          pool, predict, ridge_fit, shift_operator,
                          significance, spectral_radius, stratified_kfold)
-from rewirebench import evaluation, rewiring
+from rewirebench import evaluation, rewiring, spectral
 from rewirebench.evaluation import check_compatibility, stratified_holdout
 from rewirebench.graph import disjoint_union
 from rewirebench.spectral import EXACT_SPARSE_RADIUS_ROWS
 from rewirebench.rewiring import RewiredGraph
 
-from conftest import random_graph
+from conftest import block_union, random_graph
 
 
 def blob_node_task(n_per_class=30, seed=0):
@@ -451,11 +451,59 @@ class TestModelSelect:
         assert len(report.folds) == 5
         assert peak <= 8 * n * (d + 1) * 8, peak / (n * (d + 1) * 8)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_gesn_selection_memory_bounded(self, jobs):
+        # A node-task GESN selection holds at most, in doubles:
+        # - four N x H arrays per worker: the drive, the state, h W^T and
+        #   M (h W^T); a finished config's embedding is its state;
+        # - the config being scored, its augmented copy [emb, 1], the
+        #   fold's training rows of that copy and validation rows of emb;
+        # - one selected embedding per fold;
+        # - the reservoir draws (W_in, W and b of each hidden size) and each
+        #   worker's rescaled W_in and W_hat;
+        # - the fold's ridge system: the Gram matrix and its factored copy;
+        # - the operator, a copy of the adjacency: an 8-byte value and a
+        #   4-byte index per stored entry, and a 4-byte row pointer per row.
+        # Keeping every config's embedding would add up to 16 N x H arrays.
+        n, d, h, folds = 1000, 16, 64, 5
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 4, n)
+        ends = rng.integers(0, n, size=(3 * n, 2))
+        edges = [(int(u), int(v)) for u, v in ends if u != v]
+        feats = rng.normal(size=(n, d)) + labels[:, None]
+        task = NodeTask(graph=build_graph(edges, feats, labels=labels))
+        nnz = task.graph.adjacency().nnz   # cached before the measurement
+        space = SearchSpace(gesn_hidden=(h,), gesn_input_scaling=(0.5, 1.0),
+                            gesn_rho=(0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0,
+                                      30.0), ridge_lambdas=(1e-3, 1e-1, 10.0))
+        tracemalloc.start()
+        try:
+            report = model_select(task, "gesn", RewireConfig(), space,
+                                  seed=0, jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.folds) == folds
+        doubles = (4 * jobs * n * h
+                   + n * h + 1.6 * n * (h + 1) + 0.2 * n * h
+                   + folds * n * h
+                   + h * (d + h + 1) + jobs * h * (d + h)
+                   + 2 * (h + 1) ** 2
+                   + 1.5 * nnz + (n + 1) / 2)
+        assert peak <= 8 * doubles, (peak / (8 * n * h), doubles / (n * h))
+
     def test_test_labels_sealed_until_scored(self):
         task = blob_node_task(n_per_class=15)
         report = model_select(task, "sgc", RewireConfig(method="baseline"),
                               SearchSpace.tiny(), seed=0)
         assert len(report.folds) == 5  # reveal happened exactly at scoring
+
+
+def score(preds, scores, labels, metric):
+    """One fold's metric from one readout's predictions and scores."""
+    if metric == "auroc":
+        return auroc(scores[:, 1 if scores.shape[1] > 1 else 0], labels)
+    return accuracy(preds, labels)
 
 
 def reference_selection(task, model, space, seed, table=None):
@@ -473,8 +521,7 @@ def reference_selection(task, model, space, seed, table=None):
             for lam in space.ridge_lambdas:
                 readout = ridge_fit(emb[split.train], labels[split.train], lam)
                 preds, scores = predict(emb[split.val], readout)
-                val = evaluation._score(preds, scores, labels[split.val],
-                                        task.metric)
+                val = score(preds, scores, labels[split.val], task.metric)
                 rows.append((cfg, lam, val))
                 if best is None or val > best[0] + 1e-12:
                     best = (val, {**cfg, "ridge_lambda": lam}, emb)
@@ -485,8 +532,8 @@ def reference_selection(task, model, space, seed, table=None):
         preds, scores = predict(emb[split.test],
                                 ridge_fit(emb[fit], labels[fit],
                                           cfg["ridge_lambda"]))
-        out.append((evaluation._score(preds, scores, labels[split.test],
-                                      task.metric), val, cfg))
+        out.append((score(preds, scores, labels[split.test], task.metric),
+                    val, cfg))
     return out
 
 
@@ -606,8 +653,9 @@ class TestGESNGrid:
 
     @pytest.mark.parametrize("kind", ["node", "graph"])
     def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):
-        # a collection's rho(M_i) come from one call per size: the blob
-        # graphs have 10 nodes, and two of them are swapped for 12-node ones
+        # a collection's rho(M_i) come from one block-mode call, whatever
+        # its sizes: the blob graphs have 10 nodes, and two of them are
+        # swapped for 12-node ones
         task = blob_node_task(10) if kind == "node" else blob_graph_task(6)
         if kind == "graph":
             rng = np.random.default_rng(1)
@@ -627,7 +675,7 @@ class TestGESNGrid:
             monkeypatch.setattr(evaluation, name, counting(name))
         gesn_grid(task, RewireConfig(), jobs=2)
         assert calls == {"gesn_init": len(GESN_SPACE.gesn_hidden),
-                         "spectral_radius": 1 if kind == "node" else 2}
+                         "spectral_radius": 1}
 
     def test_graph_task_report_independent_of_jobs(self):
         task = blob_graph_task(n_graphs=20)
@@ -723,7 +771,7 @@ class TestUnionOperator:
                                                    monkeypatch):
         # a cap of 300 doubles puts two 12-node blocks in a stack, and one
         # 30-node block alone
-        monkeypatch.setattr(evaluation, "RADIUS_STACK_ENTRIES", cap)
+        monkeypatch.setattr(spectral, "RADIUS_STACK_ENTRIES", cap)
         graphs = mixed_collection(np.random.default_rng(5))
         task = GraphTask(graphs=graphs, labels=np.arange(len(graphs)) % 2)
         rewired = rewire_each(task, RewireConfig(method=method, seed=3))
@@ -738,20 +786,15 @@ class TestUnionOperator:
     @pytest.mark.parametrize("method", ["baseline", "egp"])
     def test_block_radii_equal_per_graph_radius(self, method, monkeypatch):
         # EGP's A_Cay A is not symmetric
-        monkeypatch.setattr(evaluation, "RADIUS_STACK_ENTRIES", 300)
+        monkeypatch.setattr(spectral, "RADIUS_STACK_ENTRIES", 300)
         graphs = mixed_collection(np.random.default_rng(6))
         rewired = [apply_rewiring(g, RewireConfig(method=method))
                    for g in graphs]
         ops, _ = self.per_graph(rewired, 0)
         if method == "egp":
             assert any((abs(op - op.T) > 0).nnz for op in ops)
-        sizes = np.array([g.num_nodes for g in graphs])
-        blocks = np.flatnonzero((sizes > 0)
-                                & (sizes <= EXACT_SPARSE_RADIUS_ROWS))
-        got = evaluation._block_radii(
-            sp.block_diag(ops, format="csr"), np.cumsum(sizes) - sizes,
-            sizes, blocks)
-        assert got.tolist() == [float(spectral_radius(ops[i]))
-                                for i in blocks]
-
-
+        m, offsets = block_union(ops)
+        got = spectral_radius(m, offsets=offsets)
+        assert got.value.tolist() == [float(spectral_radius(op))
+                                      for op in ops]
+        assert max(op.shape[0] for op in ops) > EXACT_SPARSE_RADIUS_ROWS

@@ -19,8 +19,8 @@ from rewirebench import spectral
 from rewirebench.graph import connected_components
 from rewirebench.spectral import DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS
 
-from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
-                      sparse_random_graph)
+from conftest import (block_union, complete_graph, cycle_graph, path_graph,
+                      random_graph, sparse_random_graph)
 
 
 def series_kernel(t_dense, coeffs):
@@ -148,24 +148,82 @@ class TestSpectralRadius:
             spectral_radius(sp.csr_matrix((2, 3)))
         with pytest.raises(InputError):
             spectral_radius(np.ones((4, 2, 3)))
+        with pytest.raises(InputError):   # no stack input
+            spectral_radius(np.ones((4, 2, 2)))
         with pytest.raises(InputError):
             spectral_radius(np.ones((2, 2, 2, 2)))
 
     @pytest.mark.parametrize("n", [1, 3, 12, 40])
-    def test_stack_equals_each_matrix(self, rng, n):
-        # one call on a k x n x n stack gives each matrix the bits of its own
-        # call, dense or sparse: non-symmetric, all-zero and symmetric 0/1
-        stack = rng.normal(size=(5, n, n))
-        stack[1] = 0.0
-        stack[3] = np.triu(rng.random((n, n)) < 0.3, 1)
-        stack[3] += stack[3].T
-        res = spectral_radius(stack)
-        assert (res.iterations, res.converged) == (0, True)
-        assert res.value.shape == (5,)
-        want = [float(spectral_radius(m)) for m in stack]
-        assert res.value.tolist() == want
-        assert want == [float(spectral_radius(sp.csr_matrix(m)))
-                        for m in stack]
+    def test_stack_equals_each_matrix(self, rng, monkeypatch, n):
+        # block mode gives each diagonal block the bits of its own call:
+        # repeated n-row blocks (non-symmetric, all-zero and symmetric 0/1)
+        # between other sizes, and above the exact cap an edgeless block and
+        # EGP's non-symmetric A_Cay A with its indices unsorted
+        egp = apply_rewiring(random_graph(70, 0.08, rng),
+                             RewireConfig(method="egp")).operator
+        assert not egp.has_sorted_indices and (abs(egp - egp.T) > 0).nnz
+        dense = rng.normal(size=(4, n, n))
+        dense[1] = 0.0
+        dense[3] = np.triu(rng.random((n, n)) < 0.3, 1)
+        dense[3] += dense[3].T
+        blocks = [sp.csr_matrix(dense[0]), egp, sp.csr_matrix(dense[1]),
+                  sp.random(5, 5, density=0.5, random_state=n, format="csr"),
+                  sp.csr_matrix((66, 66)), sp.csr_matrix(dense[2]),
+                  sp.csr_matrix(dense[3])]
+        m, offsets = block_union(blocks)
+        want = [spectral_radius(b, seed=4) for b in blocks]
+        # a small sparse block's own call has the bits of its dense copy's
+        assert [w.value for w in want[::5]] == [
+            float(spectral_radius(d)) for d in dense[::2]]
+        stacks, real = [], np.linalg.eigvals
+
+        def recording(a):
+            stacks.append(a.shape)
+            return real(a)
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        for cap in (1 << 20, 300):
+            # 300 doubles put two 12-row blocks in a stack, one 40-row block
+            monkeypatch.setattr(spectral, "RADIUS_STACK_ENTRIES", cap)
+            stacks.clear()
+            res = spectral_radius(m, seed=4, offsets=offsets)
+            assert res.value.tolist() == [w.value for w in want]
+            assert res.iterations == sum(w.iterations for w in want) > 0
+            assert res.converged
+            # one eigvals call per stack, each as full as the cap allows
+            per = max(1, cap // (n * n))
+            want_stacks = [(min(per, 4 - i), n, n) for i in range(0, 4, per)]
+            assert sorted(stacks) == sorted([(1, 5, 5)] + want_stacks)
+
+    def test_block_mode_sums_iterations_and_convergence(self, monkeypatch):
+        # two blocks above the exact cap, the first one failing in ARPACK
+        real, calls = spla.eigs, []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise spla.ArpackNoConvergence("no convergence", [], [])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spla, "eigs", first_fails)
+        cycle = sp.csr_matrix(np.kron(np.eye(30), np.roll(np.eye(3), 1, 1)))
+        m, offsets = block_union([cycle, sp.eye(2), cycle])
+        res = spectral_radius(m, offsets=offsets)
+        first = spectral_radius(cycle)
+        assert not res.converged and len(calls) == 3
+        assert res.iterations == first.iterations
+        assert res.value[1] == 1.0
+
+    def test_block_mode_refuses_bad_input(self):
+        m, offsets = block_union([sp.eye(3), sp.eye(2)])
+        with pytest.raises(InputError, match="sparse block-diagonal"):
+            spectral_radius(m.toarray(), offsets=offsets)
+        for bad in ([1, 3], [0, 6], [0, 3, 2], [[0, 3]]):
+            with pytest.raises(InputError, match="offsets"):
+                spectral_radius(m, offsets=bad)
+        with pytest.raises(InputError, match="outside"):
+            spectral_radius(sp.csr_matrix(np.ones((5, 5))), offsets=offsets)
+        assert spectral_radius(m, offsets=offsets).value.tolist() == [1.0, 1.0]
+        assert spectral_radius(sp.csr_matrix((0, 0)),
+                               offsets=[]).value.shape == (0,)
 
 
 class TestSpectralGap:
