@@ -128,10 +128,8 @@ def cmd_rewire(args) -> int:
         np.save(os.path.join(args.out, "kernel.npy"),
                 rewired.operator.toarray())
         artifacts.append("kernel.npy")
-    edges_path = os.path.join(args.out, "rewired_edges.tsv")
-    with open(edges_path, "w") as fh:
-        for u, v in rewired.graph.edges:
-            fh.write(f"{u}\t{v}\n")
+    np.savetxt(os.path.join(args.out, "rewired_edges.tsv"),
+               rewired.graph.edges, fmt="%d", delimiter="\t")
     artifacts.append("rewired_edges.tsv")
     write_edit_log(rewired.edit_log, os.path.join(args.out, "edit_log.tsv"))
     artifacts.append("edit_log.tsv")

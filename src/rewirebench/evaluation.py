@@ -335,8 +335,8 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     Several graphs are embedded in one pass over their disjoint union (see
     _union_operator), so the reservoir carries only the config's ρ, and
     pooling reduces over graph offsets. A single graph keeps its operator
-    as given and 1/ρ(M) in the reservoir (from the rewiring where it has a
-    closed form, heat and PageRank), so node embeddings keep their bits.
+    as given and 1/ρ(M) in the reservoir (spectral_radius, in closed form
+    for heat and PageRank), so node embeddings keep their bits.
     """
     if len(rewired) == 1:
         rw = rewired[0]
@@ -344,8 +344,7 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE)
-        rho_m = (rw.rho if rw.rho is not None
-                 else float(spectral_radius(op, seed=seed)))
+        rho_m = float(spectral_radius(op, seed=seed))
         rho_m = rho_m if rho_m > 0 else 1.0
         x, offsets = input_features(rw.graph.features), np.zeros(1, np.int64)
     else:

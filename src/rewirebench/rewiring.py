@@ -5,12 +5,13 @@ driven edge addition (SDRF), triangle-guided edge flips (GRLEF), expander
 graph propagation (EGP, Cayley graphs of SL(2, Z_n)), and resistance
 reweighting (DiffWire). Edge-editing methods return a new edge set; kernel
 methods return a message-passing operator without an n x n array: CSR for
-EGP and DiffWire, heat's series in the sparse T, PageRank's sparse solve.
-Heat and PageRank also carry their spectral radius in closed form.
+EGP (one Cayley adjacency per size) and DiffWire; for heat (series in the
+sparse T) and PageRank (sparse solve), a KernelOperator with a closed-form rho.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
@@ -23,7 +24,7 @@ from . import kernels
 from .errors import Budget, InputError
 from .graph import Graph, Normalization, OperatorKind, build_graph, shift_operator
 # heat_kernel stays a module attribute for pipebench/tracing.py
-from .spectral import (HeatOperator, PagerankOperator, effective_resistance,
+from .spectral import (HeatOperator, KernelOperator, effective_resistance,
                        heat_kernel, pagerank_kernel, spectral_radius)  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -71,10 +72,9 @@ class RewiredGraph:
     method: str
     graph: Graph                       # rewired edge set (or the input, unchanged)
     # M' of the kernel methods: CSR for EGP and DiffWire; heat and PageRank
-    # build their dense kernel only through toarray()
-    operator: sp.csr_matrix | HeatOperator | PagerankOperator | None = None
+    # carry rho(M') and build their dense kernel only through toarray()
+    operator: sp.csr_matrix | KernelOperator | None = None
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
-    rho: float | None = None           # rho(M') in closed form (heat, PageRank)
 
 
 def write_edit_log(edit_log, path) -> None:
@@ -349,6 +349,12 @@ def cayley_graph(n: int) -> Graph:
     return g_out
 
 
+@functools.cache
+def _cayley_adjacency(n: int) -> sp.csr_matrix:
+    """cayley_graph(n)'s float64 adjacency, built once per n per process."""
+    return cayley_graph(n).adjacency()
+
+
 def rewire_egp(g: Graph) -> RewiredGraph:
     """Expander graph propagation: M' = A_Cay @ A.
 
@@ -359,11 +365,8 @@ def rewire_egp(g: Graph) -> RewiredGraph:
     n = 2
     while sl2_order(n) < g.num_nodes:
         n += 1
-    cay = cayley_graph(n)
-    keep = np.arange(g.num_nodes)
-    a_cay = cay.adjacency()[np.ix_(keep, keep)]
-    a = g.adjacency().astype(np.float64)
-    m = (sp.csr_matrix(a_cay, dtype=np.float64) @ a).tocsr()
+    k = g.num_nodes
+    m = (_cayley_adjacency(n)[:k, :k] @ g.adjacency()).tocsr()
     return RewiredGraph(method="egp", graph=g, operator=m)
 
 
@@ -395,22 +398,18 @@ def apply_rewiring(g: Graph, config: RewireConfig,
     budget = budget or Budget()
     budget.check()
     # diffusion: a kernel of the normalized adjacency (node tasks only; the
-    # evaluation harness enforces the restriction). A normalized T has
-    # rho(T) = 1 on a graph with an edge and 0 on one without, so
-    # rho(heat) = exp(-t (1 - rho(T))) and rho(PageRank) =
-    # alpha / (1 - (1 - alpha) rho(T)) need no eigensolver.
+    # evaluation harness enforces the restriction), whose rho(T) is 1 on a
+    # graph with an edge and 0 on one without
     if config.method == "heat":
         norm = Normalization(config.diffusion_norm)
         t_op = shift_operator(g, OperatorKind.ADJACENCY, norm)
         rho_t = (float(spectral_radius(t_op)) if norm is Normalization.NONE
                  else float(g.num_edges > 0))
         rewired = RewiredGraph(method="heat", graph=g,
-                               operator=HeatOperator(t_op, config.t, rho_t),
-                               rho=math.exp(-config.t * (1.0 - rho_t)))
+                               operator=HeatOperator(t_op, config.t, rho_t))
     elif config.method == "pagerank":
         kernel = pagerank_kernel(g, config.alpha, config.diffusion_norm)
-        rewired = RewiredGraph(method="pagerank", graph=g, operator=kernel,
-                               rho=1.0 if g.num_edges else config.alpha)
+        rewired = RewiredGraph(method="pagerank", graph=g, operator=kernel)
     elif config.method == "egp":
         rewired = rewire_egp(g)
     else:

@@ -30,9 +30,9 @@ RADIUS_STACK_ENTRIES = 1 << 20
 DENSE_GAP_ROWS = 1000
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 HEAT_TAIL = 1e-17         # HeatOperator's first omitted term over the sum
-# PagerankOperator: toarray() applies the operator to this many column
-# blocks of the identity; its Schur inverse and the grounded Laplacian's
-# inverse are symmetrized in column blocks of SYMMETRIZE_COLUMNS
+# KernelOperator.toarray() applies the kernel to this many column blocks
+# of the identity; PagerankOperator's Schur inverse and the grounded
+# Laplacian's inverse are symmetrized in column blocks of SYMMETRIZE_COLUMNS
 TOARRAY_BLOCKS = 64
 SYMMETRIZE_COLUMNS = 32
 
@@ -48,26 +48,29 @@ class SpectralRadiusResult:
 
 
 def spectral_radius(m, seed: int = 0, offsets=None) -> SpectralRadiusResult:
-    """|lambda_max| of a dense array or a scipy sparse matrix.
+    """|lambda_max| of a dense array, a sparse matrix or a KernelOperator.
 
     A dense array, or a sparse one of at most EXACT_SPARSE_RADIUS_ROWS rows,
-    gets exact eigenvalues (iterations 0), and an all-zero sparse matrix
-    radius 0. Any other sparse matrix makes one ARPACK call for the
-    eigenvalue of largest modulus, from a seeded start and to working
-    precision; iterations counts its products with m. If ARPACK raises, a
-    warning is logged and the exact value returned, flagged unconverged.
-    With `offsets` (the first row of each block, ascending from 0), a sparse
-    block-diagonal m gets an array of radii, each with the bits of its
-    block's own call; iterations sums theirs, converged needs all of them.
+    gets exact eigenvalues (iterations 0), an all-zero sparse matrix radius
+    0 and a KernelOperator its closed-form rho. Any other sparse matrix
+    makes one ARPACK call for the eigenvalue of largest modulus, from a
+    seeded start and to working precision; iterations counts its products
+    with m. If ARPACK raises, a warning is logged and the exact value
+    returned, flagged unconverged. With `offsets` (the first row of each
+    block, ascending from 0), a sparse block-diagonal m gets an array of
+    radii, each with the bits of its block's own call; iterations sums
+    theirs, converged needs all of them.
     """
     sparse = sp.issparse(m)
+    if offsets is not None and not sparse:
+        raise InputError("offsets need a sparse block-diagonal matrix")
+    if isinstance(m, KernelOperator):
+        return SpectralRadiusResult(m.rho, 0, True)
     if not sparse:
         m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("spectral_radius requires a square matrix")
     if offsets is not None:
-        if not sparse:
-            raise InputError("offsets need a sparse block-diagonal matrix")
         return _block_radii(m.tocsr(), seed, np.asarray(offsets, np.int64))
     n = m.shape[0]
     if n == 0 or (sparse and m.count_nonzero() == 0):
@@ -263,19 +266,37 @@ def heat_kernel(t_matrix, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * (np.eye(n) - td))
 
 
-class HeatOperator(spla.LinearOperator):
+class KernelOperator(spla.LinearOperator):
+    """A diffusion kernel applied by its product, with its spectral radius
+    `rho` in closed form. toarray() applies it to TOARRAY_BLOCKS column
+    blocks of the identity, so that it holds little beside its output."""
+
+    def __init__(self, n: int, rho: float):
+        super().__init__(dtype=np.float64, shape=(n, n))
+        self.rho = rho
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        out = np.empty((n, n))
+        width = -(-n // TOARRAY_BLOCKS)
+        for j in range(0, n, width):
+            out[:, j:j + width] = self._matmat(
+                np.eye(n, min(width, n - j), -j))
+        return out
+
+
+class HeatOperator(KernelOperator):
     """Heat kernel exp(-t (I - T)) of a sparse T, applied as its series
     e^{-t} sum_{m<=M} t^m/m! T^m X in two n x k arrays. With s = t rho(T),
     M is the smallest count past the peak of s^m/m! whose next term is at
     most HEAT_TAIL e^s; rho(T) = ||T|| in the 1-, infinity- or 2-norm for
-    rw, mean and sym (and the symmetric A). toarray() is heat_kernel.
-    Threads may share one operator: T is only read."""
+    rw, mean and sym (and the symmetric A), and the kernel's own radius is
+    exp(-t (1 - rho(T))). Threads may share one operator: T is only read."""
 
-    def __init__(self, t_matrix, t: float, rho: float):
-        n = t_matrix.shape[0]
-        super().__init__(dtype=np.float64, shape=(n, n))
+    def __init__(self, t_matrix, t: float, rho_t: float):
+        super().__init__(t_matrix.shape[0], math.exp(-t * (1.0 - rho_t)))
         self._t_matrix, self._t = t_matrix, t
-        s, self.terms = t * rho, int(t * rho)
+        s, self.terms = t * rho_t, int(t * rho_t)
         while s > 0 and ((self.terms + 1) * math.log(s) - math.lgamma(
                 self.terms + 2) > math.log(HEAT_TAIL) + s):
             self.terms += 1
@@ -289,11 +310,8 @@ class HeatOperator(spla.LinearOperator):
         out *= math.exp(-self._t)
         return out
 
-    def toarray(self) -> np.ndarray:
-        return heat_kernel(self._t_matrix, self._t)
 
-
-class PagerankOperator(spla.LinearOperator):
+class PagerankOperator(KernelOperator):
     """Personalized PageRank kernel diag(left) K^{-1} diag(right) of a
     symmetric positive definite sparse K, applied by block elimination.
 
@@ -308,9 +326,10 @@ class PagerankOperator(spla.LinearOperator):
     threads may apply one operator concurrently.
     """
 
-    def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None):
+    def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None,
+                 rho: float):
         n = k.shape[0]
-        super().__init__(dtype=np.float64, shape=(n, n))
+        super().__init__(n, rho)
         lu = _factor(k, "MMD_AT_PLUS_A")
         order = np.argsort(lu.perm_c)
         # scipy builds CSC copies of both L and U on first access and caches
@@ -368,17 +387,6 @@ class PagerankOperator(spla.LinearOperator):
         out[tail] = z_tail
         return out
 
-    def toarray(self) -> np.ndarray:
-        """The n x n kernel, built in TOARRAY_BLOCKS column blocks of the
-        identity so that it holds little beside its output."""
-        n = self.shape[0]
-        out = np.empty((n, n))
-        width = -(-n // TOARRAY_BLOCKS)
-        for j in range(0, n, width):
-            out[:, j:j + width] = self._matmat(
-                np.eye(n, min(width, n - j), -j))
-        return out
-
 
 def _factor(k, order: str):
     """Sparse LU of the symmetric positive definite k without pivoting."""
@@ -422,12 +430,13 @@ def pagerank_kernel(g: Graph, alpha: float,
     d = np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
     d[d == 0] = 1.0
     k = (sp.diags(d) - (1.0 - alpha) * a).tocsc()
+    rho = 1.0 if g.num_edges else alpha   # alpha / (1 - (1-alpha) rho(T))
     if norm is Normalization.RW:
-        return PagerankOperator(k, alpha * d, None)
+        return PagerankOperator(k, alpha * d, None, rho)
     if norm is Normalization.MEAN:
-        return PagerankOperator(k, None, alpha * d)
+        return PagerankOperator(k, None, alpha * d, rho)
     s = np.sqrt(d)  # SYM
-    return PagerankOperator(k, s, alpha * s)
+    return PagerankOperator(k, s, alpha * s, rho)
 
 
 def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg
 
 import rewirebench
-from rewirebench import cli
+from rewirebench import RewireConfig, apply_rewiring, cli, spectral
 from rewirebench.cli import main
 from rewirebench.datasets import load_dataset
 from rewirebench.rewiring import cayley_graph, sl2_order
@@ -98,6 +98,26 @@ class TestRewire:
         k = np.load(out / "kernel.npy")
         n = sum(1 for _ in open(f"{node_dataset}/labels.csv"))
         assert k.shape == (n, n)
+
+    def test_heat_commands_never_reach_expm(self, node_dataset, tmp_path,
+                                            monkeypatch):
+        # rewire writes and run applies the same series; the dense expm
+        # kernel is only the reference the tests compare it with
+        def expm(*args, **kwargs):
+            raise AssertionError("dense expm reached")
+        monkeypatch.setattr(spectral.scipy.linalg, "expm", expm)
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",
+                     "--out", str(out)]) == 0
+        assert main(["run", "--dataset", node_dataset, "--model", "gesn",
+                     "--grid", "tiny", "--jobs", "1", "--rewire", "heat",
+                     "--out", str(tmp_path / "run")]) == 0
+        g = load_dataset(node_dataset)
+        op = apply_rewiring(g, RewireConfig(method="heat")).operator
+        assert np.array_equal(np.load(out / "kernel.npy"), op.toarray())
+        # one savetxt call writes the per-edge lines u<TAB>v
+        assert (out / "rewired_edges.tsv").read_text() == "".join(
+            f"{u}\t{v}\n" for u, v in g.edges.tolist())
 
     @pytest.mark.parametrize("method", ["egp", "diffwire"])
     def test_sparse_operator_written_dense(self, node_dataset, tmp_path,

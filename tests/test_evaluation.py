@@ -553,8 +553,7 @@ def reference_gesn(rewired, space, seed, pooling=None):
                     if op is None:
                         op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                             Normalization.NONE)
-                    rho_m = (rw.rho if rw.rho is not None
-                             else float(spectral_radius(op, seed=seed)))
+                    rho_m = float(spectral_radius(op, seed=seed))
                     rho_m = rho_m if rho_m > 0 else 1.0
                     x = input_features(rw.graph.features)
                     params = gesn_init(x.shape[1], h, s, r / rho_m, seed=seed)

@@ -13,7 +13,9 @@ from rewirebench import (Budget, BudgetExceeded, InputError, RewireConfig,
 from rewirebench import kernels, rewiring
 from rewirebench.graph import Normalization
 from rewirebench.rewiring import _adj_sets, local_balanced_forman
-from rewirebench.spectral import effective_resistance, heat_kernel
+from rewirebench.spectral import (KernelOperator, SpectralRadiusResult,
+                                  effective_resistance, heat_kernel,
+                                  spectral_radius)
 
 from conftest import (brute_balanced_forman, complete_graph, cycle_graph,
                       path_graph, random_graph, sparse_random_graph)
@@ -468,6 +470,28 @@ class TestEGP:
         assert np.allclose(out.operator.toarray(), a_cay.astype(float) @ a)
 
 
+    def test_one_cayley_adjacency_per_size(self, monkeypatch):
+        # a 10-40-node collection needs n = 3 (|SL(2, Z_3)| = 24) and n = 4
+        # (48); each operator keeps the bits of the uncached product
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return cayley_graph(n)
+        rewiring._cayley_adjacency.cache_clear()
+        monkeypatch.setattr(rewiring, "cayley_graph", counting)
+        rng = np.random.default_rng(5)
+        graphs = [random_graph(k, 0.2, rng) for k in (10, 30, 24, 40, 25, 12)]
+        ops = [rewire_egp(g).operator for g in graphs]
+        assert built == [3, 4]
+        for g, op in zip(graphs, ops):
+            k = g.num_nodes
+            a_cay = cayley_graph(3 if k <= 24 else 4).adjacency()[:k, :k]
+            want = (a_cay @ g.adjacency()).tocsr()
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(op, part), getattr(want, part))
+
+
 class TestDiffWire:
     def test_sparsity_pattern_matches_adjacency(self, rng):
         g = random_graph(12, 0.3, rng, connected=True)
@@ -529,7 +553,11 @@ class TestDispatch:
         assert out.operator is not None
         assert out.operator.shape == (12, 12)
         # a closed-form rho(M') only where the kernel has one
-        assert (out.rho is None) == (method in ("egp", "diffwire"))
+        closed = isinstance(out.operator, KernelOperator)
+        assert closed == (method in ("heat", "pagerank"))
+        if closed:
+            assert spectral_radius(out.operator) == SpectralRadiusResult(
+                out.operator.rho, 0, True)
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean", "none"])
     def test_diffusion_rho_matches_dense_eigvals(self, norm):
@@ -545,10 +573,10 @@ class TestDispatch:
         for g in graphs:
             for cfg in configs:
                 out = apply_rewiring(g, cfg)
-                m = out.operator
-                m = m if isinstance(m, np.ndarray) else m.toarray()
-                want = np.max(np.abs(np.linalg.eigvals(m)))
-                assert out.rho == pytest.approx(want, rel=1e-12), (g, cfg)
+                want = np.max(np.abs(np.linalg.eigvals(out.operator.toarray())))
+                res = spectral_radius(out.operator)
+                assert res.value == pytest.approx(want, rel=1e-12), (g, cfg)
+                assert (res.iterations, res.converged) == (0, True)
 
 
 class TestBudget:

@@ -141,6 +141,17 @@ class TestSpectralRadius:
         z = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(n, n))
         assert spectral_radius(z).value == 0.0
 
+    @pytest.mark.parametrize("method", ["heat", "pagerank"])
+    def test_kernel_operator_gives_its_closed_form(self, method, monkeypatch):
+        g = sparse_random_graph(200, 4.0, 3)
+        op = apply_rewiring(g, RewireConfig(method=method)).operator
+        monkeypatch.setattr(spla, "eigs", None)   # no eigensolver runs
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        assert spectral_radius(op, seed=5) == spectral.SpectralRadiusResult(
+            op.rho, 0, True)
+        with pytest.raises(InputError, match="sparse block-diagonal"):
+            spectral_radius(op, offsets=[0])
+
     def test_not_square(self):
         with pytest.raises(InputError):
             spectral_radius(np.ones((2, 3)))
@@ -563,6 +574,15 @@ class TestPagerankKernel:
         assert peak <= n * n * 8 / 8
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_toarray_equals_product_with_identity(self, norm):
+        # BLAS blocks the columns of the product with S^{-1} differently
+        # for a block of the identity than for the whole of it
+        g = sparse_random_graph(600, 4.0, 2)
+        op = pagerank_kernel(g, 0.1, norm)
+        want = op @ np.eye(g.num_nodes)
+        assert np.abs(op.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_toarray_holds_little_beside_its_output(self, norm):
         # rewire's kernel.npy builds the dense kernel; beside the n x n
         # output it may hold 0.1 n^2 doubles
@@ -593,7 +613,8 @@ class TestHeatOperator:
         got = op @ np.eye(g.num_nodes)
         tol = 1e-10 if norm == "none" else 1e-13
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        assert np.array_equal(op.toarray(), want)
+        # the dense export is the series, column block by column block
+        assert np.array_equal(op.toarray(), got)
 
     @staticmethod
     def _expected_terms(s):
@@ -624,6 +645,21 @@ class TestHeatOperator:
         g = sparse_random_graph(1000, 8.0, 1)
         op = apply_rewiring(g, RewireConfig(method="heat")).operator
         TestPagerankKernel._threads_equal_serial(op)
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean", "none"])
+    def test_toarray_holds_little_beside_its_output(self, norm):
+        # rewire's kernel.npy is the series applied to column blocks of the
+        # identity, with the bound PageRank's toarray() meets
+        n = 1000
+        op = apply_rewiring(sparse_random_graph(n, 4.0, 0), RewireConfig(
+            method="heat", diffusion_norm=norm)).operator
+        tracemalloc.start()
+        try:
+            op.toarray()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8
 
 
 class TestResistanceOracle:

@@ -80,8 +80,12 @@ def test_traced_pagerank_node_run_reaches_the_kernel(tracing, tmp_path):
         assert main(["run", "--dataset", str(data), "--seed", "0", "--out",
                      str(tmp_path / "out"), "--model", "gesn", "--grid",
                      "tiny", "--jobs", "1", "--rewire", "pagerank"]) == 0
+    c = tracer.counters
     # the rewired run builds the kernel once; the baseline run never does
-    assert tracer.counters["spectral.pagerank_kernel.calls"] == 1
+    assert c["spectral.pagerank_kernel.calls"] == 1
+    # one closed-form PageRank radius and one of the baseline's adjacency
+    assert c["spectral.spectral_radius.operator_calls"] == 2
+    assert c["spectral.spectral_radius.unconverged"] == 0
 
 
 def test_traced_diffwire_node_run_counts_both_operator_radii(tracing,
