@@ -114,6 +114,9 @@ def cmd_rewire(args) -> int:
     g = load_dataset(args.dataset, args.format)
     if not isinstance(g, Graph):
         raise InputError("rewire command expects a single-graph dataset")
+    if g.num_nodes < 2:   # refused before any file is written
+        raise InputError(f"rewire needs at least 2 nodes for the spectral "
+                         f"gap, not {g.num_nodes}")
     config = _rewire_config(args)
     os.makedirs(args.out, exist_ok=True)
     try:

@@ -11,6 +11,8 @@ from . import kernels
 from .errors import InputError
 from .graph import Graph
 
+BIN_WIDTH = 0.25   # histogram bins, aligned to multiples of the width
+
 
 @dataclass
 class EdgeCurvature:
@@ -66,17 +68,18 @@ class CurvatureHistogram:
     counts: np.ndarray
 
 
-def curvature_distribution(g: Graph, bin_width: float = 0.25) -> CurvatureHistogram:
-    """Per-edge curvatures plus a binned histogram (empty for edgeless graphs)."""
+def curvature_distribution(g: Graph) -> CurvatureHistogram:
+    """Per-edge curvatures plus a histogram in BIN_WIDTH bins (empty for
+    edgeless graphs)."""
     vals = edge_curvatures(g)
     if vals.size == 0:
         return CurvatureHistogram(values=vals, bin_edges=np.zeros(0),
                                   counts=np.zeros(0, dtype=np.int64))
-    lo = np.floor(vals.min() / bin_width) * bin_width
-    hi = np.ceil(vals.max() / bin_width) * bin_width
+    lo = np.floor(vals.min() / BIN_WIDTH) * BIN_WIDTH
+    hi = np.ceil(vals.max() / BIN_WIDTH) * BIN_WIDTH
     if hi <= lo:
-        hi = lo + bin_width
-    edges = np.arange(lo, hi + bin_width / 2, bin_width)
+        hi = lo + BIN_WIDTH
+    edges = np.arange(lo, hi + BIN_WIDTH / 2, BIN_WIDTH)
     counts, _ = np.histogram(vals, bins=edges)
     return CurvatureHistogram(values=vals, bin_edges=edges, counts=counts)
 

@@ -157,10 +157,10 @@ def _majority(graph_of: np.ndarray, node_labels: np.ndarray) -> np.ndarray:
     return classes[label[first][np.diff(graph[first], prepend=-1) != 0]]
 
 
-def load_tudataset(path: str, name: str | None = None):
-    """Load a TUDataset directory; returns (list[Graph], graph_labels)."""
-    if name is None:
-        name = os.path.basename(os.path.normpath(path))
+def load_tudataset(path: str):
+    """Load a TUDataset directory, whose files are named after it; returns
+    (list[Graph], graph_labels)."""
+    name = os.path.basename(os.path.normpath(path))
     def f(suffix):
         return os.path.join(path, f"{name}_{suffix}.txt")
     for required in ("A", "graph_indicator", "graph_labels"):

@@ -1,12 +1,13 @@
 """Experimental protocol: stratified splits, metrics, grid model
 selection, and significance testing.
 
-Splits are 5-fold stratified test folds with an inner stratified holdout,
-giving 60:20:20 train/validation/test per outer fold. Model
-hyperparameters are selected on each validation fold; the rewiring is one
-fixed `RewireConfig` per run (t, alpha, fraction and tau come from the
-caller, not from the grid). Test labels stay sealed until the final
-scoring stage.
+Splits are N_FOLDS (5) stratified test folds with an inner stratified
+holdout of VALIDATION_SHARE of the rest, giving 60:20:20
+train/validation/test per outer fold. Model hyperparameters are selected
+on each validation fold; the rewiring is one fixed `RewireConfig` per run
+(t, alpha, fraction and tau come from the caller, not from the grid). Test
+labels stay sealed until the final scoring stage. A method is compared with
+the baseline by a paired t-test at level ALPHA.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ log = logging.getLogger(__name__)
 
 NODE_ONLY_REWIRING = ("heat", "pagerank")   # diffusion defined for node tasks
 NODE_ONLY_MODELS = ("sgc",)
+N_FOLDS = 5
+VALIDATION_SHARE = 0.25   # of the non-test rows: 20% of all
+ALPHA = 0.05              # significance level of the paired t-test
 
 
 # ---------------------------------------------------------------------------
@@ -44,37 +48,39 @@ def _by_class(labels: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
 
 
-def stratified_kfold(labels, k: int = 5, seed: int = 0) -> list[np.ndarray]:
-    """Deterministic stratified k-fold partition of range(len(labels)).
+def stratified_kfold(labels, seed: int = 0) -> list[np.ndarray]:
+    """Deterministic stratified N_FOLDS-fold partition of range(len(labels)).
 
     Per class, indices are shuffled then dealt round-robin, so per-fold class
     counts are within one of the stratified ideal.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if k > n:
-        raise InputError(f"k={k} exceeds population {n}")
+    if N_FOLDS > n:
+        raise InputError(f"{N_FOLDS} folds exceed population {n}")
     rng = np.random.default_rng(seed)
     fold = np.empty(n, dtype=np.int64)
     offset = 0
     for idx in _by_class(labels):
-        if idx.shape[0] < k:
-            log.warning("class %s has %d < k members; stratification degraded",
-                        labels[idx[0]], idx.shape[0])
-        fold[rng.permutation(idx)] = (np.arange(idx.shape[0]) + offset) % k
-        offset += idx.shape[0] % k
-    return [np.flatnonzero(fold == f) for f in range(k)]
+        if idx.shape[0] < N_FOLDS:
+            log.warning("class %s has %d < %d members; stratification "
+                        "degraded", labels[idx[0]], idx.shape[0], N_FOLDS)
+        deal = np.arange(idx.shape[0]) + offset
+        fold[rng.permutation(idx)] = deal % N_FOLDS
+        offset += idx.shape[0] % N_FOLDS
+    return [np.flatnonzero(fold == f) for f in range(N_FOLDS)]
 
 
-def stratified_holdout(labels, indices: np.ndarray, frac: float,
+def stratified_holdout(labels, indices: np.ndarray,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split `indices` into (rest, held) with `held` a stratified `frac` share."""
+    """Split `indices` into (rest, held), `held` a stratified
+    VALIDATION_SHARE of them."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     held = np.zeros(labels.shape[0], dtype=bool)
     for pos in _by_class(labels[indices]):
         idx = rng.permutation(indices[pos])
-        held[idx[:int(round(frac * idx.shape[0]))]] = True
+        held[idx[:int(round(VALIDATION_SHARE * idx.shape[0]))]] = True
     rest = np.zeros_like(held)
     rest[indices] = True
     rest[held] = False
@@ -102,14 +108,14 @@ class FoldSplit:
     test_labels: SealedLabels
 
 
-def make_splits(labels, k: int = 5, seed: int = 0) -> list[FoldSplit]:
+def make_splits(labels, seed: int = 0) -> list[FoldSplit]:
     labels = np.asarray(labels)
-    folds = stratified_kfold(labels, k=k, seed=seed)
+    folds = stratified_kfold(labels, seed=seed)
     out = []
     for i, test in enumerate(folds):
         rest = np.ones(labels.shape[0], dtype=bool)
         rest[test] = False
-        train, val = stratified_holdout(labels, np.flatnonzero(rest), 0.25,
+        train, val = stratified_holdout(labels, np.flatnonzero(rest),
                                         seed + 1000 + i)
         out.append(FoldSplit(fold=i, train=train, val=val, test=test,
                              test_labels=SealedLabels(labels[test])))
@@ -154,11 +160,13 @@ def _auroc(scores, pos) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def significance(baseline_folds, method_folds, test: str = "ttest",
-                 alpha: float = 0.05):
-    """Paired two-sided test over fold scores -> (p_value, flag).
+def significance(baseline_folds, method_folds):
+    """Paired two-sided t-test over fold scores -> (p_value, flag).
 
-    flag is 'better'/'worse'/'none' relative to the baseline.
+    flag is 'better'/'worse'/'none' relative to the baseline at level ALPHA.
+    The p-value follows the operation order of scipy's `ttest_rel`, so the
+    two agree bit for bit (the variance as a mean of squares rescaled by
+    n/(n-1), not np.var(ddof=1)).
     """
     b = np.asarray(baseline_folds, dtype=np.float64)
     m = np.asarray(method_folds, dtype=np.float64)
@@ -172,27 +180,13 @@ def significance(baseline_folds, method_folds, test: str = "ttest",
     if np.std(diff, ddof=1) == 0.0:
         # constant nonzero shift: exactly significant
         return 0.0, "better" if diff.mean() > 0 else "worse"
-    if test == "ttest":
-        p = _ttest_rel_pvalue(diff)
-    elif test == "wilcoxon":
-        import scipy.stats  # only here: importing it costs 0.9 s and 35 MB
-        p = float(scipy.stats.wilcoxon(m, b).pvalue)
-    else:
-        raise InputError(f"unknown significance test {test!r}")
-    if p < alpha:
-        return p, "better" if diff.mean() > 0 else "worse"
-    return p, "none"
-
-
-def _ttest_rel_pvalue(diff: np.ndarray) -> float:
-    """Two-sided paired t-test p-value of the differences, in the operation
-    order of scipy's `ttest_rel`, so the two agree bit for bit (the
-    variance as a mean of squares rescaled by n/(n-1), not np.var(ddof=1))."""
     n = diff.shape[0]
     mean = np.mean(diff)
     var = np.mean((diff - mean) ** 2) * (n / (n - 1))
-    t = mean / np.sqrt(var / n)
-    return float(2.0 * stdtr(n - 1, -abs(t)))
+    p = float(2.0 * stdtr(n - 1, -abs(mean / np.sqrt(var / n))))
+    if p < ALPHA:
+        return p, "better" if diff.mean() > 0 else "worse"
+    return p, "none"
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +441,14 @@ def model_select(task, model: str, rconfig: RewireConfig,
     check_compatibility(task.kind, model, rconfig.method)
     space = space or SearchSpace()
     labels = np.asarray(task.labels)
-    splits = make_splits(labels, k=5, seed=seed)
+    if task.metric == "auroc":
+        # a class in fewer rows than folds leaves some test fold without it
+        classes, counts = np.unique(labels, return_counts=True)
+        if counts.min() < N_FOLDS:
+            raise InputError(
+                f"auroc needs each class in all {N_FOLDS} folds, but class "
+                f"{classes[counts.argmin()]} has {counts.min()} members")
+    splits = make_splits(labels, seed=seed)
     report = ExperimentReport(dataset=task.name, task=task.kind, model=model,
                               method=rconfig.method, metric_name=task.metric)
     budget = Budget(budget_seconds)

@@ -79,15 +79,10 @@ class Graph:
         i = np.searchsorted(nb, v)
         return i < len(nb) and nb[i] == v
 
-    def with_edges(self, edges: np.ndarray, name: str | None = None) -> "Graph":
-        """New graph sharing features/labels with a different edge set."""
-        return build_graph(
-            np.asarray(edges),
-            self.features,
-            self.labels,
-            num_nodes=self.num_nodes,
-            name=self.name if name is None else name,
-        )
+    def with_edges(self, edges: np.ndarray) -> "Graph":
+        """New graph sharing features, labels and name, with other edges."""
+        return build_graph(np.asarray(edges), self.features, self.labels,
+                           num_nodes=self.num_nodes, name=self.name)
 
 
 @dataclass

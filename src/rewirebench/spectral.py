@@ -149,22 +149,18 @@ def _block_radii(m: sp.csr_matrix, seed: int,
                                 all(r.converged for r in own))
 
 
-def spectral_gap(g: Graph,
-                 laplacian: Normalization | str = Normalization.SYM) -> float:
-    """Smallest strictly positive eigenvalue of the chosen Laplacian: the
-    least lambda_2 over components of at least 2 nodes (dense eigvalsh up to
-    DENSE_GAP_ROWS nodes, shift-invert eigsh above). Normalized variants
-    share the symmetric normalized spectrum (similarity by D^{1/2}), where
-    an isolated node has eigenvalue 1 (`_inv_pow` maps degree 0 to 0)."""
-    laplacian = Normalization(laplacian)
+def spectral_gap(g: Graph) -> float:
+    """Smallest strictly positive eigenvalue of the symmetric normalized
+    Laplacian: the least lambda_2 over components of at least 2 nodes
+    (dense eigvalsh up to DENSE_GAP_ROWS nodes, shift-invert eigsh above).
+    The rw and mean Laplacians share its spectrum (similarity by D^{1/2}).
+    An isolated node has eigenvalue 1 (`_inv_pow` maps degree 0 to 0)."""
     if g.num_nodes < 2:
         raise InputError("spectral gap needs at least 2 nodes")
-    norm = (Normalization.NONE if laplacian is Normalization.NONE
-            else Normalization.SYM)
-    mat = shift_operator(g, OperatorKind.LAPLACIAN, norm)
+    mat = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.SYM)
     comp = connected_components(g)
     sizes = np.bincount(comp)
-    gap = 1.0 if norm is Normalization.SYM and np.any(sizes == 1) else np.inf
+    gap = 1.0 if np.any(sizes == 1) else np.inf
     by_comp = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
     for nodes in by_comp:
         if nodes.size < 2:

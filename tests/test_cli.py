@@ -8,7 +8,8 @@ import pytest
 import scipy.sparse.linalg
 
 import rewirebench
-from rewirebench import RewireConfig, apply_rewiring, cli, spectral
+from rewirebench import (RewireConfig, apply_rewiring, cli, evaluation,
+                         spectral)
 from rewirebench.cli import main
 from rewirebench.datasets import load_dataset
 from rewirebench.rewiring import cayley_graph, sl2_order
@@ -219,6 +220,15 @@ class TestRewire:
         assert (out / "spectral.csv").read_text().splitlines() == [
             "gap_before,gap_after", gaps]
 
+    def test_single_node_refused_before_writing(self, tmp_path, capsys):
+        d = tmp_path / "one"
+        write_canonical(d, [], np.ones((1, 1)))
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", str(d), "--rewire", "sdrf",
+                     "--out", str(out)]) == 2
+        assert "at least 2 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rewire_deterministic_artifacts(self, node_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -288,6 +298,32 @@ class TestRun:
         write_canonical(d, [(i, i + 1) for i in range(labels.size - 1)],
                         np.ones((labels.size, 1)), labels=labels)
         assert cli._load_task(str(d), "canonical").metric == metric
+
+    @pytest.mark.parametrize("positives", [4, 5])
+    def test_auroc_class_smaller_than_folds(self, tmp_path, capsys,
+                                            monkeypatch, positives):
+        # with fewer members than folds some test fold lacks the class and
+        # AUROC is undefined there: refused before any rewiring
+        rng = np.random.default_rng(0)
+        labels = np.zeros(40, dtype=np.int64)
+        labels[:positives] = 1
+        d = tmp_path / "rare"
+        write_canonical(d, [(i, (i + 1) % 40) for i in range(40)],
+                        rng.normal(size=(40, 2)) + labels[:, None],
+                        labels=labels)
+        rewired = []
+        real = evaluation.apply_rewiring
+        monkeypatch.setattr(evaluation, "apply_rewiring",
+                            lambda *a: rewired.append(a) or real(*a))
+        code = main(["run", "--dataset", str(d), "--model", "sgc",
+                     "--grid", "tiny", "--jobs", "1",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        if positives < 5:
+            assert code == 2 and not rewired
+            assert "class 1 has 4 members" in err and "5 folds" in err
+        else:
+            assert code == 0 and rewired
 
     def test_budget_zero_marks_oor(self, node_dataset, tmp_path):
         out = tmp_path / "run"
@@ -511,15 +547,18 @@ codes = [cli.main(["stats", "--dataset", data]),
                    "--out", out + "/rw"]),
          cli.main(["run", "--dataset", data, "--model", "gesn", "--grid",
                    "tiny", "--rewire", "sdrf", "--jobs", "1",
-                   "--out", out + "/run"])]
+                   "--out", out + "/run"]),
+         cli.main(["run", "--dataset", graph, "--model", "sgc", "--grid",
+                   "tiny", "--rewire", "heat", "--jobs", "1",
+                   "--out", out + "/node"])]
 print(codes, sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 """
 
 
 def test_cli_never_imports_scipy_stats(tmp_path, node_dataset):
     """scipy.stats costs a fresh process about 0.9 s and 35 MB to import;
-    stats and a rewired run with its t-test on a collection, and rewire on
-    a single graph, need none of it."""
+    stats and a rewired run with its t-test on a collection, and rewire and
+    a rewired run with its t-test on a single graph, need none of it."""
     rng = np.random.default_rng(0)
     sizes = rng.integers(4, 8, 10)
     gids = np.repeat(np.arange(10), sizes)
@@ -534,4 +573,4 @@ def test_cli_never_imports_scipy_stats(tmp_path, node_dataset):
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(d),
                            node_dataset, str(tmp_path / "out")], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"

@@ -82,8 +82,9 @@ def blob_graph_task(n_graphs=40, seed=0):
     return GraphTask(graphs=graphs, labels=labels, name="density")
 
 
-def reference_kfold(labels, k, seed):
+def reference_kfold(labels, seed):
     """The per-node fold protocol that the array version replaced."""
+    k = evaluation.N_FOLDS
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     offset = 0
@@ -95,7 +96,8 @@ def reference_kfold(labels, k, seed):
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def reference_holdout(labels, indices, frac, seed):
+def reference_holdout(labels, indices, seed):
+    frac = evaluation.VALIDATION_SHARE
     rng = np.random.default_rng(seed)
     held = []
     for cls in np.unique(labels[indices]):
@@ -105,11 +107,11 @@ def reference_holdout(labels, indices, frac, seed):
     return np.setdiff1d(indices, held), held
 
 
-def reference_splits(labels, k, seed):
+def reference_splits(labels, seed):
     out = []
-    for i, test in enumerate(reference_kfold(labels, k, seed)):
+    for i, test in enumerate(reference_kfold(labels, seed)):
         rest = np.setdiff1d(np.arange(labels.shape[0]), test)
-        out.append((*reference_holdout(labels, rest, 0.25, seed + 1000 + i),
+        out.append((*reference_holdout(labels, rest, seed + 1000 + i),
                     test))
     return out
 
@@ -129,33 +131,32 @@ class TestSplits:
     @pytest.mark.parametrize("seed", [0, 1, 5, 123])
     def test_splits_equal_reference_protocol(self, name, seed):
         labels = SPLIT_LABELS[name]
-        for k in (2, 5):
-            for got, want in zip(stratified_kfold(labels, k, seed),
-                                 reference_kfold(labels, k, seed), strict=True):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-            for split, (train, val, test) in zip(
-                    make_splits(labels, k, seed),
-                    reference_splits(labels, k, seed), strict=True):
-                assert np.array_equal(split.train, train)
-                assert np.array_equal(split.val, val)
-                assert np.array_equal(split.test, test)
+        for got, want in zip(stratified_kfold(labels, seed),
+                             reference_kfold(labels, seed), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for split, (train, val, test) in zip(
+                make_splits(labels, seed), reference_splits(labels, seed),
+                strict=True):
+            assert np.array_equal(split.train, train)
+            assert np.array_equal(split.val, val)
+            assert np.array_equal(split.test, test)
         # an unsorted subset keeps its per-class draw order
         subset = np.random.default_rng(seed).permutation(labels.shape[0])[:40]
-        for got, want in zip(stratified_holdout(labels, subset, 0.3, seed),
-                             reference_holdout(labels, subset, 0.3, seed),
+        for got, want in zip(stratified_holdout(labels, subset, seed),
+                             reference_holdout(labels, subset, seed),
                              strict=True):
             assert np.array_equal(got, want)
 
     def test_kfold_partitions(self):
         labels = np.array([0] * 20 + [1] * 15)
-        folds = stratified_kfold(labels, k=5, seed=1)
+        folds = stratified_kfold(labels, seed=1)
         all_idx = np.concatenate(folds)
         assert np.array_equal(np.sort(all_idx), np.arange(35))
 
     def test_kfold_stratified_within_one(self):
         labels = np.array([0] * 20 + [1] * 15 + [2] * 10)
-        for fold in stratified_kfold(labels, k=5, seed=3):
+        for fold in stratified_kfold(labels, seed=3):
             counts = np.bincount(labels[fold], minlength=3)
             assert abs(counts[0] - 4) <= 1
             assert abs(counts[1] - 3) <= 1
@@ -169,11 +170,11 @@ class TestSplits:
 
     def test_k_exceeds_population(self):
         with pytest.raises(InputError):
-            stratified_kfold(np.array([0, 1]), k=5)
+            stratified_kfold(np.array([0, 1]))
 
     def test_holdout_fraction(self):
         labels = np.array([0] * 40 + [1] * 40)
-        rest, held = stratified_holdout(labels, np.arange(80), 0.25, seed=0)
+        rest, held = stratified_holdout(labels, np.arange(80), seed=0)
         assert held.shape[0] == 20
         assert np.array_equal(np.sort(np.concatenate([rest, held])),
                               np.arange(80))
@@ -306,18 +307,14 @@ class TestSignificance:
         assert significance(b, m)[1] == "better"
         assert significance(m, b)[1] == "worse"
 
-    def test_wilcoxon_variant(self, rng):
-        b = rng.random(8)
-        m = b + rng.normal(0.3, 0.01, size=8)
-        p, flag = significance(b, m, test="wilcoxon")
-        assert p == pytest.approx(float(scipy.stats.wilcoxon(m, b).pvalue))
-
     @pytest.mark.parametrize("method, p_want, flag", [
         # differences (1, -1, 3)/8: t = sqrt(3)/2
         ([0.625, 0.375, 0.875], 1 - math.sqrt(3 / 11), "none"),
         # differences (4, 3, 5)/16: t = 4 sqrt(3)
         ([0.75, 0.6875, 0.8125], 1 - math.sqrt(48 / 50), "better"),
-    ], ids=["none", "better"])
+        # differences (2, 3, 5)/16: t = 10 / sqrt(7), p = 0.063 > ALPHA
+        ([0.625, 0.6875, 0.8125], 1 - math.sqrt(50 / 57), "none"),
+    ], ids=["none", "better", "above-alpha"])
     def test_fixed_three_fold_case(self, method, p_want, flag):
         # two degrees of freedom: p = 1 - |t| / sqrt(t^2 + 2) in closed form
         p, got = significance([0.5] * 3, method)
@@ -514,7 +511,7 @@ def reference_selection(task, model, space, seed, table=None):
     embeddings = list(evaluation._all_embeddings(
         task, model, RewireConfig(), space, seed, Budget(None), 1))
     out = []
-    for split in make_splits(labels, k=5, seed=seed):
+    for split in make_splits(labels, seed=seed):
         best = None
         rows = []
         for cfg, emb in embeddings:

@@ -238,15 +238,9 @@ class TestSpectralRadius:
 
 
 class TestSpectralGap:
-    def test_k2_unnormalized(self):
-        assert spectral_gap(path_graph(2), "none") == pytest.approx(2.0)
-
-    def test_p3_unnormalized(self):
-        assert spectral_gap(path_graph(3), "none") == pytest.approx(1.0)
-
     def test_disconnected_gap_positive(self):
         g = build_graph([(0, 1), (2, 3)], np.zeros((4, 1)))
-        assert spectral_gap(g, "none") > 0
+        assert spectral_gap(g) == pytest.approx(2.0)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(5):
@@ -254,41 +248,39 @@ class TestSpectralGap:
             lap = shift_operator(g, "laplacian", "sym").toarray()
             vals = np.sort(np.linalg.eigvalsh(lap))
             want = vals[vals > 1e-9][0]
-            assert spectral_gap(g, "sym") == pytest.approx(want, abs=1e-9)
+            assert spectral_gap(g) == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("norm", ["sym", "none"])
+    @pytest.mark.parametrize("norm", ["sym", "rw", "mean"])
     def test_multi_component_matches_whole_spectrum(self, rng, norm):
-        # sparse random graphs: several components, some isolated nodes
+        # sparse random graphs: several components, some isolated nodes;
+        # the three normalized Laplacians share one spectrum
         for n in (5, 20, 60):
             for _ in range(4):
                 g = random_graph(n, 1.5 / n, rng)
                 lap = shift_operator(g, "laplacian", norm).toarray()
-                vals = np.linalg.eigvalsh(lap)
+                vals = np.linalg.eigvals(lap).real
                 pos = vals[vals > 1e-9 * max(1.0, np.max(np.abs(vals)))]
                 want = pos.min() if pos.size else 0.0
-                assert spectral_gap(g, norm) == pytest.approx(want, abs=1e-12)
+                assert spectral_gap(g) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("norm", ["sym", "none"])
-    def test_many_components_above_dense_limit(self, norm):
+    def test_many_components_above_dense_limit(self):
         # 2001 disjoint edges (4002 nodes): more components than eigenvalues
         # a partial solver of the whole Laplacian would return
         pairs = 2001
         g = build_graph([(2 * i, 2 * i + 1) for i in range(pairs)],
                         np.zeros((2 * pairs, 1)))
-        assert spectral_gap(g, norm) == 2.0
+        assert spectral_gap(g) == 2.0
 
-    @pytest.mark.parametrize("norm, want", [("sym", 1.0), ("none", 4.0)])
-    def test_isolated_node(self, norm, want):
-        # K4 (gap 4/3 under sym, 4 under none) plus an isolated node, which
-        # has eigenvalue 1 under sym and 0 under none
+    def test_isolated_node(self):
+        # K4 (gap 4/3) plus an isolated node, which has eigenvalue 1
         g = build_graph(complete_graph(4).edges.tolist(), np.zeros((5, 1)))
-        assert spectral_gap(g, norm) == pytest.approx(want, abs=1e-12)
+        assert spectral_gap(g) == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
-    def cycle_gap(k, norm, scale, monkeypatch):
+    def cycle_gap(k, monkeypatch):
         """A k-cycle plus one edge: the cycle's lambda_2 is
-        scale * (2 - 2 cos(2 pi / k)). Returns (gap, want, sizes of the
-        blocks given to sparse eigsh)."""
+        1 - cos(2 pi / k). Returns (gap, want, sizes of the blocks given
+        to sparse eigsh)."""
         sizes = []
         real = spla.eigsh
 
@@ -298,31 +290,27 @@ class TestSpectralGap:
         monkeypatch.setattr(spla, "eigsh", counting)
         edges = [(i, (i + 1) % k) for i in range(k)] + [(k, k + 1)]
         g = build_graph(edges, np.zeros((k + 2, 1)))
-        want = scale * (2.0 - 2.0 * math.cos(2.0 * math.pi / k))
-        return spectral_gap(g, norm), want, sizes
+        return spectral_gap(g), 1.0 - math.cos(2.0 * math.pi / k), sizes
 
-    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
-    def test_component_above_dense_limit(self, norm, scale, monkeypatch):
+    def test_component_above_dense_limit(self, monkeypatch):
         k = 4100  # one component, four times DENSE_GAP_ROWS
-        gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
+        gap, want, sizes = self.cycle_gap(k, monkeypatch)
         assert gap == pytest.approx(want, rel=1e-9)
         assert sizes == [k]
 
     @pytest.mark.parametrize("k", [DENSE_GAP_ROWS, DENSE_GAP_ROWS + 1])
-    @pytest.mark.parametrize("norm, scale", [("sym", 0.5), ("none", 1.0)])
-    def test_component_at_gap_limit(self, norm, scale, k, monkeypatch):
+    def test_component_at_gap_limit(self, k, monkeypatch):
         # eigsh starts one node past DENSE_GAP_ROWS
-        gap, want, sizes = self.cycle_gap(k, norm, scale, monkeypatch)
+        gap, want, sizes = self.cycle_gap(k, monkeypatch)
         assert gap == pytest.approx(want, rel=1e-9)
         assert sizes == ([k] if k > DENSE_GAP_ROWS else [])
 
-    @pytest.mark.parametrize("norm", ["sym", "none"])
-    def test_sparse_path_matches_dense_and_repeats(self, norm, monkeypatch):
+    def test_sparse_path_matches_dense_and_repeats(self, monkeypatch):
         g = sparse_random_graph(DENSE_GAP_ROWS + 200, 6.0, 0)
-        first, second = spectral_gap(g, norm), spectral_gap(g, norm)
+        first, second = spectral_gap(g), spectral_gap(g)
         assert first == second
         monkeypatch.setattr(spectral, "DENSE_GAP_ROWS", g.num_nodes)
-        assert first == pytest.approx(spectral_gap(g, norm), rel=1e-10)
+        assert first == pytest.approx(spectral_gap(g), rel=1e-10)
 
 
 class TestPseudoinverseAndResistance:
@@ -711,7 +699,7 @@ class TestCheeger:
                         np.zeros((6, 1)))
         h = cheeger_bruteforce(g)
         assert h == pytest.approx(1.0 / 7.0)
-        lam = spectral_gap(g, "sym")
+        lam = spectral_gap(g)
         assert h >= lam / 2.0 - 1e-12
 
     def test_refuses_large(self):
@@ -722,7 +710,7 @@ class TestCheeger:
         for _ in range(15):
             g = random_graph(9, 0.4, rng, connected=True)
             h = cheeger_bruteforce(g)
-            lam = spectral_gap(g, "sym")
+            lam = spectral_gap(g)
             assert h >= lam / 2.0 - 1e-9
 
     def test_resistance_cheeger_bound(self, rng):
