@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import InputError
@@ -35,6 +36,12 @@ HEAT_TAIL = 1e-17         # HeatOperator's first omitted term over the sum
 # Laplacian's inverse are symmetrized in column blocks of SYMMETRIZE_COLUMNS
 TOARRAY_BLOCKS = 64
 SYMMETRIZE_COLUMNS = 32
+# PagerankOperator forms its Schur complement's columns by head solves in
+# blocks of at most SCHUR_BLOCK_ENTRIES head-row doubles (512 KB: SuperLU's
+# solve per column is slower in wider blocks from 2k to 20k head rows) and
+# of at least SCHUR_MIN_COLUMNS columns (narrower ones cost more calls)
+SCHUR_BLOCK_ENTRIES = 1 << 16
+SCHUR_MIN_COLUMNS = 8
 
 
 @dataclass
@@ -311,50 +318,69 @@ class PagerankOperator(KernelOperator):
     """Personalized PageRank kernel diag(left) K^{-1} diag(right) of a
     symmetric positive definite sparse K, applied by block elimination.
 
-    K is factored once under its minimum-degree order. The nodes whose
-    columns of L are full, the factor's dense trailing block, form the tail
-    T; the others form the head H. The head keeps a sparse LU of K_HH in
-    that order. The tail keeps the dense inverse of its Schur complement
-    S = K_TT - K_TH K_HH^{-1} K_HT, which is L_TT D_T L_TT^T (K = L D L^T
-    without pivoting), inverted in place by `dpotri`. A product is one head
-    solve, one product with S^{-1} and one more head solve; the n x n kernel
-    is built only by toarray(). Products share the factors read-only, so
-    threads may apply one operator concurrently.
+    K's nodes are ordered by SuperLU's minimum-degree order, read from an
+    incomplete factor that drops nearly all fill. The nodes whose columns
+    of the Cholesky factor L of K in that order are full, its dense
+    trailing block, form the tail T; the others form the head H. The split
+    is found from K's graph alone: column j is full iff every later node
+    is reached from j through nodes ordered before j (the fill-path lemma
+    of Rose, Tarjan and Lueker), so no factor of all of K is made. The
+    head keeps a sparse LU of K_HH. The tail keeps the dense inverse of
+    its Schur complement S = K_TT - K_TH K_HH^{-1} K_HT, formed by head
+    solves a column block at a time and inverted in place by `dpotrf` and
+    `dpotri`. A product is one head solve, one product with S^{-1} and one
+    more head solve; the n x n kernel is built only by toarray(). Products
+    share the factors read-only, so threads may apply one operator
+    concurrently.
     """
 
     def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None,
                  rho: float):
         n = k.shape[0]
         super().__init__(n, rho)
-        lu = _factor(k, "MMD_AT_PLUS_A")
-        order = np.argsort(lu.perm_c)
-        # scipy builds CSC copies of both L and U on first access and caches
-        # them on the factor: the factor and U go before the dense block is
-        # allocated, L once its full columns are read
-        lower = lu.L
-        full = np.diff(lower.indptr) == np.arange(n, 0, -1)
-        h = int(np.flatnonzero(~full).max(initial=-1)) + 1
-        pivots = lu.U.diagonal()[h:]
-        del lu
-        # S = L_TT D_T L_TT^T, so L_TT D_T^{1/2} is its lower Cholesky
-        # factor, and dpotri turns that factor into S^{-1} in place
-        inv = np.zeros((n - h, n - h), order="F")
-        ptr, rows, vals = lower.indptr, lower.indices, lower.data
-        for c in range(n - h):
-            seg = slice(ptr[h + c], ptr[h + c + 1])
-            inv[rows[seg] - h, c] = vals[seg]
-        del lower, ptr, rows, vals
-        inv *= np.sqrt(pivots)
-        inv, _ = dpotri(inv, lower=True, overwrite_c=True)
-        _mirror_lower(inv)
-        self._tail_inverse = inv
-        self._head_nodes, self._tail_nodes = order[:h], order[h:]
+        # K is strictly diagonally dominant, so the incomplete factor's
+        # pivots stay positive; only its column order is kept
+        order = np.argsort(_factor(k, "MMD_AT_PLUS_A", drop_tol=1.0,
+                                   fill_factor=1.0).perm_c)
         kp = k[order][:, order]
+        h = _full_trailing_block(kp)
+        self._head_nodes, self._tail_nodes = order[:h], order[h:]
         self._coupling = kp[:h, h:].tocsr()   # K_HT
         # an empty head (a complete graph) solves to itself
         self._head_solve = (_factor(kp[:h, :h].tocsc(), "NATURAL").solve
                             if h else np.asarray)
+        self._tail_inverse = self._schur_inverse(kp[h:, h:].tocoo())
         self._left, self._right = left, right
+
+    def _schur_inverse(self, k_tt) -> np.ndarray:
+        """S^{-1} in one Fortran t x t array. S's columns are formed by head
+        solves in blocks of at most SCHUR_BLOCK_ENTRIES head-row doubles,
+        and fewer while a block's two h-row arrays would hold over half as
+        many doubles as S, so that the build holds little beside S; but
+        never fewer than SCHUR_MIN_COLUMNS columns, whose two arrays hold
+        less than one head array of a 32-column product."""
+        k_ht, coupling_t = self._coupling.tocsc(), self._coupling.T
+        h, t = k_ht.shape
+        inv = np.zeros((t, t), order="F")
+        inv[k_tt.row, k_tt.col] = k_tt.data
+        width = max(SCHUR_MIN_COLUMNS,
+                    min(SCHUR_BLOCK_ENTRIES, t * t // 4) // (h or 1))
+        ptr, (rows, cols) = k_ht.indptr, k_ht.tocoo().coords
+        for j in range(0, t if h else 0, width):
+            seg = slice(ptr[j], ptr[min(j + width, t)])
+            block = np.zeros((h, min(width, t - j)), order="F")
+            block[rows[seg], cols[seg] - j] = k_ht.data[seg]
+            # rebinding frees the right-hand side before the product, whose
+            # sparse kernel takes a C-order copy of the solve
+            block = self._head_solve(block)
+            inv[:, j:j + width] -= coupling_t @ block
+        inv, info = dpotrf(inv, lower=True, clean=True, overwrite_a=True)
+        if info:
+            raise RuntimeError("pagerank Schur complement not positive "
+                               f"definite ({info})")
+        inv, _ = dpotri(inv, lower=True, overwrite_c=True)
+        _mirror_lower(inv)
+        return inv
 
     def _gather(self, x, nodes):
         """Rows `nodes` of diag(right) x."""
@@ -384,14 +410,41 @@ class PagerankOperator(KernelOperator):
         return out
 
 
-def _factor(k, order: str):
-    """Sparse LU of the symmetric positive definite k without pivoting."""
+def _factor(k, order: str, **drop):
+    """Sparse LU of the symmetric positive definite k without pivoting;
+    with spilu's `drop` settings, an incomplete one."""
     try:
-        return spla.splu(k, permc_spec=order, diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        return (spla.spilu if drop else spla.splu)(
+            k, permc_spec=order, diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}, **drop)
     except RuntimeError as exc:
         raise RuntimeError("pagerank system D - (1-alpha) A could not be "
                            f"factored: {exc}") from exc
+
+
+def _full_trailing_block(kp) -> int:
+    """First column of the full trailing block of the Cholesky factor of
+    the symmetric kp, eliminated in its own order.
+
+    Column j is full iff every later node is reached from j through nodes
+    ordered before j (the fill-path lemma). A search from j that leaves
+    only nodes ordered up to j finds those paths: capping kp's column
+    pointers at column j's end drops every later node's entries, so each
+    step searches kp's pattern without a copy. A full column's successor
+    is full too, so the first full column is found by bisection."""
+    n, ptr = kp.shape[0], kp.indptr
+    reach = sp.csr_matrix((kp.data, kp.indices, ptr.copy()), shape=(n, n))
+    lo, hi = 0, n - 1          # the last column is always full
+    while lo < hi:
+        j = (lo + hi) // 2
+        np.minimum(ptr, ptr[j + 1], out=reach.indptr)
+        later = np.count_nonzero(csgraph.breadth_first_order(
+            reach, j, directed=True, return_predecessors=False) > j)
+        if later == n - 1 - j:
+            hi = j
+        else:
+            lo = j + 1
+    return lo
 
 
 def pagerank_kernel(g: Graph, alpha: float,
@@ -404,14 +457,14 @@ def pagerank_kernel(g: Graph, alpha: float,
     D^{-1} K for mean and D^{-1/2} K D^{-1/2} for sym, so the kernel is
     alpha D K^{-1}, alpha K^{-1} D or alpha D^{1/2} K^{-1} D^{1/2}. K is
     symmetric positive definite, because the eigenvalues of
-    D^{-1/2} K D^{-1/2} are at least alpha, so it is factored without
-    pivoting. The minimum-degree ordering of K + K^T keeps the factor sparse
-    outside its full trailing block: on a 2708-node SBM, L + U holds 0.39M
-    nonzeros against 1.22M under COLAMD, and the last 559 columns of L are
-    full and hold 80% of L. The operator keeps that block as a dense
-    2.5 MB inverse and the rest as a sparse LU of 12.9k nonzeros. The
-    unnormalized adjacency is refused: its series diverges once
-    (1-alpha) rho(A) > 1.
+    D^{-1/2} K D^{-1/2} are at least alpha, so it needs no pivoting. Under
+    the minimum-degree ordering of K + K^T its Cholesky factor is sparse
+    outside a full trailing block, which the operator finds from K's graph
+    and never factors: it keeps the block's Schur complement as a dense
+    inverse, built by LAPACK, and the rest as a sparse LU of K_HH. On the
+    2708-node seed-0 SBM of `pipebench`, the tail is 559 nodes (a 2.5 MB
+    inverse) and the head LU holds 12.9k nonzeros. The unnormalized
+    adjacency is refused: its series diverges once (1-alpha) rho(A) > 1.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("pagerank kernel requires alpha in (0, 1)")

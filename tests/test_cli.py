@@ -97,7 +97,8 @@ class TestRewire:
         assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",
                      "--t", "0.5", "--out", str(out)]) == 0
         k = np.load(out / "kernel.npy")
-        n = sum(1 for _ in open(f"{node_dataset}/labels.csv"))
+        with open(f"{node_dataset}/labels.csv") as f:
+            n = sum(1 for _ in f)
         assert k.shape == (n, n)
 
     def test_heat_commands_never_reach_expm(self, node_dataset, tmp_path,
@@ -169,6 +170,33 @@ class TestRewire:
         assert main(["rewire", "--dataset", node_dataset, "--rewire",
                      "pagerank", "--out", str(out)]) == 4
         assert "singular" in capsys.readouterr().err
+        assert not (out / "kernel.npy").exists()
+
+    def test_pagerank_ordering_failure_exit_4(self, node_dataset, tmp_path,
+                                              monkeypatch, capsys):
+        # the minimum-degree order is read from an incomplete factor of K;
+        # if that factor fails, rewire stops as an internal error
+        spilu = scipy.sparse.linalg.spilu
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu",
+                            lambda k, **kw: spilu(0.0 * k, **kw))
+        out = tmp_path / "x"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire",
+                     "pagerank", "--out", str(out)]) == 4
+        assert "could not be factored" in capsys.readouterr().err
+        assert not (out / "kernel.npy").exists()
+
+    def test_pagerank_schur_complement_rejected_exit_4(self, node_dataset,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # the tail's Schur complement is positive definite; one that dpotrf
+        # rejects (here its negation) is an internal error, never inverted
+        dpotrf = spectral.dpotrf
+        monkeypatch.setattr(spectral, "dpotrf",
+                            lambda a, **kw: dpotrf(-a, **kw))
+        out = tmp_path / "x"
+        assert main(["rewire", "--dataset", node_dataset, "--rewire",
+                     "pagerank", "--out", str(out)]) == 4
+        assert "not positive definite" in capsys.readouterr().err
         assert not (out / "kernel.npy").exists()
 
     def test_heat_unnormalized_accepted(self, node_dataset, tmp_path):

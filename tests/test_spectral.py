@@ -460,6 +460,60 @@ class TestPagerankKernel:
         nodes = np.concatenate([op._head_nodes, op._tail_nodes])
         assert np.array_equal(np.sort(nodes), np.arange(g.num_nodes))
 
+    @staticmethod
+    def _whole_factor_split(g, alpha):
+        """Head and tail nodes by the rule of a factor of all of K: SuperLU
+        factors K under its minimum-degree order, and the tail is the run of
+        full trailing columns of L."""
+        a = g.adjacency()
+        d = np.asarray(a.sum(axis=1)).ravel()
+        d[d == 0] = 1.0
+        k = (sp.diags(d) - (1.0 - alpha) * a).tocsc()
+        lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        order = np.argsort(lu.perm_c)
+        full = np.diff(lu.L.indptr) == np.arange(g.num_nodes, 0, -1)
+        h = int(np.flatnonzero(~full).max(initial=-1)) + 1
+        return order[:h], order[h:]
+
+    @pytest.mark.parametrize("graph", sorted(PAGERANK_GRAPHS) + [
+        (n, degree, seed) for n, degree in [(40, 4.0), (300, 4.0), (1000, 4.0),
+                                            (1000, 8.0)] for seed in (0, 1)],
+        ids=lambda p: p if isinstance(p, str) else "gnp-%d-%g-%d" % p)
+    def test_split_from_graph_and_head_factor(self, graph, monkeypatch):
+        # the split is read from K's graph by the fill-path lemma and equals
+        # the whole factor's; SuperLU factors nothing larger than K_HH, and
+        # no factor's L or U is read
+        g = (PAGERANK_GRAPHS[graph] if isinstance(graph, str)
+             else sparse_random_graph(*graph))
+        factored, reads = [], []
+
+        class Reads:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                reads.append(name)
+                return getattr(self._lu, name)
+
+        def spy(real, name):
+            def factor(k, **kwargs):
+                factored.append((name, k.shape))
+                return Reads(real(k, **kwargs))
+            return factor
+        for name in ("splu", "spilu"):
+            monkeypatch.setattr(spla, name, spy(getattr(spla, name), name))
+        op = pagerank_kernel(g, 0.3, "rw")
+        monkeypatch.undo()
+        head, tail = self._whole_factor_split(g, 0.3)
+        assert np.array_equal(op._head_nodes, head)
+        assert np.array_equal(op._tail_nodes, tail)
+        assert [name for name, _ in factored] == ["spilu"] + ["splu"] * (
+            head.size > 0)
+        assert all(shape[0] <= head.size for name, shape in factored
+                   if name == "splu")
+        assert set(reads) <= {"perm_c", "solve"}
+
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_matches_solve_across_blocks(self, norm):
         # a 300-node graph, beyond the small graphs above
