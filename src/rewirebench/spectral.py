@@ -20,11 +20,11 @@ from .graph import (Graph, Normalization, OperatorKind, connected_components,
 
 log = logging.getLogger(__name__)
 
-# sparse spectral_radius input solved by eigvals of its dense copy: below
+# sparse spectral_radius block solved by eigvals of its dense copy: below
 # this size one eigvals call is cheaper than an ARPACK call
 EXACT_SPARSE_RADIUS_ROWS = 64
 # doubles per dense stack of equal-size blocks whose radii spectral_radius
-# takes with one eigvals call in block mode (8 MB)
+# takes with one eigvals call (8 MB)
 RADIUS_STACK_ENTRIES = 1 << 20
 # spectral_gap component solved by dense eigvalsh; shift-invert eigsh above,
 # which at 2708 nodes takes 0.46 s against eigvalsh's 2.6 s
@@ -32,8 +32,8 @@ DENSE_GAP_ROWS = 1000
 PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 HEAT_TAIL = 1e-17         # HeatOperator's first omitted term over the sum
 # KernelOperator.toarray() applies the kernel to this many column blocks
-# of the identity; PagerankOperator's Schur inverse and the grounded
-# Laplacian's inverse are symmetrized in column blocks of SYMMETRIZE_COLUMNS
+# of the identity; _spd_inverse symmetrizes its result in column blocks of
+# SYMMETRIZE_COLUMNS
 TOARRAY_BLOCKS = 64
 SYMMETRIZE_COLUMNS = 32
 # PagerankOperator forms its Schur complement's columns by head solves in
@@ -57,16 +57,13 @@ class SpectralRadiusResult:
 def spectral_radius(m, seed: int = 0, offsets=None) -> SpectralRadiusResult:
     """|lambda_max| of a dense array, a sparse matrix or a KernelOperator.
 
-    A dense array, or a sparse one of at most EXACT_SPARSE_RADIUS_ROWS rows,
-    gets exact eigenvalues (iterations 0), an all-zero sparse matrix radius
-    0 and a KernelOperator its closed-form rho. Any other sparse matrix
-    makes one ARPACK call for the eigenvalue of largest modulus, from a
-    seeded start and to working precision; iterations counts its products
-    with m. If ARPACK raises, a warning is logged and the exact value
-    returned, flagged unconverged. With `offsets` (the first row of each
-    block, ascending from 0), a sparse block-diagonal m gets an array of
-    radii, each with the bits of its block's own call; iterations sums
-    theirs, converged needs all of them.
+    A KernelOperator gives its closed-form rho and a dense array its exact
+    eigenvalues (iterations 0). A sparse matrix is converted to CSR and
+    solved by _block_radii as the diagonal blocks that start at `offsets`
+    (the first row of each block, ascending from 0), each with the bits of
+    its own call, and the value is an array of one radius per block.
+    Without offsets the matrix is one block and the value a float.
+    iterations counts ARPACK's products; converged needs every block's.
     """
     sparse = sp.issparse(m)
     if offsets is not None and not sparse:
@@ -77,13 +74,75 @@ def spectral_radius(m, seed: int = 0, offsets=None) -> SpectralRadiusResult:
         m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("spectral_radius requires a square matrix")
-    if offsets is not None:
-        return _block_radii(m.tocsr(), seed, np.asarray(offsets, np.int64))
-    n = m.shape[0]
-    if n == 0 or (sparse and m.count_nonzero() == 0):
+    if not sparse:
+        return SpectralRadiusResult(_exact_radius(m), 0, True)
+    res = _block_radii(m.tocsr(), seed, np.asarray(
+        [0] if offsets is None else offsets, dtype=np.int64))
+    if offsets is None:
+        res.value = float(res.value[0])
+    return res
+
+
+def _exact_radius(dense: np.ndarray):
+    """A float for one matrix (0.0 for 0 x 0), an array of them for a
+    stack: eigvals treats each matrix of a stack on its own, so each radius
+    has the same bits."""
+    radius = np.max(np.abs(np.linalg.eigvals(dense)), axis=-1, initial=0.0)
+    return float(radius) if dense.ndim == 2 else radius
+
+
+def _block_radii(m: sp.csr_matrix, seed: int,
+                 offsets: np.ndarray) -> SpectralRadiusResult:
+    """The radius of each diagonal block of the CSR m, with the bits of
+    that block alone: above EXACT_SPARSE_RADIUS_ROWS rows one _arpack_radius
+    call on its slice (on m itself if it is the only block), else one
+    eigvals call per dense stack of equal-size blocks, at most
+    RADIUS_STACK_ENTRIES doubles summed in stored order as toarray() does."""
+    starts = np.append(offsets, m.shape[0])
+    sizes = np.diff(starts)
+    if offsets.ndim != 1 or starts[0] != 0 or (sizes < 0).any():
+        raise InputError("offsets must ascend from 0 within the matrix")
+    big = sizes > EXACT_SPARSE_RADIUS_ROWS
+    radii = np.zeros(sizes.size)
+    # a lone block holds every entry, and above the cap reads none of them
+    if sizes.size > 1 or not big.all():
+        row_nnz = np.diff(m.indptr)
+        block = np.repeat(np.repeat(np.arange(sizes.size), sizes), row_nnz)
+        row = np.repeat(np.arange(m.shape[0]), row_nnz) - offsets[block]
+        col = m.indices - offsets[block]
+        k = sizes[block]
+        if ((col < 0) | (col >= k)).any():
+            raise InputError("an entry lies outside the blocks offsets give")
+        # blocks and entries by size, each size's in stored order; each entry
+        # at its place in a dense stack of the blocks in that order
+        blocks = np.argsort(sizes, kind="stable")
+        entries = np.argsort(k, kind="stable")
+        flat = ((np.argsort(blocks)[block] * k + row) * k + col)[entries]
+        data, by_size = m.data[entries], sizes[blocks]
+        begin = [0, *np.cumsum(np.diff(m.indptr[starts])[blocks]).tolist()]
+        for n in np.unique(sizes[(sizes > 0) & ~big]).tolist():
+            per = max(1, RADIUS_STACK_ENTRIES // (n * n))
+            lo, hi = np.searchsorted(by_size, (n, n + 1)).tolist()
+            for s in range(lo, hi, per):
+                e = min(s + per, hi)
+                dense = np.bincount(flat[begin[s]:begin[e]] - s * n * n,
+                                    weights=data[begin[s]:begin[e]],
+                                    minlength=(e - s) * n * n)
+                radii[blocks[s:e]] = _exact_radius(dense.reshape(-1, n, n))
+    own = [_arpack_radius(m if sizes.size == 1 else m[lo:hi, lo:hi], seed)
+           for lo, hi in zip(starts[:-1][big], starts[1:][big])]
+    radii[big] = [r.value for r in own]
+    return SpectralRadiusResult(radii, sum(r.iterations for r in own),
+                                all(r.converged for r in own))
+
+
+def _arpack_radius(m, seed: int) -> SpectralRadiusResult:
+    """|lambda_max| of one sparse block by ARPACK, from a seeded start and
+    to working precision; iterations counts its products. An all-zero
+    block (on which ARPACK raises) is 0 without a call; if ARPACK raises,
+    a warning is logged and the exact value returned, flagged unconverged."""
+    if m.count_nonzero() == 0:
         return SpectralRadiusResult(0.0, 0, True)
-    if not sparse or n <= EXACT_SPARSE_RADIUS_ROWS:
-        return SpectralRadiusResult(_exact_radius(_as_dense(m)), 0, True)
     products = 0
 
     def matvec(x):
@@ -92,7 +151,7 @@ def spectral_radius(m, seed: int = 0, offsets=None) -> SpectralRadiusResult:
         return m @ x
     op = spla.LinearOperator(m.shape, matvec=matvec, dtype=np.float64)
     # a seeded start vector: ARPACK's own start changes from call to call
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(seed).standard_normal(m.shape[0])
     try:
         lam = spla.eigs(op, k=1, which="LM", v0=v0, tol=0,
                         return_eigenvectors=False)
@@ -101,59 +160,6 @@ def spectral_radius(m, seed: int = 0, offsets=None) -> SpectralRadiusResult:
         return SpectralRadiusResult(_exact_radius(m.toarray()), products,
                                     False)
     return SpectralRadiusResult(float(np.abs(lam[0])), products, True)
-
-
-def _exact_radius(dense: np.ndarray):
-    """A float for one matrix, an array of them for a stack: eigvals treats
-    each matrix of a stack on its own, so each radius has the same bits."""
-    radius = np.max(np.abs(np.linalg.eigvals(dense)), axis=-1)
-    return float(radius) if dense.ndim == 2 else radius
-
-
-def _block_radii(m: sp.csr_matrix, seed: int,
-                 offsets: np.ndarray) -> SpectralRadiusResult:
-    """spectral_radius of each diagonal block of the CSR m: its own call on
-    its slice above EXACT_SPARSE_RADIUS_ROWS rows, else one eigvals call per
-    stack of equal-size dense blocks, summed as toarray() sums them after
-    one sort of m's entries, of at most RADIUS_STACK_ENTRIES doubles."""
-    starts = np.append(offsets, m.shape[0])
-    sizes = np.diff(starts)
-    if offsets.ndim != 1 or starts[0] != 0 or np.any(sizes < 0):
-        raise InputError("offsets must ascend from 0 within the matrix")
-    row_nnz = np.diff(m.indptr)
-    block = np.repeat(np.repeat(np.arange(sizes.size), sizes), row_nnz)
-    row = np.repeat(np.arange(m.shape[0]), row_nnz) - offsets[block]
-    col = m.indices - offsets[block]
-    if np.any((col < 0) | (col >= sizes[block])):
-        raise InputError("an entry lies outside the blocks offsets give")
-    radii = np.zeros(sizes.size)
-    big = np.flatnonzero(sizes > EXACT_SPARSE_RADIUS_ROWS)
-    own = [spectral_radius(m[starts[i]:starts[i + 1], starts[i]:starts[i + 1]],
-                           seed=seed) for i in big]
-    radii[big] = [r.value for r in own]
-    small = np.flatnonzero((sizes > 0) & (sizes <= EXACT_SPARSE_RADIUS_ROWS))
-    by_size = small[np.argsort(sizes[small], kind="stable")]
-    k = sizes[by_size]
-    rank = np.arange(k.size) - np.searchsorted(k, k)   # place among its size
-    slot = rank % np.maximum(1, RADIUS_STACK_ENTRIES // (k * k))
-    first = np.flatnonzero(slot == 0)   # each stack's first place in by_size
-    # each block's stack (-1 for the others) and its start in that stack,
-    # then each entry's place in its stack's flat count * size * size array
-    stack_of = np.full(sizes.size, -1)
-    stack_of[by_size] = np.cumsum(slot == 0) - 1
-    base = np.zeros(sizes.size, dtype=np.int64)
-    base[by_size] = slot * k * k
-    flat = base[block] + row * sizes[block] + col
-    order = np.argsort(stack_of[block], kind="stable")
-    bounds = np.searchsorted(stack_of[block][order], np.arange(first.size + 1))
-    for s, (lo, hi) in enumerate(zip(first, np.append(first[1:], k.size))):
-        entries = order[bounds[s]:bounds[s + 1]]
-        dense = np.bincount(flat[entries], weights=m.data[entries],
-                            minlength=(hi - lo) * k[lo] ** 2)
-        radii[by_size[lo:hi]] = _exact_radius(
-            dense.reshape(hi - lo, k[lo], k[lo]))
-    return SpectralRadiusResult(radii, sum(r.iterations for r in own),
-                                all(r.converged for r in own))
 
 
 def spectral_gap(g: Graph) -> float:
@@ -228,7 +234,7 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
 
     The lowest node of each component is grounded (its Laplacian row and
     column become unit vectors), and the positive definite result is
-    inverted in place in one Fortran n x n array by dpotrf and dpotri."""
+    inverted in place in one Fortran n x n array by _spd_inverse."""
     comp = connected_components(g)
     _, grounded = np.unique(comp, return_index=True)
     lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).tocoo()
@@ -236,35 +242,32 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
     inv[lap.row, lap.col] = lap.data
     inv[grounded] = inv[:, grounded] = 0.0
     inv[grounded, grounded] = 1.0
-    inv, info = dpotrf(inv, lower=True, clean=True, overwrite_a=True)
-    if info:
-        raise RuntimeError(f"grounded Laplacian not positive definite ({info})")
-    inv, _ = dpotri(inv, lower=True, overwrite_c=True)
-    _mirror_lower(inv)
+    inv = _spd_inverse(inv, "grounded Laplacian")
     inv[grounded, grounded] = 0.0
     return ResistanceMatrix(inverse=inv, components=comp,
                             total_degree=float(np.sum(g.degrees)))
 
 
-def _mirror_lower(inv: np.ndarray) -> None:
-    """Copy inv's strictly lower triangle into its zero upper one a column
-    block at a time, so that no second n x n array is held."""
-    for j in range(0, inv.shape[0], SYMMETRIZE_COLUMNS):
-        inv[j:j + SYMMETRIZE_COLUMNS] += np.tril(
-            inv[:, j:j + SYMMETRIZE_COLUMNS], -j - 1).T
-
-
-def _as_dense(t) -> np.ndarray:
-    if sp.issparse(t):
-        return t.toarray()
-    return np.asarray(t, dtype=np.float64)
+def _spd_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """Invert the symmetric positive definite Fortran array a in place by
+    dpotrf and dpotri, and mirror its lower triangle SYMMETRIZE_COLUMNS
+    columns at a time, so that no second array is held."""
+    a, info = dpotrf(a, lower=True, clean=True, overwrite_a=True)
+    if info:
+        raise RuntimeError(f"{what} not positive definite ({info})")
+    a, _ = dpotri(a, lower=True, overwrite_c=True)
+    for j in range(0, a.shape[0], SYMMETRIZE_COLUMNS):
+        a[j:j + SYMMETRIZE_COLUMNS] += np.tril(
+            a[:, j:j + SYMMETRIZE_COLUMNS], -j - 1).T
+    return a
 
 
 def heat_kernel(t_matrix, t: float) -> np.ndarray:
     """Heat diffusion exp(-t (I - T)) = sum_m e^{-t} t^m/m! T^m, dense."""
     if t <= 0:
         raise InputError("heat kernel requires t > 0")
-    td = _as_dense(t_matrix)
+    td = (t_matrix.toarray() if sp.issparse(t_matrix)
+          else np.asarray(t_matrix, dtype=np.float64))
     n = td.shape[0]
     return scipy.linalg.expm(-t * (np.eye(n) - td))
 
@@ -353,12 +356,13 @@ class PagerankOperator(KernelOperator):
         self._left, self._right = left, right
 
     def _schur_inverse(self, k_tt) -> np.ndarray:
-        """S^{-1} in one Fortran t x t array. S's columns are formed by head
-        solves in blocks of at most SCHUR_BLOCK_ENTRIES head-row doubles,
-        and fewer while a block's two h-row arrays would hold over half as
-        many doubles as S, so that the build holds little beside S; but
-        never fewer than SCHUR_MIN_COLUMNS columns, whose two arrays hold
-        less than one head array of a 32-column product."""
+        """S^{-1} in one Fortran t x t array, inverted in place by
+        _spd_inverse. S's columns are formed by head solves in blocks of at
+        most SCHUR_BLOCK_ENTRIES head-row doubles, and fewer while a
+        block's two h-row arrays would hold over half as many doubles as
+        S, so that the build holds little beside S; but never fewer than
+        SCHUR_MIN_COLUMNS columns, whose two arrays hold less than one head
+        array of a 32-column product."""
         k_ht, coupling_t = self._coupling.tocsc(), self._coupling.T
         h, t = k_ht.shape
         inv = np.zeros((t, t), order="F")
@@ -374,13 +378,7 @@ class PagerankOperator(KernelOperator):
             # sparse kernel takes a C-order copy of the solve
             block = self._head_solve(block)
             inv[:, j:j + width] -= coupling_t @ block
-        inv, info = dpotrf(inv, lower=True, clean=True, overwrite_a=True)
-        if info:
-            raise RuntimeError("pagerank Schur complement not positive "
-                               f"definite ({info})")
-        inv, _ = dpotri(inv, lower=True, overwrite_c=True)
-        _mirror_lower(inv)
-        return inv
+        return _spd_inverse(inv, "pagerank Schur complement")
 
     def _gather(self, x, nodes):
         """Rows `nodes` of diag(right) x."""

@@ -223,6 +223,62 @@ class TestSpectralRadius:
         assert res.iterations == first.iterations
         assert res.value[1] == 1.0
 
+    def test_block_mode_enters_spectral_radius_once(self, monkeypatch):
+        # block mode solves its blocks itself: one entry into the module
+        # global, however many blocks lie above the exact cap
+        real, calls = spectral.spectral_radius, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spectral, "spectral_radius", spy)
+        cycle = sp.csr_matrix(np.kron(np.eye(30), np.roll(np.eye(3), 1, 1)))
+        m, offsets = block_union([cycle, sp.eye(2), cycle])
+        res = spectral.spectral_radius(m, offsets=offsets)
+        assert len(calls) == 1 and res.converged
+        assert res.value.tolist() == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
+
+    def test_csr_with_repeated_and_stored_zero_entries(self):
+        # one entry stored three times, and explicit stored zeros: alone, as
+        # a block of a union and by eigvals of toarray(), the same bits
+        # (0, 1) is stored three times, as 0.1, 0.2 and 0.3: summed in
+        # stored order they give 0.6000000000000001 and this radius, in
+        # another order 0.6 and a radius 1.3e-15 larger
+        rest = [[1.5, -1.75, -0.625, -1.375], [-0.25, 1.125, -1.125, -1.75],
+                [-0.375, -1.25, -1.625, 0.375]]
+        dup = sp.csr_matrix((
+            np.concatenate([[0.1, -1.625, 0.2, 1.125, 0.3, -1.0], *rest]),
+            np.concatenate([[1, 0, 1, 2, 1, 3], np.tile(np.arange(4), 3)]),
+            [0, 6, 10, 14, 18]), shape=(4, 4))
+        zeros = sp.csr_matrix((np.array([0.0, 2.0, 0.0, -1.0, 0.0]),
+                               np.array([2, 1, 0, 0, 2]),
+                               np.array([0, 2, 4, 5])), shape=(3, 3))
+        assert dup.nnz == 18 and zeros.nnz == 5
+        for m in (dup, zeros):
+            alone = spectral_radius(m)
+            assert alone == spectral.SpectralRadiusResult(
+                np.max(np.abs(np.linalg.eigvals(m.toarray()))), 0, True)
+            union, offsets = block_union([sp.eye(5), m, m * 3.0])
+            res = spectral_radius(union, offsets=offsets)
+            assert res.value[1] == alone.value
+            assert res.value[2] == spectral_radius(m * 3.0).value
+        # a non-CSR input is converted to CSR first
+        big = sp.random(80, 80, density=0.1, random_state=2, format="csr")
+        for other in (big.tocsc(), big.tocoo()):
+            assert spectral_radius(other, seed=1) == spectral_radius(big,
+                                                                     seed=1)
+
+    def test_empty_matrix_and_block_are_zero(self):
+        empty = sp.csr_matrix((0, 0))
+        assert spectral_radius(empty) == spectral.SpectralRadiusResult(
+            0.0, 0, True)
+        assert type(spectral_radius(empty).value) is float
+        assert spectral_radius(np.zeros((0, 0))) == spectral_radius(empty)
+        m, offsets = block_union([sp.eye(2), empty, 2.0 * sp.eye(3)])
+        assert offsets.tolist() == [0, 2, 2]
+        assert spectral_radius(m, offsets=offsets).value.tolist() == [
+            1.0, 0.0, 2.0]
+
     def test_block_mode_refuses_bad_input(self):
         m, offsets = block_union([sp.eye(3), sp.eye(2)])
         with pytest.raises(InputError, match="sparse block-diagonal"):
