@@ -338,6 +338,8 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE)
+        elif sp.issparse(op):
+            op.sum_duplicates()   # sorts each row, as _union_operator does
         rho_m = float(spectral_radius(op, seed=seed))
         rho_m = rho_m if rho_m > 0 else 1.0
         x, offsets = input_features(rw.graph.features), np.zeros(1, np.int64)

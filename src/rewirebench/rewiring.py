@@ -5,8 +5,10 @@ driven edge addition (SDRF), triangle-guided edge flips (GRLEF), expander
 graph propagation (EGP, Cayley graphs of SL(2, Z_n)), and resistance
 reweighting (DiffWire). Edge-editing methods return a new edge set; kernel
 methods return a message-passing operator without an n x n array: CSR for
-EGP (one Cayley adjacency per size) and DiffWire; for heat (series in the
-sparse T) and PageRank (sparse solve), a KernelOperator with a closed-form rho.
+EGP (one Cayley adjacency per size) and DiffWire (resistances read on the
+edges only, from the block-eliminated grounded Laplacian); for heat (series
+in the sparse T) and PageRank (sparse solve), a KernelOperator with a
+closed-form rho.
 """
 
 from __future__ import annotations
@@ -375,9 +377,11 @@ def rewire_egp(g: Graph) -> RewiredGraph:
 
 def rewire_diffwire(g: Graph) -> RewiredGraph:
     """M' = Res ⊙ A, with Res read on the edges of A only."""
-    m = g.adjacency().tocoo()
-    m.data = effective_resistance(g).values(m.row, m.col)
-    return RewiredGraph(method="diffwire", graph=g, operator=m.tocsr())
+    a = g.adjacency()
+    row = np.repeat(np.arange(g.num_nodes), np.diff(a.indptr))
+    m = sp.csr_matrix((effective_resistance(g).values(row, a.indices),
+                       a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    return RewiredGraph(method="diffwire", graph=g, operator=m)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,12 @@ def _arpack_radius(m, seed: int) -> SpectralRadiusResult:
     """|lambda_max| of one sparse block by ARPACK, from a seeded start and
     to working precision; iterations counts its products. An all-zero
     block (on which ARPACK raises) is 0 without a call; if ARPACK raises,
-    a warning is logged and the exact value returned, flagged unconverged."""
+    a warning is logged and the exact value returned, flagged unconverged.
+    A block that is not canonical is solved as a summed, sorted copy, so
+    the caller's matrix is never changed."""
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     if m.count_nonzero() == 0:
         return SpectralRadiusResult(0.0, 0, True)
     products = 0
@@ -205,19 +210,62 @@ def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
 
 @dataclass
 class ResistanceMatrix:
-    """Res_uv = G_uu + G_vv - 2 G_uv from the grounded Laplacian's inverse G
-    (exactly symmetric), clipped at 0, np.inf across components. `values`
-    reads pairs; `matrix` builds all n x n of them by the same arithmetic."""
+    """Res_uv = G_uu + G_vv - 2 G_uv from G = K^{-1}, K the grounded
+    Laplacian, with G_gg read as 0 at each grounded node g; clipped at 0,
+    np.inf across components. `values` reads G at the pairs it is given
+    only; `matrix` asks for all n x n pairs."""
 
-    inverse: np.ndarray      # G, zero in each grounded node's row and column
+    kernel: PagerankOperator     # K^{-1} by block elimination
     components: np.ndarray
+    grounded: np.ndarray         # the lowest node of each component
     total_degree: float
 
     def values(self, u, v) -> np.ndarray:
-        """Res_uv for index arrays u and v."""
-        g = self.inverse
-        res = np.maximum(g[u, u] + g[v, v] - 2.0 * g[u, v], 0.0)
-        return np.where(self.components[u] == self.components[v], res, np.inf)
+        """Res_uv for index arrays u and v, broadcast together.
+
+        Each unordered pair {a, b}, a <= b, is read once: from S^{-1} if
+        both nodes are in the tail, else from G's column at its head node
+        (b if b is in the head). Head columns are the kernel's product with
+        one fixed block of identity columns at a time, `width` consecutive
+        head nodes, so a pair's bits do not depend on the other pairs."""
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        op, comp = self.kernel, self.components
+        head, tail, s_inv = op._head_nodes, op._tail_nodes, op._tail_inverse
+        # a tail node's row of S^{-1}, or -1 - a head node's position
+        at = np.empty(comp.size, dtype=np.int64)
+        at[tail] = np.arange(tail.size)
+        at[head] = -1 - np.arange(head.size)
+        at_a, at_b = at[a], at[b]
+        diag = np.empty(comp.size)
+        diag[tail] = np.diagonal(s_inv)
+        in_tail = (at_a >= 0) & (at_b >= 0)
+        g_ab = np.empty(a.size)
+        g_ab[in_tail] = s_inv[at_a[in_tail], at_b[in_tail]]
+        if head.size:
+            # the pair's head node, b if b is one, and its head position
+            col = np.where(at_b < 0, b, a)
+            pos = -1 - np.where(at_b < 0, at_b, at_a)
+            # as wide as n-row arrays of a quarter of S^{-1}'s doubles
+            # allow: the product with S^{-1} reads all of it once a block
+            width = max(SCHUR_MIN_COLUMNS, tail.size ** 2 // 4 // comp.size)
+            block = np.where(in_tail, -1, pos // width)
+            order = np.argsort(block, kind="stable")
+            bounds = np.searchsorted(block[order], np.arange(
+                -(-head.size // width) + 1))
+            used = -1 - np.concatenate([at_a, at_b])
+            for k in np.unique(used[used >= 0] // width).tolist():
+                nodes = head[k * width:(k + 1) * width]
+                x = np.zeros((comp.size, nodes.size))
+                x[nodes, np.arange(nodes.size)] = 1.0
+                x = op._matmat(x)
+                diag[nodes] = x[nodes, np.arange(nodes.size)]
+                pairs = order[bounds[k]:bounds[k + 1]]
+                g_ab[pairs] = x[a[pairs] + b[pairs] - col[pairs],
+                                pos[pairs] - k * width]
+        diag[self.grounded] = 0.0
+        res = np.maximum(diag[a] + diag[b] - 2.0 * g_ab, 0.0)
+        return np.where(comp[a] == comp[b], res, np.inf).reshape(shape)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -232,20 +280,29 @@ class ResistanceMatrix:
 def effective_resistance(g: Graph) -> ResistanceMatrix:
     """Res_uv = (1_u - 1_v)^T L^+ (1_u - 1_v), per connected component.
 
-    The lowest node of each component is grounded (its Laplacian row and
-    column become unit vectors), and the positive definite result is
-    inverted in place in one Fortran n x n array by _spd_inverse."""
+    The lowest node of each component is grounded: its Laplacian row and
+    column become unit vectors, so K is symmetric positive definite with
+    the Laplacian's pattern. K^{-1} is a PagerankOperator over K. A graph
+    whose n^2 doubles fit in one Schur block (n^2 <= SCHUR_BLOCK_ENTRIES)
+    is all tail, in natural order: its K is inverted in place in one
+    Fortran n x n array by _spd_inverse."""
     comp = connected_components(g)
-    _, grounded = np.unique(comp, return_index=True)
-    lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE).tocoo()
-    inv = np.zeros(lap.shape, order="F")
-    inv[lap.row, lap.col] = lap.data
-    inv[grounded] = inv[:, grounded] = 0.0
-    inv[grounded, grounded] = 1.0
-    inv = _spd_inverse(inv, "grounded Laplacian")
-    inv[grounded, grounded] = 0.0
-    return ResistanceMatrix(inverse=inv, components=comp,
-                            total_degree=float(np.sum(g.degrees)))
+    n = comp.size
+    grounded = np.unique(comp, return_index=True)[1]
+    is_grounded = np.zeros(n, dtype=bool)
+    is_grounded[grounded] = True
+    lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE)
+    row = np.repeat(np.arange(n), np.diff(lap.indptr))
+    keep = ~(is_grounded[row] | is_grounded[lap.indices])
+    k = sp.coo_matrix((np.append(lap.data[keep], np.ones(grounded.size)),
+                       (np.append(row[keep], grounded),
+                        np.append(lap.indices[keep], grounded))), shape=(n, n))
+    # K^{-1} has no closed-form radius, and none is asked of it
+    kernel = PagerankOperator(k, None, None, math.nan, "grounded Laplacian",
+                              dense=n * n <= SCHUR_BLOCK_ENTRIES)
+    # the degrees of a simple graph sum to twice its edge count
+    return ResistanceMatrix(kernel=kernel, components=comp, grounded=grounded,
+                            total_degree=2.0 * g.num_edges)
 
 
 def _spd_inverse(a: np.ndarray, what: str) -> np.ndarray:
@@ -318,8 +375,10 @@ class HeatOperator(KernelOperator):
 
 
 class PagerankOperator(KernelOperator):
-    """Personalized PageRank kernel diag(left) K^{-1} diag(right) of a
-    symmetric positive definite sparse K, applied by block elimination.
+    """diag(left) K^{-1} diag(right) of a symmetric positive definite sparse
+    K, applied by block elimination: personalized PageRank's kernel, and
+    with no scaling the grounded Laplacian's inverse that effective
+    resistance reads. `what` names K in its errors.
 
     K's nodes are ordered by SuperLU's minimum-degree order, read from an
     incomplete factor that drops nearly all fill. The nodes whose columns
@@ -327,58 +386,64 @@ class PagerankOperator(KernelOperator):
     trailing block, form the tail T; the others form the head H. The split
     is found from K's graph alone: column j is full iff every later node
     is reached from j through nodes ordered before j (the fill-path lemma
-    of Rose, Tarjan and Lueker), so no factor of all of K is made. The
-    head keeps a sparse LU of K_HH. The tail keeps the dense inverse of
-    its Schur complement S = K_TT - K_TH K_HH^{-1} K_HT, formed by head
-    solves a column block at a time and inverted in place by `dpotrf` and
-    `dpotri`. A product is one head solve, one product with S^{-1} and one
-    more head solve; the n x n kernel is built only by toarray(). Products
-    share the factors read-only, so threads may apply one operator
-    concurrently.
+    of Rose, Tarjan and Lueker), so no factor of all of K is made. With
+    `dense`, all of K is the tail in its own order. The head keeps a
+    sparse LU of K_HH. The tail keeps the dense inverse of its Schur
+    complement S = K_TT - K_TH K_HH^{-1} K_HT, formed by head solves a
+    column block at a time and inverted in place by `dpotrf` and `dpotri`.
+    A product is one head solve, one product with S^{-1} and one more head
+    solve; the n x n kernel is built only by toarray(). Products share the
+    factors read-only, so threads may apply one operator concurrently.
     """
 
     def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None,
-                 rho: float):
+                 rho: float, what: str, dense: bool):
         n = k.shape[0]
         super().__init__(n, rho)
-        # K is strictly diagonally dominant, so the incomplete factor's
-        # pivots stay positive; only its column order is kept
-        order = np.argsort(_factor(k, "MMD_AT_PLUS_A", drop_tol=1.0,
-                                   fill_factor=1.0).perm_c)
-        kp = k[order][:, order]
-        h = _full_trailing_block(kp)
+        if dense:
+            order, h = np.arange(n), 0
+        else:
+            k = k.tocsc()
+            # K is a nonsingular M-matrix, so the incomplete factor's pivots
+            # stay positive; only its column order is kept
+            order = np.argsort(_factor(k, "MMD_AT_PLUS_A", what, drop_tol=1.0,
+                                       fill_factor=1.0).perm_c)
+            k = k[order][:, order]
+            h = _full_trailing_block(k)
         self._head_nodes, self._tail_nodes = order[:h], order[h:]
-        self._coupling = kp[:h, h:].tocsr()   # K_HT
-        # an empty head (a complete graph) solves to itself
-        self._head_solve = (_factor(kp[:h, :h].tocsc(), "NATURAL").solve
-                            if h else np.asarray)
-        self._tail_inverse = self._schur_inverse(kp[h:, h:].tocoo())
         self._left, self._right = left, right
+        # K_HT; an empty head couples to nothing and solves to itself
+        self._coupling = k[:h, h:].tocsr() if h else np.zeros((0, n))
+        self._head_solve = (_factor(k[:h, :h].tocsc(), "NATURAL", what).solve
+                            if h else np.asarray)
+        self._tail_inverse = self._schur_inverse(k[h:, h:] if h else k, what)
 
-    def _schur_inverse(self, k_tt) -> np.ndarray:
+    def _schur_inverse(self, k_tt, what: str) -> np.ndarray:
         """S^{-1} in one Fortran t x t array, inverted in place by
         _spd_inverse. S's columns are formed by head solves in blocks of at
         most SCHUR_BLOCK_ENTRIES head-row doubles, and fewer while a
         block's two h-row arrays would hold over half as many doubles as
         S, so that the build holds little beside S; but never fewer than
         SCHUR_MIN_COLUMNS columns, whose two arrays hold less than one head
-        array of a 32-column product."""
-        k_ht, coupling_t = self._coupling.tocsc(), self._coupling.T
-        h, t = k_ht.shape
+        array of a 32-column product. `what` names K in the error."""
+        k_tt = k_tt.tocoo()
+        h, t = self._coupling.shape
         inv = np.zeros((t, t), order="F")
         inv[k_tt.row, k_tt.col] = k_tt.data
-        width = max(SCHUR_MIN_COLUMNS,
-                    min(SCHUR_BLOCK_ENTRIES, t * t // 4) // (h or 1))
-        ptr, (rows, cols) = k_ht.indptr, k_ht.tocoo().coords
-        for j in range(0, t if h else 0, width):
-            seg = slice(ptr[j], ptr[min(j + width, t)])
-            block = np.zeros((h, min(width, t - j)), order="F")
-            block[rows[seg], cols[seg] - j] = k_ht.data[seg]
-            # rebinding frees the right-hand side before the product, whose
-            # sparse kernel takes a C-order copy of the solve
-            block = self._head_solve(block)
-            inv[:, j:j + width] -= coupling_t @ block
-        return _spd_inverse(inv, "pagerank Schur complement")
+        if h:
+            k_ht, coupling_t = self._coupling.tocsc(), self._coupling.T
+            width = max(SCHUR_MIN_COLUMNS,
+                        min(SCHUR_BLOCK_ENTRIES, t * t // 4) // h)
+            ptr, (rows, cols) = k_ht.indptr, k_ht.tocoo().coords
+            for j in range(0, t, width):
+                seg = slice(ptr[j], ptr[min(j + width, t)])
+                block = np.zeros((h, min(width, t - j)), order="F")
+                block[rows[seg], cols[seg] - j] = k_ht.data[seg]
+                # rebinding frees the right-hand side before the product,
+                # whose sparse kernel takes a C-order copy of the solve
+                block = self._head_solve(block)
+                inv[:, j:j + width] -= coupling_t @ block
+        return _spd_inverse(inv, f"Schur complement of the {what}")
 
     def _gather(self, x, nodes):
         """Rows `nodes` of diag(right) x."""
@@ -408,16 +473,16 @@ class PagerankOperator(KernelOperator):
         return out
 
 
-def _factor(k, order: str, **drop):
+def _factor(k, order: str, what: str, **drop):
     """Sparse LU of the symmetric positive definite k without pivoting;
-    with spilu's `drop` settings, an incomplete one."""
+    with spilu's `drop` settings, an incomplete one. `what` names k in
+    the error."""
     try:
         return (spla.spilu if drop else spla.splu)(
             k, permc_spec=order, diag_pivot_thresh=0.0,
             options={"SymmetricMode": True}, **drop)
     except RuntimeError as exc:
-        raise RuntimeError("pagerank system D - (1-alpha) A could not be "
-                           f"factored: {exc}") from exc
+        raise RuntimeError(f"{what} could not be factored: {exc}") from exc
 
 
 def _full_trailing_block(kp) -> int:
@@ -478,12 +543,13 @@ def pagerank_kernel(g: Graph, alpha: float,
     d[d == 0] = 1.0
     k = (sp.diags(d) - (1.0 - alpha) * a).tocsc()
     rho = 1.0 if g.num_edges else alpha   # alpha / (1 - (1-alpha) rho(T))
+    what = "pagerank system D - (1-alpha) A"
     if norm is Normalization.RW:
-        return PagerankOperator(k, alpha * d, None, rho)
+        return PagerankOperator(k, alpha * d, None, rho, what, dense=False)
     if norm is Normalization.MEAN:
-        return PagerankOperator(k, None, alpha * d, rho)
+        return PagerankOperator(k, None, alpha * d, rho, what, dense=False)
     s = np.sqrt(d)  # SYM
-    return PagerankOperator(k, s, alpha * s, rho)
+    return PagerankOperator(k, s, alpha * s, rho, what, dense=False)
 
 
 def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:

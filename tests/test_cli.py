@@ -37,6 +37,24 @@ def node_dataset(tmp_path):
 
 
 @pytest.fixture
+def large_node_dataset(tmp_path):
+    """A sparse 300-node two-community graph, above effective resistance's
+    dense size (n^2 > SCHUR_BLOCK_ENTRIES)."""
+    rng = np.random.default_rng(1)
+    n = 300
+    labels = np.arange(n) % 2
+    u, v = np.triu_indices(n, 1)
+    p = np.where(labels[u] == labels[v], 0.02, 0.002)
+    keep = rng.random(u.size) < p
+    feats = rng.normal(size=(n, 2)) + np.stack(
+        [4.0 * (1 - 2 * labels), np.zeros(n)], axis=1)
+    d = tmp_path / "large"
+    write_canonical(d, np.stack([u[keep], v[keep]], axis=1).tolist(), feats,
+                    labels=labels.tolist())
+    return str(d)
+
+
+@pytest.fixture
 def unlabeled_collection(tmp_path):
     """Two graphs with a graph id per node and no labels of any kind."""
     d = tmp_path / "coll"
@@ -141,6 +159,39 @@ class TestRewire:
             want = np.where(a > 0, effective_resistance(g).matrix, 0.0)
         k = np.load(out / "kernel.npy")
         assert k.dtype == np.float64 and np.array_equal(k, want)
+
+    def test_diffwire_written_dense_in_blocks(self, large_node_dataset,
+                                              tmp_path):
+        # above the dense size, kernel.npy is Res on the edges of A, read
+        # from the block-eliminated grounded Laplacian, bit for bit
+        out = tmp_path / "rw"
+        assert main(["rewire", "--dataset", large_node_dataset, "--rewire",
+                     "diffwire", "--out", str(out)]) == 0
+        g = load_dataset(large_node_dataset)
+        r = effective_resistance(g)
+        assert r.kernel._head_nodes.size > 0
+        want = np.where(g.adjacency().toarray() > 0, r.matrix, 0.0)
+        k = np.load(out / "kernel.npy")
+        assert k.dtype == np.float64 and np.array_equal(k, want)
+
+    @pytest.mark.parametrize("dataset", ["node_dataset",
+                                         "large_node_dataset"])
+    def test_diffwire_schur_complement_rejected_exit_4(self, dataset, request,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # the grounded Laplacian (all tail below the dense size) and its
+        # Schur complement are positive definite; one that dpotrf rejects
+        # is an internal error, never inverted
+        path = request.getfixturevalue(dataset)
+        dpotrf = spectral.dpotrf
+        monkeypatch.setattr(spectral, "dpotrf",
+                            lambda a, **kw: dpotrf(-a, **kw))
+        out = tmp_path / "x"
+        assert main(["rewire", "--dataset", path, "--rewire", "diffwire",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "grounded Laplacian not positive definite" in err
+        assert not (out / "kernel.npy").exists()
 
     def test_invalid_param_exit_2(self, node_dataset, tmp_path):
         assert main(["rewire", "--dataset", node_dataset, "--rewire", "heat",

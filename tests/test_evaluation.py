@@ -647,6 +647,20 @@ class TestGESNGrid:
         with pytest.raises(InputError, match="cannot pool an empty graph"):
             next(grid)
 
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_single_graph_operator_embedded_sorted(self, n):
+        # one graph's CSR operator is embedded summed and sorted, as a
+        # union's is, on either side of the exact spectral-radius cap;
+        # EGP's A_Cay A comes with unsorted rows
+        g = random_graph(n, 0.1, np.random.default_rng(n))
+        rw = apply_rewiring(g, RewireConfig(method="egp"))
+        assert not rw.operator.has_sorted_indices
+        canonical = apply_rewiring(g, RewireConfig(method="egp"))
+        canonical.operator.sum_duplicates()
+        got = list(evaluation._gesn_embeddings([rw], GESN_SPACE, 2,
+                                               Budget(None), 1))
+        assert_same_grid(got, reference_gesn([canonical], GESN_SPACE, 2))
+
     @pytest.mark.parametrize("kind", ["node", "graph"])
     def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):
         # a collection's rho(M_i) come from one block-mode call, whatever

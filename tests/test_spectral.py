@@ -17,7 +17,8 @@ from rewirebench import (InputError, RewireConfig, apply_rewiring,
 
 from rewirebench import spectral
 from rewirebench.graph import connected_components
-from rewirebench.spectral import DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS
+from rewirebench.spectral import (DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS,
+                                  SCHUR_BLOCK_ENTRIES)
 
 from conftest import (block_union, complete_graph, cycle_graph, path_graph,
                       random_graph, sparse_random_graph)
@@ -267,6 +268,39 @@ class TestSpectralRadius:
         for other in (big.tocsc(), big.tocoo()):
             assert spectral_radius(other, seed=1) == spectral_radius(big,
                                                                      seed=1)
+
+    def test_arpack_leaves_its_input_unchanged(self, rng):
+        # ARPACK runs on a summed, sorted copy of a CSR that is not
+        # canonical, with the bits of the canonical matrix: the caller's
+        # unsorted rows and its entry stored twice stay as they were
+        a = shift_operator(random_graph(70, 0.08, rng))
+        assert a.shape[0] > EXACT_SPARSE_RADIUS_ROWS
+        # row 0 reversed, its first entry (1.0) stored as 0.25 and 0.75
+        lo, hi = a.indptr[:2]
+        assert hi - lo > 1
+        row0 = a.data[lo:hi][::-1].copy()
+        row0[-1] = 0.75
+        m = sp.csr_matrix((
+            np.concatenate([[0.25], row0, a.data[hi:]]),
+            np.concatenate([a.indices[lo:lo + 1], a.indices[lo:hi][::-1],
+                            a.indices[hi:]]),
+            np.concatenate([[0], a.indptr[1:] + 1])), shape=a.shape)
+        assert not m.has_canonical_format
+        before = m.data.copy(), m.indices.copy(), m.indptr.copy(), m.nnz
+        res = spectral_radius(m, seed=3)
+        assert res.iterations > 0
+        assert np.array_equal(m.data, before[0])
+        assert np.array_equal(m.indices, before[1])
+        assert np.array_equal(m.indptr, before[2]) and m.nnz == before[3]
+        assert res == spectral_radius(a, seed=3)
+        # an EGP operator's rows are unsorted, and stay so
+        op = apply_rewiring(random_graph(70, 0.08, rng),
+                            RewireConfig(method="egp")).operator
+        assert not op.has_sorted_indices
+        indices = op.indices.copy()
+        spectral_radius(op)
+        assert not op.has_sorted_indices
+        assert np.array_equal(op.indices, indices)
 
     def test_empty_matrix_and_block_are_zero(self):
         empty = sp.csr_matrix((0, 0))
@@ -797,6 +831,90 @@ class TestResistanceOracle:
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(res), finite)
         assert np.abs(res[finite] - want[finite]).max() <= 1e-12
+
+
+def _block_graphs():
+    """Graphs above the dense size, n^2 > SCHUR_BLOCK_ENTRIES: sparse ones
+    with many components and isolated nodes, a complete graph (only its
+    grounded node in the head) and a sparse graph beside a complete
+    component, whose non-grounded nodes form the whole tail."""
+    clique, rest = complete_graph(40), sparse_random_graph(260, 2.0, 2)
+    return {"sparse-400": sparse_random_graph(400, 1.5, 0),
+            "gnp-300": sparse_random_graph(300, 3.0, 1),
+            "complete-260": complete_graph(260),
+            "with-clique": build_graph(np.concatenate(
+                [rest.edges, clique.edges + 260]), np.zeros((300, 1)))}
+
+
+BLOCK_GRAPHS = _block_graphs()
+
+
+class TestResistanceBlocks:
+    """effective_resistance above the dense size: K^{-1} by block
+    elimination, read one fixed block of head columns at a time."""
+
+    @pytest.mark.parametrize("graph", sorted(BLOCK_GRAPHS))
+    def test_matches_pseudoinverse(self, graph):
+        # each unordered pair is read once, from a block that does not
+        # depend on which pairs are asked for: values equal the matrix
+        # bitwise, in either orientation and for any subset
+        g = BLOCK_GRAPHS[graph]
+        r = effective_resistance(g)
+        assert g.num_nodes ** 2 > SCHUR_BLOCK_ENTRIES
+        assert r.kernel._head_nodes.size > 0
+        want = TestResistanceOracle._oracle(g)
+        res = r.matrix
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(res), finite)
+        assert np.abs(res[finite] - want[finite]).max() <= 1e-12
+        assert np.array_equal(res, res.T)
+        assert np.all(np.diag(res) == 0.0)
+        u, v = g.edges.T
+        assert np.array_equal(r.values(u, v), res[u, v])
+        assert np.array_equal(r.values(v, u), res[u, v])
+        assert np.array_equal(r.values(u[::3], v[::3]), res[u[::3], v[::3]])
+
+    def test_complete_component_is_the_tail(self):
+        r = effective_resistance(BLOCK_GRAPHS["with-clique"])
+        assert np.array_equal(np.sort(r.kernel._tail_nodes),
+                               np.arange(261, 300))
+
+    def test_dense_up_to_one_schur_block(self):
+        # n^2 <= SCHUR_BLOCK_ENTRIES: the whole graph is the tail in natural
+        # order, with the bits of the grounded Laplacian inverted in place;
+        # one node more is block-eliminated
+        wider = effective_resistance(sparse_random_graph(257, 3.0, 4))
+        assert wider.kernel._head_nodes.size > 0
+        n = 256
+        assert n * n == SCHUR_BLOCK_ENTRIES
+        g = sparse_random_graph(n, 3.0, 4)
+        r = effective_resistance(g)
+        assert np.array_equal(r.kernel._tail_nodes, np.arange(n))
+        comp = connected_components(g)
+        grounded = np.unique(comp, return_index=True)[1]
+        inv = np.zeros((n, n), order="F")
+        inv[:] = shift_operator(g, "laplacian", "none").toarray()
+        inv[grounded] = inv[:, grounded] = 0.0
+        inv[grounded, grounded] = 1.0
+        inv = spectral._spd_inverse(inv, "grounded Laplacian")
+        inv[grounded, grounded] = 0.0
+        u, v = g.edges.T
+        want = np.maximum(inv[u, u] + inv[v, v] - 2.0 * inv[u, v], 0.0)
+        assert np.array_equal(r.values(u, v), want)
+
+    def test_edge_values_hold_no_dense_inverse(self):
+        # a dense G held 1.06 n^2 doubles; S^{-1} and the column blocks
+        # hold a quarter of that at most
+        n = 1000
+        g = sparse_random_graph(n, 4.0, 0)
+        a = g.adjacency().tocoo()
+        tracemalloc.start()
+        try:
+            effective_resistance(g).values(a.row, a.col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 / 4
 
 
 class TestCheeger:
