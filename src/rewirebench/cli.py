@@ -227,111 +227,96 @@ def cmd_run(args) -> int:
     return 3 if oor else 0
 
 
+# each subcommand's options in order, keyed by flag; a --config key names one
+_COMMON = {
+    "dataset": {"required": True},
+    "format": {"choices": ("canonical", "tudataset"), "default": "canonical"},
+    "seed": {"type": int, "default": 0},
+    "jobs": {"type": int, "default": os.cpu_count() or 1},
+    "budget-seconds": {"type": float, "default": 3600.0},
+}
+_REWIRE = {
+    "rewire": {"choices": METHODS, "default": "baseline"},
+    "t": {"type": float, "default": 1.0},
+    "alpha": {"type": float, "default": 0.1},
+    "fraction": {"type": float, "default": 0.1},
+    "tau": {"type": float, "default": 0.5},
+    "diffusion-norm": {"choices": [n.value for n in Normalization],
+                       "default": "rw"},
+}
+_COMMANDS = {
+    "stats": ("dataset statistics table", {**_COMMON, "out": {}}),
+    "rewire": ("rewire a graph and emit diagnostics",
+               {**_COMMON, "out": {"default": "rewire_out"}, **_REWIRE}),
+    "run": ("full evaluation pipeline",
+            {**_COMMON, "out": {"default": "run_out"}, **_REWIRE,
+             "model": {"choices": ("sgc", "gesn"), "default": "sgc"},
+             "grid": {"choices": ("tiny", "default", "full"),
+                      "default": "default"}}),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, shared by every call in the process: never change it."""
     # no abbreviations: `--conf path` would parse, but only `--config` is read
     parser = argparse.ArgumentParser(
         prog="rewirebench", allow_abbrev=False,
         description="Graph rewiring benchmark with training-free models")
     parser.add_argument("--config", help="key=value config file (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--dataset", required=True)
-        p.add_argument("--format", choices=("canonical", "tudataset"),
-                       default="canonical")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--budget-seconds", type=float, default=3600.0)
-        p.add_argument("--out", default=None)
-
-    def rewire_opts(p):
-        p.add_argument("--rewire", choices=METHODS, default="baseline")
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=0.1)
-        p.add_argument("--fraction", type=float, default=0.1)
-        p.add_argument("--tau", type=float, default=0.5)
-        p.add_argument("--diffusion-norm", default="rw",
-                       choices=[n.value for n in Normalization])
-
-    p_stats = sub.add_parser("stats", help="dataset statistics table")
-    common(p_stats)
-
-    p_rw = sub.add_parser("rewire", help="rewire a graph and emit diagnostics")
-    common(p_rw)
-    rewire_opts(p_rw)
-    p_rw.set_defaults(out="rewire_out")
-
-    p_run = sub.add_parser("run", help="full evaluation pipeline")
-    common(p_run)
-    rewire_opts(p_run)
-    p_run.add_argument("--model", choices=("sgc", "gesn"), default="sgc")
-    p_run.add_argument("--grid", choices=("tiny", "default", "full"),
-                       default="default")
-    p_run.set_defaults(out="run_out")
+    for command, (text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kwargs in options.items():
+            p.add_argument(f"--{name}", **kwargs)
     return parser
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The file named by `--config path` or `--config=path`, if any."""
+def _config_flags(argv: list[str]) -> list[str]:
+    """argv with each `key=value` line of its `--config path` (or
+    `--config=path`) file that the chosen subcommand takes as the flag
+    `--key=value` right after the subcommand's name, so argparse checks it
+    and later flags win. A key that no subcommand takes is an input error;
+    one that only other subcommands take is dropped."""
     for i, arg in enumerate(argv):
         if arg == "--config":
             if i + 1 == len(argv):
                 raise InputError("--config needs a file path")
-            return argv[i + 1]
+            path, rest = argv[i + 1], i + 2
+            break
         if arg.startswith("--config="):
-            return arg[len("--config="):]
-    return None
-
-
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every call without --config, built once per process."""
-    return build_parser()
-
-
-def _config_parser(path: str) -> argparse.ArgumentParser:
-    """A fresh parser whose subcommands default to the config file's values."""
-    parser = build_parser()
-    subparsers = [sub for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)
-                  for sub in action.choices.values()]
-    known = {opt.dest for sub in subparsers for opt in sub._actions
-             if opt.option_strings and opt.dest != "help"}
-    defaults = {}
+            path, rest = arg[len("--config="):], i + 1
+            break
+    else:
+        return argv
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest not in known:
-                    raise InputError(f"config file {path}: unknown key "
-                                     f"{key.strip()!r}")
-                defaults[dest] = val.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    # every option a key can name belongs to a subcommand, whose parser fills
-    # its own defaults; argparse converts a string default with the flag's
-    # type but never checks it against choices
-    for sub in subparsers:
-        sub.set_defaults(**defaults)
-        for opt in sub._actions:
-            if opt.choices and opt.default not in opt.choices:
-                raise InputError(f"config file {path}: {opt.dest}="
-                                 f"{opt.default!r} is not one of "
-                                 f"{list(opt.choices)}")
-    return parser
+    flags = []
+    for line in lines:
+        if line and not line.startswith("#"):
+            key, _, val = (part.strip() for part in line.partition("="))
+            name = key.replace("_", "-")
+            if not any(name in opts for _, opts in _COMMANDS.values()):
+                raise InputError(f"config file {path}: unknown key {key!r}")
+            flags.append((name, val))
+    # the subcommand is its first name after the path; argparse reports none
+    at = next((j for j in range(rest, len(argv)) if argv[j] in _COMMANDS),
+              None)
+    if at is None:
+        return argv
+    return [*argv[:at + 1], *(f"--{name}={val}" for name, val in flags
+                              if name in _COMMANDS[argv[at]][1]),
+            *argv[at + 1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.WARNING)
     try:
-        path = _config_path(argv)
-        parser = _shared_parser() if path is None else _config_parser(path)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_config_flags(argv))
         _check_common(args)
         if args.command == "stats":
             return cmd_stats(args)

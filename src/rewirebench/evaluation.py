@@ -338,8 +338,6 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
         if op is None:
             op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
                                 Normalization.NONE)
-        elif sp.issparse(op):
-            op.sum_duplicates()   # sorts each row, as _union_operator does
         rho_m = float(spectral_radius(op, seed=seed))
         rho_m = rho_m if rho_m > 0 else 1.0
         x, offsets = input_features(rw.graph.features), np.zeros(1, np.int64)
@@ -380,8 +378,8 @@ def _union_operator(rewired: list, union: Graph, offsets: np.ndarray,
     """The collection's block-diagonal CSR operator, block i being
     M_i / ρ(M_i) (the adjacency where the rewiring gave no operator, and
     ρ 0 taken as 1): sp.block_diag of the scaled blocks in data, indices
-    and indptr. One spectral_radius call takes every ρ(M_i) from the
-    unscaled union, whose blocks keep each operator's entry order."""
+    and indptr, canonical since every block is. One spectral_radius call
+    takes every ρ(M_i) from the unscaled union."""
     if all(rw.operator is None for rw in rewired):
         m = union.adjacency()
     else:
@@ -396,7 +394,6 @@ def _union_operator(rewired: list, union: Graph, offsets: np.ndarray,
             .cumsum()), shape=(union.num_nodes,) * 2)
     rhos = spectral_radius(m, seed=seed, offsets=offsets).value
     rhos[~(rhos > 0)] = 1.0
-    m.sum_duplicates()   # sorts each row, as block_diag's COO does
     row_scale = np.repeat(1.0 / rhos, np.diff(offsets, append=union.num_nodes))
     return sp.csr_matrix((m.data * np.repeat(row_scale, np.diff(m.indptr)),
                           m.indices, m.indptr), shape=m.shape)

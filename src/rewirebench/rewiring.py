@@ -73,8 +73,9 @@ class RewireConfig:
 class RewiredGraph:
     method: str
     graph: Graph                       # rewired edge set (or the input, unchanged)
-    # M' of the kernel methods: CSR for EGP and DiffWire; heat and PageRank
-    # carry rho(M') and build their dense kernel only through toarray()
+    # M' of the kernel methods: canonical CSR (rows sorted, no duplicates)
+    # for EGP and DiffWire; heat and PageRank carry rho(M') and build their
+    # dense kernel only through toarray()
     operator: sp.csr_matrix | KernelOperator | None = None
     edit_log: list = field(default_factory=list)  # (iteration, op, u, v)
 
@@ -369,6 +370,7 @@ def rewire_egp(g: Graph) -> RewiredGraph:
         n += 1
     k = g.num_nodes
     m = (_cayley_adjacency(n)[:k, :k] @ g.adjacency()).tocsr()
+    m.sort_indices()   # the product has no duplicates, so m is canonical
     return RewiredGraph(method="egp", graph=g, operator=m)
 
 

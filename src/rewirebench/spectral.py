@@ -282,21 +282,23 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
 
     The lowest node of each component is grounded: its Laplacian row and
     column become unit vectors, so K is symmetric positive definite with
-    the Laplacian's pattern. K^{-1} is a PagerankOperator over K. A graph
-    whose n^2 doubles fit in one Schur block (n^2 <= SCHUR_BLOCK_ENTRIES)
-    is all tail, in natural order: its K is inverted in place in one
-    Fortran n x n array by _spd_inverse."""
+    the Laplacian's pattern. K is built from the edge list in one COO
+    matrix: the degree on the diagonal (1 at grounded nodes) and -1 at
+    both orientations of each edge with no grounded end. K^{-1} is a
+    PagerankOperator over K. A graph whose n^2 doubles fit in one Schur
+    block (n^2 <= SCHUR_BLOCK_ENTRIES) is all tail, in natural order: its
+    K is inverted in place in one Fortran n x n array by _spd_inverse."""
     comp = connected_components(g)
     n = comp.size
     grounded = np.unique(comp, return_index=True)[1]
     is_grounded = np.zeros(n, dtype=bool)
     is_grounded[grounded] = True
-    lap = shift_operator(g, OperatorKind.LAPLACIAN, Normalization.NONE)
-    row = np.repeat(np.arange(n), np.diff(lap.indptr))
-    keep = ~(is_grounded[row] | is_grounded[lap.indices])
-    k = sp.coo_matrix((np.append(lap.data[keep], np.ones(grounded.size)),
-                       (np.append(row[keep], grounded),
-                        np.append(lap.indices[keep], grounded))), shape=(n, n))
+    u, v = g.edges[~is_grounded[g.edges].any(axis=1)].T   # no grounded end
+    nodes = np.arange(n)
+    k = sp.coo_matrix((np.concatenate([np.where(is_grounded, 1.0, g.degrees),
+                                       np.full(2 * u.size, -1.0)]),
+                       (np.concatenate([nodes, u, v]),
+                        np.concatenate([nodes, v, u]))), shape=(n, n))
     # K^{-1} has no closed-form radius, and none is asked of it
     kernel = PagerankOperator(k, None, None, math.nan, "grounded Laplacian",
                               dense=n * n <= SCHUR_BLOCK_ENTRIES)

@@ -513,19 +513,21 @@ class TestBadValues:
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, node_dataset, tmp_path):
         cfgfile = tmp_path / "cfg"
-        cfgfile.write_text("grid=tiny\nmodel=sgc\nseed=9\n")
+        cfgfile.write_text("grid=tiny\nmodel=sgc\nseed=9\n"
+                           "budget-seconds=5\n")
         out = tmp_path / "run"
         assert main(["--config", str(cfgfile), "run",
                      "--dataset", node_dataset, "--jobs", "1",
-                     "--out", str(out)]) == 0
+                     "--budget-seconds", "600", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["grid"] == "tiny"
         assert manifest["config"]["seed"] == 9
+        assert manifest["config"]["budget_seconds"] == 600.0
 
     def test_config_does_not_leak_into_the_next_call(self, node_dataset,
                                                      tmp_path):
-        # a call with --config sets its values as defaults on a parser of its
-        # own; a later call in the same process reads the built-in defaults
+        # a call with --config passes its values to the shared parser as
+        # flags; a later call in the same process reads the built-in defaults
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("grid=tiny\nseed=9\nrewire=sdrf\n")
         for name, config in (("with", ["--config", str(cfgfile)]),
@@ -538,25 +540,37 @@ class TestConfigFile:
         assert [(c["seed"], c["rewire"]["method"]) for c in read] == [
             (9, "sdrf"), (0, "baseline")]
 
-    def test_parser_built_once_without_config(self, node_dataset, tmp_path,
-                                              monkeypatch):
-        built = []
-        real = cli.build_parser
-
-        def counting():
-            built.append(1)
-            return real()
-        monkeypatch.setattr(cli, "build_parser", counting)
-        cli._shared_parser.cache_clear()
+    def test_parser_built_once_with_and_without_config(self, node_dataset,
+                                                       tmp_path):
+        # every call parses with the one cached parser; a --config file
+        # reaches it as flags, not as a parser of its own
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("seed=1\n")
-        try:
-            for config in ([], [], ["--config", str(cfgfile)], []):
-                assert main([*config, "stats", "--dataset", node_dataset,
-                             "--out", str(tmp_path / "stats")]) == 0
-        finally:
-            cli._shared_parser.cache_clear()
-        assert len(built) == 2   # the shared parser and the --config one
+        cli.build_parser.cache_clear()
+        for config in ([], ["--config", str(cfgfile)], [],
+                       ["--config", str(cfgfile)]):
+            assert main([*config, "stats", "--dataset", node_dataset,
+                         "--out", str(tmp_path / "stats")]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_key_of_another_subcommand_ignored(self, node_dataset, tmp_path):
+        # `model` is run's option; stats drops it, and a config `dataset`
+        # satisfies the required flag
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"model=gesn\ndataset={node_dataset}\n")
+        assert main(["--config", str(cfgfile), "stats"]) == 0
+
+    def test_bad_config_value_refused_by_argparse(self, node_dataset,
+                                                  tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("grid=huge\n")
+        out = tmp_path / "run"
+        assert exit_code(["--config", str(cfgfile), "run", "--dataset",
+                          node_dataset, "--jobs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --grid: invalid choice: 'huge'" in err
+        assert not (out / "report.csv").exists()
 
     def test_missing_config_file(self, node_dataset):
         assert main(["--config", "/nonexistent", "stats",

@@ -649,17 +649,21 @@ class TestGESNGrid:
 
     @pytest.mark.parametrize("n", [40, 90])
     def test_single_graph_operator_embedded_sorted(self, n):
-        # one graph's CSR operator is embedded summed and sorted, as a
-        # union's is, on either side of the exact spectral-radius cap;
-        # EGP's A_Cay A comes with unsorted rows
+        # EGP's A_Cay A comes canonical from the rewiring, so one graph's
+        # operator is embedded as given, on either side of the exact
+        # spectral-radius cap: with the bits of a CSR built from its dense
+        # form, and left unchanged
         g = random_graph(n, 0.1, np.random.default_rng(n))
         rw = apply_rewiring(g, RewireConfig(method="egp"))
-        assert not rw.operator.has_sorted_indices
-        canonical = apply_rewiring(g, RewireConfig(method="egp"))
-        canonical.operator.sum_duplicates()
+        op = rw.operator
+        arrays = [a.copy() for a in (op.data, op.indices, op.indptr)]
+        canonical = RewiredGraph(method="egp", graph=g,
+                                 operator=sp.csr_matrix(op.toarray()))
         got = list(evaluation._gesn_embeddings([rw], GESN_SPACE, 2,
                                                Budget(None), 1))
         assert_same_grid(got, reference_gesn([canonical], GESN_SPACE, 2))
+        for a, b in zip(arrays, (op.data, op.indices, op.indptr)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["node", "graph"])
     def test_draw_per_hidden_size_and_rho_per_graph(self, kind, monkeypatch):

@@ -472,7 +472,8 @@ class TestEGP:
 
     def test_one_cayley_adjacency_per_size(self, monkeypatch):
         # a 10-40-node collection needs n = 3 (|SL(2, Z_3)| = 24) and n = 4
-        # (48); each operator keeps the bits of the uncached product
+        # (48); each operator keeps the bits of the uncached product, with
+        # its rows sorted
         built = []
 
         def counting(n):
@@ -488,6 +489,7 @@ class TestEGP:
             k = g.num_nodes
             a_cay = cayley_graph(3 if k <= 24 else 4).adjacency()[:k, :k]
             want = (a_cay @ g.adjacency()).tocsr()
+            want.sort_indices()
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(op, part), getattr(want, part))
 
@@ -558,6 +560,20 @@ class TestDispatch:
         if closed:
             assert spectral_radius(out.operator) == SpectralRadiusResult(
                 out.operator.rho, 0, True)
+
+    @pytest.mark.parametrize("method", ["egp", "diffwire"])
+    def test_csr_operators_canonical(self, method):
+        # every operator that is not a KernelOperator is a canonical CSR
+        # (rows sorted, no duplicates), which the GESN embedding and a
+        # collection's union take as given; a fresh matrix over its arrays
+        # checks the structure, not a flag scipy cached
+        rng = np.random.default_rng(6)
+        for n in (10, 40, 90):
+            op = apply_rewiring(random_graph(n, 0.1, rng),
+                                RewireConfig(method=method)).operator
+            fresh = sp.csr_matrix((op.data, op.indices, op.indptr),
+                                  shape=op.shape)
+            assert sp.isspmatrix_csr(op) and fresh.has_canonical_format
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean", "none"])
     def test_diffusion_rho_matches_dense_eigvals(self, norm):

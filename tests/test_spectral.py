@@ -41,6 +41,15 @@ def pagerank_coeffs(alpha, terms=200):
     return [alpha * (1 - alpha) ** m for m in range(terms)]
 
 
+def reversed_rows(m):
+    """A CSR copy of m with each row's stored entries in reverse order:
+    every rewiring's operator is canonical, and this one is not."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    order = np.lexsort((-np.arange(m.nnz), rows))
+    return sp.csr_matrix((m.data[order], m.indices[order], m.indptr.copy()),
+                         shape=m.shape)
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert float(spectral_radius(np.eye(5))) == pytest.approx(1.0)
@@ -170,9 +179,9 @@ class TestSpectralRadius:
         # block mode gives each diagonal block the bits of its own call:
         # repeated n-row blocks (non-symmetric, all-zero and symmetric 0/1)
         # between other sizes, and above the exact cap an edgeless block and
-        # EGP's non-symmetric A_Cay A with its indices unsorted
-        egp = apply_rewiring(random_graph(70, 0.08, rng),
-                             RewireConfig(method="egp")).operator
+        # EGP's non-symmetric A_Cay A with its rows reversed
+        egp = reversed_rows(apply_rewiring(random_graph(70, 0.08, rng),
+                                           RewireConfig(method="egp")).operator)
         assert not egp.has_sorted_indices and (abs(egp - egp.T) > 0).nnz
         dense = rng.normal(size=(4, n, n))
         dense[1] = 0.0
@@ -293,9 +302,9 @@ class TestSpectralRadius:
         assert np.array_equal(m.indices, before[1])
         assert np.array_equal(m.indptr, before[2]) and m.nnz == before[3]
         assert res == spectral_radius(a, seed=3)
-        # an EGP operator's rows are unsorted, and stay so
-        op = apply_rewiring(random_graph(70, 0.08, rng),
-                            RewireConfig(method="egp")).operator
+        # an EGP operator with its rows reversed stays so
+        op = reversed_rows(apply_rewiring(random_graph(70, 0.08, rng),
+                                          RewireConfig(method="egp")).operator)
         assert not op.has_sorted_indices
         indices = op.indices.copy()
         spectral_radius(op)
@@ -901,6 +910,21 @@ class TestResistanceBlocks:
         u, v = g.edges.T
         want = np.maximum(inv[u, u] + inv[v, v] - 2.0 * inv[u, v], 0.0)
         assert np.array_equal(r.values(u, v), want)
+
+    def test_grounded_laplacian_built_from_edges(self, monkeypatch):
+        # K is built from the edge list and the degrees, on either side of
+        # the dense size; no Laplacian is built first
+        calls = []
+        real = spectral.shift_operator
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spectral, "shift_operator", spy)
+        for g in (sparse_random_graph(40, 2.0, 3), BLOCK_GRAPHS["with-clique"]):
+            u, v = g.edges.T
+            effective_resistance(g).values(u, v)
+        assert calls == []
 
     def test_edge_values_hold_no_dense_inverse(self):
         # a dense G held 1.06 n^2 doubles; S^{-1} and the column blocks
