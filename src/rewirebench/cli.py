@@ -79,13 +79,7 @@ def _rewire_config(args) -> RewireConfig:
 
 
 def cmd_stats(args) -> int:
-    data = load_dataset(args.dataset, args.format)
-    if isinstance(data, Graph):
-        stats = dataset_stats(data)
-    else:
-        stats = dataset_stats(data[0])
-        if data[1] is not None:
-            stats.num_classes = len(np.unique(data[1]))
+    stats = dataset_stats(load_dataset(args.dataset, args.format))
     rows = [("graphs", stats.num_graphs),
             ("nodes", f"{stats.nodes:g}"),
             ("edges", f"{stats.edges:g}"),
@@ -259,14 +253,15 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser, shared by every call in the process: never change it."""
-    # no abbreviations: `--conf path` would parse, but only `--config` is read
+    # no abbreviations here or in a subcommand: `--conf path` would parse,
+    # but only `--config` is read, and a config key is never abbreviated
     parser = argparse.ArgumentParser(
         prog="rewirebench", allow_abbrev=False,
         description="Graph rewiring benchmark with training-free models")
     parser.add_argument("--config", help="key=value config file (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         for name, kwargs in options.items():
             p.add_argument(f"--{name}", **kwargs)
     return parser

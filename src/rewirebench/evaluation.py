@@ -464,10 +464,9 @@ def model_select(task, model: str, rconfig: RewireConfig,
                           labels[split.val]))
         for cfg, emb in _all_embeddings(task, model, rconfig, space, seed,
                                         budget, jobs):
-            aug = augment(emb)
             for i, (split, classes, targets, y_val) in enumerate(folds):
                 budget.check()
-                sol = ridge_solve(aug[split.train], targets, lambdas)
+                sol = ridge_solve(augment(emb[split.train]), targets, lambdas)
                 # one product scores every lambda. W is the transpose of the
                 # C-ordered (L*C) x d stack of w_out and the bias is added
                 # after the product: a C-ordered W, or the bias folded into
@@ -482,7 +481,6 @@ def model_select(task, model: str, rconfig: RewireConfig,
                     if best[i] is None or val > best[i][0] + 1e-12:
                         best[i] = (val, {**cfg, "ridge_lambda": ridge_lambda},
                                    emb)
-            del aug   # not held while the next config is embedded
         for split, (val_metric, sel_cfg, sel_emb) in zip(splits, best):
             fit_idx = np.concatenate([split.train, split.val])
             readout = ridge_fit(sel_emb[fit_idx], labels[fit_idx],

@@ -263,9 +263,11 @@ def diameter(g: Graph, offsets=None):
     return far if offsets is not None else int(far[0])
 
 
-def dataset_stats(data: Graph | list[Graph]) -> DatasetStats:
-    """Summary statistics; averages over graphs when given a collection,
-    whose diameters come from one pass over its disjoint union."""
+def dataset_stats(data: Graph | tuple) -> DatasetStats:
+    """Summary statistics of what load_dataset returns: a Graph, or a
+    collection's (graphs, labels) pair, averaged over its graphs (diameters
+    from one pass over their disjoint union), with classes the number of
+    distinct graph labels (0 without labels)."""
     if isinstance(data, Graph):
         g = data
         num_classes = len(np.unique(g.labels)) if g.labels is not None else 0
@@ -279,9 +281,8 @@ def dataset_stats(data: Graph | list[Graph]) -> DatasetStats:
             num_classes=num_classes,
             edge_homophily=homo,
         )
-    graphs = list(data)
-    labels = [g.labels for g in graphs if g.labels is not None]
-    num_classes = len(np.unique(np.concatenate(labels))) if labels else 0
+    graphs, labels = data
+    num_classes = len(np.unique(labels)) if labels is not None else 0
     union, offsets = disjoint_union(graphs)
     return DatasetStats(
         nodes=float(np.mean([g.num_nodes for g in graphs])),

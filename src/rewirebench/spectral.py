@@ -213,7 +213,7 @@ class ResistanceMatrix:
     """Res_uv = G_uu + G_vv - 2 G_uv from G = K^{-1}, K the grounded
     Laplacian, with G_gg read as 0 at each grounded node g; clipped at 0,
     np.inf across components. `values` reads G at the pairs it is given
-    only; `matrix` asks for all n x n pairs."""
+    and at their nodes' diagonal only; `matrix` asks for all n x n pairs."""
 
     kernel: PagerankOperator     # K^{-1} by block elimination
     components: np.ndarray
@@ -221,50 +221,19 @@ class ResistanceMatrix:
     total_degree: float
 
     def values(self, u, v) -> np.ndarray:
-        """Res_uv for index arrays u and v, broadcast together.
-
-        Each unordered pair {a, b}, a <= b, is read once: from S^{-1} if
-        both nodes are in the tail, else from G's column at its head node
-        (b if b is in the head). Head columns are the kernel's product with
-        one fixed block of identity columns at a time, `width` consecutive
-        head nodes, so a pair's bits do not depend on the other pairs."""
-        a, b = np.minimum(u, v), np.maximum(u, v)
+        """Res_uv for index arrays u and v, broadcast together, from G at
+        those pairs and their nodes' diagonal, read by kernel.inverse_at."""
+        a, b = np.broadcast_arrays(u, v)
         shape, a, b = a.shape, a.ravel(), b.ravel()
-        op, comp = self.kernel, self.components
-        head, tail, s_inv = op._head_nodes, op._tail_nodes, op._tail_inverse
-        # a tail node's row of S^{-1}, or -1 - a head node's position
-        at = np.empty(comp.size, dtype=np.int64)
-        at[tail] = np.arange(tail.size)
-        at[head] = -1 - np.arange(head.size)
-        at_a, at_b = at[a], at[b]
+        comp = self.components
+        nodes = np.flatnonzero(np.bincount(np.concatenate([a, b]),
+                                           minlength=comp.size))
+        g = self.kernel.inverse_at(np.concatenate([nodes, a]),
+                                   np.concatenate([nodes, b]))
         diag = np.empty(comp.size)
-        diag[tail] = np.diagonal(s_inv)
-        in_tail = (at_a >= 0) & (at_b >= 0)
-        g_ab = np.empty(a.size)
-        g_ab[in_tail] = s_inv[at_a[in_tail], at_b[in_tail]]
-        if head.size:
-            # the pair's head node, b if b is one, and its head position
-            col = np.where(at_b < 0, b, a)
-            pos = -1 - np.where(at_b < 0, at_b, at_a)
-            # as wide as n-row arrays of a quarter of S^{-1}'s doubles
-            # allow: the product with S^{-1} reads all of it once a block
-            width = max(SCHUR_MIN_COLUMNS, tail.size ** 2 // 4 // comp.size)
-            block = np.where(in_tail, -1, pos // width)
-            order = np.argsort(block, kind="stable")
-            bounds = np.searchsorted(block[order], np.arange(
-                -(-head.size // width) + 1))
-            used = -1 - np.concatenate([at_a, at_b])
-            for k in np.unique(used[used >= 0] // width).tolist():
-                nodes = head[k * width:(k + 1) * width]
-                x = np.zeros((comp.size, nodes.size))
-                x[nodes, np.arange(nodes.size)] = 1.0
-                x = op._matmat(x)
-                diag[nodes] = x[nodes, np.arange(nodes.size)]
-                pairs = order[bounds[k]:bounds[k + 1]]
-                g_ab[pairs] = x[a[pairs] + b[pairs] - col[pairs],
-                                pos[pairs] - k * width]
+        diag[nodes] = g[:nodes.size]
         diag[self.grounded] = 0.0
-        res = np.maximum(diag[a] + diag[b] - 2.0 * g_ab, 0.0)
+        res = np.maximum(diag[a] + diag[b] - 2.0 * g[nodes.size:], 0.0)
         return np.where(comp[a] == comp[b], res, np.inf).reshape(shape)
 
     @property
@@ -284,10 +253,10 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
     column become unit vectors, so K is symmetric positive definite with
     the Laplacian's pattern. K is built from the edge list in one COO
     matrix: the degree on the diagonal (1 at grounded nodes) and -1 at
-    both orientations of each edge with no grounded end. K^{-1} is a
-    PagerankOperator over K. A graph whose n^2 doubles fit in one Schur
-    block (n^2 <= SCHUR_BLOCK_ENTRIES) is all tail, in natural order: its
-    K is inverted in place in one Fortran n x n array by _spd_inverse."""
+    both orientations of each edge with no grounded end. K^{-1} is an
+    unscaled PagerankOperator over K, which picks its own shape (all tail
+    up to n^2 <= SCHUR_BLOCK_ENTRIES) and is read at index pairs by its
+    `inverse_at`."""
     comp = connected_components(g)
     n = comp.size
     grounded = np.unique(comp, return_index=True)[1]
@@ -300,8 +269,7 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
                        (np.concatenate([nodes, u, v]),
                         np.concatenate([nodes, v, u]))), shape=(n, n))
     # K^{-1} has no closed-form radius, and none is asked of it
-    kernel = PagerankOperator(k, None, None, math.nan, "grounded Laplacian",
-                              dense=n * n <= SCHUR_BLOCK_ENTRIES)
+    kernel = PagerankOperator(k, None, None, math.nan, "grounded Laplacian")
     # the degrees of a simple graph sum to twice its edge count
     return ResistanceMatrix(kernel=kernel, components=comp, grounded=grounded,
                             total_degree=2.0 * g.num_edges)
@@ -379,30 +347,31 @@ class HeatOperator(KernelOperator):
 class PagerankOperator(KernelOperator):
     """diag(left) K^{-1} diag(right) of a symmetric positive definite sparse
     K, applied by block elimination: personalized PageRank's kernel, and
-    with no scaling the grounded Laplacian's inverse that effective
-    resistance reads. `what` names K in its errors.
+    with no scaling the grounded Laplacian's inverse, which effective
+    resistance reads at index pairs by inverse_at(). `what` names K in its
+    errors.
 
-    K's nodes are ordered by SuperLU's minimum-degree order, read from an
-    incomplete factor that drops nearly all fill. The nodes whose columns
-    of the Cholesky factor L of K in that order are full, its dense
-    trailing block, form the tail T; the others form the head H. The split
-    is found from K's graph alone: column j is full iff every later node
-    is reached from j through nodes ordered before j (the fill-path lemma
-    of Rose, Tarjan and Lueker), so no factor of all of K is made. With
-    `dense`, all of K is the tail in its own order. The head keeps a
-    sparse LU of K_HH. The tail keeps the dense inverse of its Schur
-    complement S = K_TT - K_TH K_HH^{-1} K_HT, formed by head solves a
-    column block at a time and inverted in place by `dpotrf` and `dpotri`.
-    A product is one head solve, one product with S^{-1} and one more head
-    solve; the n x n kernel is built only by toarray(). Products share the
-    factors read-only, so threads may apply one operator concurrently.
+    The operator picks its own shape. If n^2 <= SCHUR_BLOCK_ENTRIES, all
+    of K is the tail T in natural order. Above, K's nodes are ordered by
+    SuperLU's minimum-degree order, read from an incomplete factor that
+    drops nearly all fill, and T is the full trailing block of K's
+    Cholesky factor in that order, found from K's graph alone: column j is
+    full iff every later node is reached from j through nodes ordered
+    before j (the fill-path lemma of Rose, Tarjan and Lueker), so no
+    factor of all of K is made. The other nodes, the head H, keep a sparse
+    LU of K_HH. T keeps the dense inverse of its Schur complement
+    S = K_TT - K_TH K_HH^{-1} K_HT, formed by head solves a column block at
+    a time and inverted in place by `dpotrf` and `dpotri`. A product is
+    one head solve, one product with S^{-1} and one more head solve; the
+    n x n kernel is built only by toarray(). Products share the factors
+    read-only, so threads may apply one operator concurrently.
     """
 
     def __init__(self, k, left: np.ndarray | None, right: np.ndarray | None,
-                 rho: float, what: str, dense: bool):
+                 rho: float, what: str):
         n = k.shape[0]
         super().__init__(n, rho)
-        if dense:
+        if n * n <= SCHUR_BLOCK_ENTRIES:
             order, h = np.arange(n), 0
         else:
             k = k.tocsc()
@@ -474,6 +443,46 @@ class PagerankOperator(KernelOperator):
         out[tail] = z_tail
         return out
 
+    def inverse_at(self, rows, cols) -> np.ndarray:
+        """K^{-1} at the pairs (rows[i], cols[i]) of two 1-d index arrays.
+        Only an unscaled K^{-1} is symmetric, so each unordered pair {a, b},
+        a <= b, is read once: from S^{-1} if both are in the tail, else from
+        K^{-1}'s column at its head node (b if b is one), computed with one
+        fixed block of `width` head columns, so that a pair's bits depend
+        neither on its orientation nor on the other pairs."""
+        if self._left is not None or self._right is not None:
+            raise ValueError("inverse_at reads an unscaled K^{-1} only")
+        a, b = np.minimum(rows, cols), np.maximum(rows, cols)
+        head, tail, n = self._head_nodes, self._tail_nodes, self.shape[0]
+        # a tail node's row of S^{-1}, or -1 - a head node's position
+        at = np.empty(n, dtype=np.int64)
+        at[tail] = np.arange(tail.size)
+        at[head] = -1 - np.arange(head.size)
+        at_a, at_b = at[a], at[b]
+        in_tail = (at_a >= 0) & (at_b >= 0)
+        out = np.empty(a.size)
+        out[in_tail] = self._tail_inverse[at_a[in_tail], at_b[in_tail]]
+        if head.size:
+            # the pair's head node, b if b is one, and its head position
+            col = np.where(at_b < 0, b, a)
+            pos = -1 - np.where(at_b < 0, at_b, at_a)
+            # as wide as n-row arrays of a quarter of S^{-1}'s doubles
+            # allow: the product with S^{-1} reads all of it once a block
+            width = max(SCHUR_MIN_COLUMNS, tail.size ** 2 // 4 // n)
+            block = np.where(in_tail, -1, pos // width)
+            order = np.argsort(block, kind="stable")
+            bounds = np.searchsorted(block[order], np.arange(
+                -(-head.size // width) + 1))
+            for k in np.unique(block[~in_tail]).tolist():
+                nodes = head[k * width:(k + 1) * width]
+                x = np.zeros((n, nodes.size))
+                x[nodes, np.arange(nodes.size)] = 1.0
+                x = self._matmat(x)
+                pairs = order[bounds[k]:bounds[k + 1]]
+                out[pairs] = x[a[pairs] + b[pairs] - col[pairs],
+                               pos[pairs] - k * width]
+        return out
+
 
 def _factor(k, order: str, what: str, **drop):
     """Sparse LU of the symmetric positive definite k without pivoting;
@@ -522,14 +531,11 @@ def pagerank_kernel(g: Graph, alpha: float,
     D^{-1} K for mean and D^{-1/2} K D^{-1/2} for sym, so the kernel is
     alpha D K^{-1}, alpha K^{-1} D or alpha D^{1/2} K^{-1} D^{1/2}. K is
     symmetric positive definite, because the eigenvalues of
-    D^{-1/2} K D^{-1/2} are at least alpha, so it needs no pivoting. Under
-    the minimum-degree ordering of K + K^T its Cholesky factor is sparse
-    outside a full trailing block, which the operator finds from K's graph
-    and never factors: it keeps the block's Schur complement as a dense
-    inverse, built by LAPACK, and the rest as a sparse LU of K_HH. On the
-    2708-node seed-0 SBM of `pipebench`, the tail is 559 nodes (a 2.5 MB
-    inverse) and the head LU holds 12.9k nonzeros. The unnormalized
-    adjacency is refused: its series diverges once (1-alpha) rho(A) > 1.
+    D^{-1/2} K D^{-1/2} are at least alpha, so it needs no pivoting. The
+    normalization picks the scalings; the operator picks its own shape (on
+    the 2708-node seed-0 SBM of `pipebench`, a 559-node tail and a head LU
+    of 12.9k nonzeros). The unnormalized adjacency is refused: its series
+    diverges once (1-alpha) rho(A) > 1.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("pagerank kernel requires alpha in (0, 1)")
@@ -545,13 +551,12 @@ def pagerank_kernel(g: Graph, alpha: float,
     d[d == 0] = 1.0
     k = (sp.diags(d) - (1.0 - alpha) * a).tocsc()
     rho = 1.0 if g.num_edges else alpha   # alpha / (1 - (1-alpha) rho(T))
-    what = "pagerank system D - (1-alpha) A"
-    if norm is Normalization.RW:
-        return PagerankOperator(k, alpha * d, None, rho, what, dense=False)
-    if norm is Normalization.MEAN:
-        return PagerankOperator(k, None, alpha * d, rho, what, dense=False)
-    s = np.sqrt(d)  # SYM
-    return PagerankOperator(k, s, alpha * s, rho, what, dense=False)
+    s = np.sqrt(d)
+    left, right = {Normalization.RW: (alpha * d, None),
+                   Normalization.MEAN: (None, alpha * d),
+                   Normalization.SYM: (s, alpha * s)}[norm]
+    return PagerankOperator(k, left, right, rho,
+                            "pagerank system D - (1-alpha) A")
 
 
 def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:

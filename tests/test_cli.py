@@ -213,7 +213,9 @@ class TestRewire:
                                                    capsys):
         # K = D - (1-alpha) A is positive definite for every normalized
         # operator, so a failed factorization is an internal error, never a
-        # silent fallback; here SuperLU is handed K with every value zeroed
+        # silent fallback; here SuperLU is handed K with every value zeroed.
+        # The 24-node graph is below one Schur block, so the split is forced
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_ENTRIES", 0)
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda k, **kw: splu(0.0 * k, **kw))
@@ -226,7 +228,9 @@ class TestRewire:
     def test_pagerank_ordering_failure_exit_4(self, node_dataset, tmp_path,
                                               monkeypatch, capsys):
         # the minimum-degree order is read from an incomplete factor of K;
-        # if that factor fails, rewire stops as an internal error
+        # if that factor fails, rewire stops as an internal error. The
+        # 24-node graph is below one Schur block, so the split is forced
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_ENTRIES", 0)
         spilu = scipy.sparse.linalg.spilu
         monkeypatch.setattr(scipy.sparse.linalg, "spilu",
                             lambda k, **kw: spilu(0.0 * k, **kw))
@@ -600,6 +604,22 @@ class TestConfigFile:
         cfgfile.write_text("format=tudataset\n")
         assert exit_code(["--conf", str(cfgfile), "stats",
                           "--dataset", node_dataset]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--data", "{d}"],
+        ["stats", "--dataset", "{d}", "--budget", "5"],
+        ["rewire", "--dataset", "{d}", "--rew", "sdrf", "--out", "{o}"],
+        ["run", "--dataset", "{d}", "--grid", "tiny", "--job", "1",
+         "--out", "{o}"]])
+    def test_abbreviated_subcommand_flag_exit_2(self, node_dataset, tmp_path,
+                                                capsys, argv):
+        # a config key is never abbreviated (`budget=5` is an unknown key),
+        # and no subcommand flag is either
+        out = tmp_path / "out"
+        argv = [a.format(d=node_dataset, o=out) for a in argv]
+        assert exit_code(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", ["fromat=tudataset\n",
                                         "seed=1\nhop=3\n", "config=x\n",

@@ -429,8 +429,8 @@ class TestModelSelect:
 
     def test_selection_memory_bounded(self):
         # selection holds each fold's selected embedding, the config being
-        # scored and its augmented copy [emb, 1]; a per-fold or per-lambda
-        # copy of the training rows would pass 8 n (d+1) doubles
+        # scored and the augmented copy of a fold's training rows; a
+        # per-lambda copy of the training rows would pass 8 n (d+1) doubles
         n, d = 1000, 32
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, n)
@@ -453,8 +453,8 @@ class TestModelSelect:
         # A node-task GESN selection holds at most, in doubles:
         # - four N x H arrays per worker: the drive, the state, h W^T and
         #   M (h W^T); a finished config's embedding is its state;
-        # - the config being scored, its augmented copy [emb, 1], the
-        #   fold's training rows of that copy and validation rows of emb;
+        # - the config being scored, the augmented copy [emb, 1] of the
+        #   fold's training rows and the validation rows of emb;
         # - one selected embedding per fold;
         # - the reservoir draws (W_in, W and b of each hidden size) and each
         #   worker's rescaled W_in and W_hat;

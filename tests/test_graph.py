@@ -278,9 +278,11 @@ class TestStats:
 
     def test_collection_stats(self):
         gs = [cycle_graph(4), cycle_graph(6)]
-        s = dataset_stats(gs)
+        s = dataset_stats((gs, np.array([3, 5])))
         assert s.nodes == 5.0
         assert s.diameter == 2.5
         assert s.edges == 5.0       # mean undirected |E|
         assert s.average_degree == 2.0
         assert s.num_graphs == 2
+        assert s.num_classes == 2     # distinct graph labels
+        assert dataset_stats((gs, None)).num_classes == 0

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name is read somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every module-level private name is read somewhere in the package, and no
+module reads another object's private attributes.
 
 The one exception to the first is a name that `pipebench/tracing.py`
 patches on that module (its POINTS): the tracer replaces the attribute the
@@ -101,3 +102,31 @@ def test_checker_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     unread = unread_private_names([p.read_text() for p in SOURCES])
     assert unread == [], f"private names defined but never read: {unread}"
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Attributes with a leading underscore (dunders aside) read from
+    anything but `self` or `cls`, as `line: expression`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__")
+                         and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_checker_finds_a_foreign_private_read():
+    source = ("class A:\n    def f(self, op):\n        self._x = op._y\n"
+              "        return cls._z, super().__init__, op.__dict__\n"
+              "def g(m):\n    return m.kernel._matmat(m._inv)\n")
+    assert foreign_private_reads(source) == [
+        "3: op._y", "6: m.kernel._matmat", "6: m._inv"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_foreign_private_read(path):
+    found = foreign_private_reads(path.read_text())
+    assert found == [], f"{path.name} reads private attributes: {found}"

@@ -550,9 +550,11 @@ class TestPagerankKernel:
     @pytest.mark.parametrize("graph, tail", [
         ("complete", 6), ("k2", 2), ("single-node", 1), ("path", 2),
         ("no-edges", 1), ("components", 3)])
-    def test_split_at_full_trailing_block(self, graph, tail):
+    def test_split_at_full_trailing_block(self, graph, tail, monkeypatch):
         # the tail is the factor's full trailing block: the whole graph when
-        # it is complete (an empty head), one or two nodes on a path
+        # it is complete (an empty head), one or two nodes on a path. These
+        # graphs are below one Schur block, so the split is forced
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_ENTRIES", 0)
         g = PAGERANK_GRAPHS[graph]
         op = pagerank_kernel(g, 0.3, "rw")
         assert op._tail_nodes.size == tail
@@ -582,9 +584,11 @@ class TestPagerankKernel:
     def test_split_from_graph_and_head_factor(self, graph, monkeypatch):
         # the split is read from K's graph by the fill-path lemma and equals
         # the whole factor's; SuperLU factors nothing larger than K_HH, and
-        # no factor's L or U is read
+        # no factor's L or U is read. Graphs below one Schur block are
+        # forced onto the split
         g = (PAGERANK_GRAPHS[graph] if isinstance(graph, str)
              else sparse_random_graph(*graph))
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_ENTRIES", 0)
         factored, reads = [], []
 
         class Reads:
@@ -612,6 +616,22 @@ class TestPagerankKernel:
         assert all(shape[0] <= head.size for name, shape in factored
                    if name == "splu")
         assert set(reads) <= {"perm_c", "solve"}
+
+    @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
+    def test_all_tail_up_to_one_schur_block(self, norm, monkeypatch):
+        # n^2 <= SCHUR_BLOCK_ENTRIES: K is the tail in natural order and is
+        # inverted whole; the split operator agrees to rounding (7.4e-16 of
+        # the largest entry on this graph)
+        g = sparse_random_graph(150, 4.0, 5)
+        assert g.num_nodes ** 2 <= SCHUR_BLOCK_ENTRIES
+        op = pagerank_kernel(g, 0.1, norm)
+        assert op._head_nodes.size == 0
+        assert np.array_equal(op._tail_nodes, np.arange(150))
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_ENTRIES", 0)
+        split = pagerank_kernel(g, 0.1, norm)
+        assert split._head_nodes.size > 0
+        want = split.toarray()
+        assert np.abs(op.toarray() - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("norm", ["rw", "sym", "mean"])
     def test_matches_solve_across_blocks(self, norm):
@@ -882,6 +902,20 @@ class TestResistanceBlocks:
         assert np.array_equal(r.values(u, v), res[u, v])
         assert np.array_equal(r.values(v, u), res[u, v])
         assert np.array_equal(r.values(u[::3], v[::3]), res[u[::3], v[::3]])
+
+    def test_inverse_at_reads_unscaled_k_inverse(self):
+        # K^{-1} at pairs, the same bits in either orientation; a scaled
+        # PageRank operator is not symmetric and is refused
+        g = BLOCK_GRAPHS["gnp-300"]
+        op = effective_resistance(g).kernel
+        u, v = g.edges.T
+        got = op.inverse_at(u, v)
+        assert np.array_equal(got, op.inverse_at(v, u))
+        want = op.toarray()[u, v]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for norm in ("rw", "sym", "mean"):
+            with pytest.raises(ValueError, match="unscaled"):
+                pagerank_kernel(g, 0.1, norm).inverse_at(u, v)
 
     def test_complete_component_is_the_tail(self):
         r = effective_resistance(BLOCK_GRAPHS["with-clique"])
