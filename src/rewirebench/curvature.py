@@ -1,4 +1,6 @@
-"""Balanced Forman edge curvature and its diagnostic distributions."""
+"""Balanced Forman curvature of every stored edge, counted in one batch by
+`kernels.balanced_forman_edges`, and the diagnostics `rewire` writes from
+it: a histogram, and the before/after delta on the common edges."""
 
 from __future__ import annotations
 
@@ -12,44 +14,6 @@ from .errors import InputError
 from .graph import Graph
 
 BIN_WIDTH = 0.25   # histogram bins, aligned to multiples of the width
-
-
-@dataclass
-class EdgeCurvature:
-    """Curvature of one edge with its component terms retained.
-
-    total = tree_term + triangle_term + square_term, with
-    tree_term = 2/d_u + 2/d_v - 2.
-    """
-
-    u: int
-    v: int
-    total: float
-    tree_term: float
-    triangle_term: float
-    square_term: float
-    triangles: int
-    squares_uv: int
-    squares_vu: int
-    gamma_max: float
-
-
-def balanced_forman(g: Graph, edge: tuple[int, int]) -> EdgeCurvature:
-    """Balanced Forman curvature of a single existing edge, counted from the
-    neighbour sets of u, v and their neighbours."""
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise InputError(f"edge ({u}, {v}) not in graph")
-    near = {u, v, *g.neighbors(u).tolist(), *g.neighbors(v).tolist()}
-    adj = {x: set(g.neighbors(x).tolist()) for x in near}
-    counts = kernels.set_counts(adj, u, v)
-    tree, tri_term, sq_term = kernels.curvature_terms(*counts)
-    _, _, tri, sq_uv, sq_vu, gamma = counts
-    return EdgeCurvature(u=u, v=v, total=float(tree + tri_term + sq_term),
-                         tree_term=float(tree), triangle_term=float(tri_term),
-                         square_term=float(sq_term), triangles=tri,
-                         squares_uv=sq_uv, squares_vu=sq_vu,
-                         gamma_max=float(gamma) if gamma > 0 else 1.0)
 
 
 def edge_curvatures(g: Graph) -> np.ndarray:
@@ -91,10 +55,6 @@ class CurvatureDelta:
     after: np.ndarray
     improved: int           # delta > 0
     worsened: int           # delta < 0
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.after - self.before
 
 
 def curvature_delta(g_before: Graph, g_after: Graph, vb: np.ndarray,

@@ -44,18 +44,25 @@ def _read_int_pairs(path) -> np.ndarray:
         raise InputError(f"cannot read edge file {path}: {exc}") from exc
 
 
-def _read_matrix(path) -> np.ndarray:
+def _read_csv(path, empty: np.ndarray, **kwargs) -> np.ndarray:
+    """np.loadtxt of a comma-separated file, or `empty` if no line holds
+    data (each is blank or a '#' comment), where loadtxt would warn; the
+    check reads lines only up to the first that holds data."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with open(path) as fh:
+            if not any(line.split("#", 1)[0].strip() for line in fh):
+                return empty
+        return np.loadtxt(path, delimiter=",", **kwargs)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_matrix(path) -> np.ndarray:
+    return _read_csv(path, np.zeros((0, 1)), ndmin=2, dtype=np.float64)
 
 
 def _read_ints(path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=np.int64).reshape(-1)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    return _read_csv(path, np.zeros(0, np.int64), dtype=np.int64).reshape(-1)
 
 
 def load_canonical(path: str):
@@ -89,6 +96,8 @@ def load_canonical(path: str):
         return build_graph(edges, features, labels, name=name)
 
     gids = _read_ints(gid_path)
+    if gids.size == 0:
+        raise InputError(f"{gid_path} lists no graphs")
     _check_count(feat_path, features.shape[0], gids.shape[0], "rows", "nodes")
     if labels is not None:
         _check_count(lab_path, labels.shape[0], gids.shape[0], "rows", "nodes")
@@ -141,7 +150,7 @@ def _split_collection(edges, features, node_labels, gids, graph_labels, name):
                                           split_edges)]
     if graph_labels is not None:
         return graphs, np.asarray(graph_labels, dtype=np.int64)
-    if node_labels is None or not graphs:
+    if node_labels is None:
         return graphs, None
     return graphs, _majority(graph_of, node_labels)
 
@@ -168,6 +177,8 @@ def load_tudataset(path: str):
             raise InputError(f"missing TUDataset file {f(required)}")
     edges = _read_int_pairs(f("A")) - 1
     indicator = _read_ints(f("graph_indicator"))
+    if indicator.size == 0:
+        raise InputError(f"{f('graph_indicator')} lists no graphs")
     graph_labels = _read_ints(f("graph_labels"))
     _check_count(f("graph_labels"), graph_labels.shape[0],
                  np.unique(indicator).shape[0], "labels", "graphs")

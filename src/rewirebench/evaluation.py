@@ -125,20 +125,6 @@ def make_splits(labels, seed: int = 0) -> list[FoldSplit]:
 # ---------------------------------------------------------------------------
 # metrics
 
-def accuracy(preds, labels) -> float:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape[0] == 0:
-        raise InputError("empty prediction set")
-    return float(np.mean(preds == labels))
-
-
-def auroc(scores, labels) -> float:
-    """Area under the ROC curve as the Mann-Whitney rank statistic with
-    midrank tie handling. Binary labels; both classes must be present."""
-    return _auroc(np.asarray(scores, dtype=np.float64), _positives(labels))
-
-
 def _positives(labels) -> np.ndarray:
     """Mask of the greater of the two classes that labels must hold."""
     labels = np.asarray(labels)
@@ -149,6 +135,9 @@ def _positives(labels) -> np.ndarray:
 
 
 def _auroc(scores, pos) -> float:
+    """Area under the ROC curve of float scores against the positives mask
+    pos, as the Mann-Whitney rank statistic with midrank ties; NaN if a
+    score is NaN."""
     n_pos = int(pos.sum())
     n_neg = pos.shape[0] - n_pos
     if np.isnan(scores).any():
@@ -329,15 +318,12 @@ def _gesn_embeddings(rewired: list, space: SearchSpace, seed: int,
     Several graphs are embedded in one pass over their disjoint union (see
     _union_operator), so the reservoir carries only the config's ρ, and
     pooling reduces over graph offsets. A single graph keeps its operator
-    as given and 1/ρ(M) in the reservoir (spectral_radius, in closed form
-    for heat and PageRank), so node embeddings keep their bits.
+    as given (else its adjacency) and 1/ρ(M) in the reservoir (in closed
+    form for heat and PageRank), so node embeddings keep their bits.
     """
     if len(rewired) == 1:
         rw = rewired[0]
-        op = rw.operator
-        if op is None:
-            op = shift_operator(rw.graph, OperatorKind.ADJACENCY,
-                                Normalization.NONE)
+        op = rw.graph.adjacency() if rw.operator is None else rw.operator
         rho_m = float(spectral_radius(op, seed=seed))
         rho_m = rho_m if rho_m > 0 else 1.0
         x, offsets = input_features(rw.graph.features), np.zeros(1, np.int64)
@@ -406,7 +392,8 @@ def _lambda_scores(scores, classes, labels, metric: str) -> list:
     """The validation score of each lambda from the n x L x C score block.
 
     Accuracy takes one argmax and one mean over the block: the mean of 0/1
-    values is exact, so each equals accuracy() of that lambda bit for bit.
+    values is exact, so each equals np.mean(preds == labels) of that
+    lambda's argmax bit for bit.
     AUROC finds the positives once and ranks each lambda on its own.
     """
     if metric == "auroc":

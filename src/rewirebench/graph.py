@@ -66,19 +66,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency().sum(axis=1)).ravel()
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of node v."""
-        a = self.adjacency()
-        return a.indices[a.indptr[v]:a.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        n = self.num_nodes
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            return False
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """New graph sharing features, labels and name, with other edges."""
         return build_graph(np.asarray(edges), self.features, self.labels,

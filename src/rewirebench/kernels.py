@@ -1,13 +1,13 @@
 """Balanced Forman curvature: one formula and two counters.
 
-`curvature_terms` is the only place the formula is written; every curvature
-value is the sum of its terms. The counts it takes come from one of two
-counters, which agree exactly:
+`curvature_sum` is the only place the formula is written. The counts it
+takes come from one of two counters, which agree exactly:
 
 - `balanced_forman_edges` counts a whole batch of edges of a frozen graph
-  from CSR arrays, vectorized with scipy.sparse;
-- `set_counts` counts one edge from set adjacency, so it serves a graph that
-  is being edited (SDRF) and single-edge queries without building a batch.
+  from CSR arrays, vectorized with scipy.sparse; every command's curvature
+  values come from it;
+- `set_counts` counts one edge from set adjacency, for the graph that SDRF
+  edits in place, where rebuilding a batch per edit would cost O(m).
 
 For each edge (u, v):
 
@@ -33,21 +33,15 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def curvature_terms(du, dv, tri, sq_uv, sq_vu, gamma):
-    """(tree, triangle, square) terms of the balanced Forman curvature;
-    their sum, added left to right, is the curvature."""
+def curvature_sum(du, dv, tri, sq_uv, sq_vu, gamma):
+    """Balanced Forman curvature: the tree, triangle and square terms,
+    added left to right."""
     dmax = np.maximum(du, dv)
     dmin = np.minimum(du, dv)
     tree = 2.0 / du + 2.0 / dv - 2.0
     triangle = 2.0 * tri / dmax + tri / dmin
     square = np.divide(sq_uv + sq_vu, gamma * dmax,
                        out=np.zeros(np.shape(gamma)), where=gamma > 0)
-    return tree, triangle, square
-
-
-def curvature_sum(du, dv, tri, sq_uv, sq_vu, gamma):
-    """Balanced Forman curvature: the sum of curvature_terms."""
-    tree, triangle, square = curvature_terms(du, dv, tri, sq_uv, sq_vu, gamma)
     return tree + triangle + square
 
 

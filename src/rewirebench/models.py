@@ -1,5 +1,6 @@
-"""Training-free representation models: SGC, graph echo state networks,
-global pooling, and the closed-form ridge readout."""
+"""Training-free representation models: graph echo state networks, global
+pooling, and the closed-form ridge readout (SGC's powers M^k X are taken
+in evaluation's grid loop)."""
 
 from __future__ import annotations
 
@@ -21,16 +22,6 @@ def input_features(features: np.ndarray) -> np.ndarray:
     if features.shape[1] == 0:
         return np.ones((features.shape[0], 1))
     return features
-
-
-def sgc_embed(m, x: np.ndarray, hops: int) -> np.ndarray:
-    """h = M^hops x via repeated application (M never materialized as a power)."""
-    if hops < 0:
-        raise InputError("hops must be >= 0")
-    h = np.asarray(x, dtype=np.float64)
-    for _ in range(hops):
-        h = m @ h
-    return h
 
 
 @dataclass

@@ -1,5 +1,7 @@
-"""Spectral quantities, Laplacian pseudoinverse, effective resistance,
-and diffusion kernels."""
+"""Spectral radii and the Laplacian gap, effective resistance read at index
+pairs, and the heat and PageRank kernels applied through their products.
+The dense test references (L^+, the brute-force Cheeger constant) live in
+tests/conftest.py."""
 
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ RADIUS_STACK_ENTRIES = 1 << 20
 # spectral_gap component solved by dense eigvalsh; shift-invert eigsh above,
 # which at 2708 nodes takes 0.46 s against eigvalsh's 2.6 s
 DENSE_GAP_ROWS = 1000
-PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 HEAT_TAIL = 1e-17         # HeatOperator's first omitted term over the sum
 # KernelOperator.toarray() applies the kernel to this many column blocks
 # of the identity; _spd_inverse symmetrizes its result in column blocks of
@@ -196,29 +197,16 @@ def spectral_gap(g: Graph) -> float:
     return 0.0 if np.isinf(gap) else gap
 
 
-def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the combinatorial Laplacian, by
-    eigendecomposition with a relative zero-eigenvalue cutoff."""
-    lap = shift_operator(g, OperatorKind.LAPLACIAN,
-                         Normalization.NONE).toarray()
-    w, v = np.linalg.eigh(lap)
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    inv = np.where(w > PINV_CUTOFF * max(lam_max, 1.0),
-                   1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (v * inv) @ v.T
-
-
 @dataclass
 class ResistanceMatrix:
     """Res_uv = G_uu + G_vv - 2 G_uv from G = K^{-1}, K the grounded
     Laplacian, with G_gg read as 0 at each grounded node g; clipped at 0,
     np.inf across components. `values` reads G at the pairs it is given
-    and at their nodes' diagonal only; `matrix` asks for all n x n pairs."""
+    and at their nodes' diagonal only."""
 
     kernel: PagerankOperator     # K^{-1} by block elimination
     components: np.ndarray
     grounded: np.ndarray         # the lowest node of each component
-    total_degree: float
 
     def values(self, u, v) -> np.ndarray:
         """Res_uv for index arrays u and v, broadcast together, from G at
@@ -235,15 +223,6 @@ class ResistanceMatrix:
         diag[self.grounded] = 0.0
         res = np.maximum(diag[a] + diag[b] - 2.0 * g[nodes.size:], 0.0)
         return np.where(comp[a] == comp[b], res, np.inf).reshape(shape)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        nodes = np.arange(self.components.size)
-        return self.values(nodes[:, None], nodes[None, :])
-
-    def commute_time(self) -> np.ndarray:
-        """Com_uv = Res_uv * sum of all degrees."""
-        return self.matrix * self.total_degree
 
 
 def effective_resistance(g: Graph) -> ResistanceMatrix:
@@ -270,9 +249,7 @@ def effective_resistance(g: Graph) -> ResistanceMatrix:
                         np.concatenate([nodes, v, u]))), shape=(n, n))
     # K^{-1} has no closed-form radius, and none is asked of it
     kernel = PagerankOperator(k, None, None, math.nan, "grounded Laplacian")
-    # the degrees of a simple graph sum to twice its edge count
-    return ResistanceMatrix(kernel=kernel, components=comp, grounded=grounded,
-                            total_degree=2.0 * g.num_edges)
+    return ResistanceMatrix(kernel=kernel, components=comp, grounded=grounded)
 
 
 def _spd_inverse(a: np.ndarray, what: str) -> np.ndarray:
@@ -557,28 +534,3 @@ def pagerank_kernel(g: Graph, alpha: float,
                    Normalization.SYM: (s, alpha * s)}[norm]
     return PagerankOperator(k, left, right, rho,
                             "pagerank system D - (1-alpha) A")
-
-
-def cheeger_bruteforce(g: Graph, max_nodes: int = 16) -> float:
-    """Exhaustive Cheeger constant min_S cut(S) / min(vol(S), vol(S^c)).
-
-    Test oracle: O(2^n), refused beyond max_nodes.
-    """
-    n = g.num_nodes
-    if n > max_nodes:
-        raise InputError(f"cheeger_bruteforce limited to {max_nodes} nodes")
-    if n < 2:
-        raise InputError("need at least 2 nodes")
-    deg = g.degrees
-    a = g.adjacency().toarray()
-    best = np.inf
-    for mask in range(1, (1 << n) - 1):
-        s = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-        vol_s = float(deg[s].sum())
-        vol_c = float(deg[~s].sum())
-        denom = min(vol_s, vol_c)
-        if denom == 0:
-            continue
-        cut = float(a[np.ix_(s, ~s)].sum())
-        best = min(best, cut / denom)
-    return float(best)

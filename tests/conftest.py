@@ -1,16 +1,21 @@
-"""Shared graph builders and independent brute-force oracles.
+"""Shared graph builders, independent brute-force oracles, and small
+helpers that read the package's own paths.
 
 The oracles here deliberately avoid the package's curvature engine
 (`rewirebench.kernels`): curvature and cycle counts come from dense adjacency
-scans, hop distances from Floyd-Warshall, effective resistance checks from
-series/parallel closed forms, eigen-quantities from dense eigendecompositions.
+scans, hop distances from Floyd-Warshall, the Laplacian pseudoinverse and
+eigen-quantities from dense eigendecompositions, the Cheeger constant from
+every cut, and AUROC from every positive-negative pair. No command needs
+these, so they live here and not in the package.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rewirebench import build_graph
+from rewirebench import InputError, build_graph, kernels, shift_operator
+
+PINV_CUTOFF = 1e-9        # relative zero-eigenvalue cutoff of L^+
 
 
 def path_graph(k, features=1):
@@ -106,6 +111,60 @@ def brute_balanced_forman(a, u, v):
 
 
 # ---------------------------------------------------------------------------
+# dense spectral oracles
+
+def laplacian_pseudoinverse(g):
+    """Moore-Penrose pseudoinverse of the combinatorial Laplacian, by
+    eigendecomposition with a relative zero-eigenvalue cutoff."""
+    lap = shift_operator(g, "laplacian", "none").toarray()
+    w, v = np.linalg.eigh(lap)
+    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
+    inv = np.where(w > PINV_CUTOFF * max(lam_max, 1.0),
+                   1.0 / np.where(w == 0, 1.0, w), 0.0)
+    return (v * inv) @ v.T
+
+
+def cheeger_bruteforce(g, max_nodes=16):
+    """Exhaustive Cheeger constant min_S cut(S) / min(vol(S), vol(S^c));
+    O(2^n), refused beyond max_nodes."""
+    n = g.num_nodes
+    if n > max_nodes:
+        raise InputError(f"cheeger_bruteforce limited to {max_nodes} nodes")
+    if n < 2:
+        raise InputError("need at least 2 nodes")
+    deg = g.degrees
+    a = g.adjacency().toarray()
+    best = np.inf
+    for mask in range(1, (1 << n) - 1):
+        s = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        vol_s = float(deg[s].sum())
+        vol_c = float(deg[~s].sum())
+        denom = min(vol_s, vol_c)
+        if denom == 0:
+            continue
+        cut = float(a[np.ix_(s, ~s)].sum())
+        best = min(best, cut / denom)
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# brute-force AUROC oracle (every positive-negative pair)
+
+def pairwise_auroc(scores, labels):
+    """The share of (positive, negative) pairs that the positive wins, a
+    tie counting 1/2; the positives are the greater of the two classes.
+    NaN if any score is NaN, as the package scores it."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if np.isnan(scores).any():
+        return float("nan")
+    pos = labels == np.unique(labels)[1]
+    wins = sum((p > q) + 0.5 * (p == q)
+               for p in scores[pos] for q in scores[~pos])
+    return float(wins / (pos.sum() * (~pos).sum()))
+
+
+# ---------------------------------------------------------------------------
 # brute-force hop-distance oracle (Floyd-Warshall on the dense adjacency)
 
 def brute_hop_distances(a):
@@ -136,6 +195,34 @@ def brute_diameter(dist):
     sizes = [np.sum(comp == c) for c in range(comp.max() + 1)]
     mask = comp == sizes.index(max(sizes))
     return int(dist[np.ix_(mask, mask)].max())
+
+
+# ---------------------------------------------------------------------------
+# small helpers: the package's own counter and resistance reader, read
+# whole, and M^k X by repeated products
+
+def curvature_counts(g, us=None, vs=None):
+    """(ric, tri, sq_uv, sq_vu, gamma) of the batch counter every command
+    uses, for the existing edges (us[i], vs[i]) in that orientation; g's
+    stored edges by default."""
+    a = g.adjacency()
+    if us is None:
+        us, vs = g.edges[:, 0], g.edges[:, 1]
+    return kernels.balanced_forman_edges(a.indptr, a.indices, us, vs)
+
+
+def all_resistances(r):
+    """The n x n matrix of a ResistanceMatrix, read through its values."""
+    nodes = np.arange(r.components.size)
+    return r.values(nodes[:, None], nodes[None, :])
+
+
+def propagate(m, x, hops):
+    """M^hops X by repeated products, M never raised to a power."""
+    h = np.asarray(x, dtype=np.float64)
+    for _ in range(hops):
+        h = m @ h
+    return h
 
 
 @pytest.fixture

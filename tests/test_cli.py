@@ -15,6 +15,7 @@ from rewirebench.datasets import load_dataset
 from rewirebench.rewiring import cayley_graph, sl2_order
 from rewirebench.spectral import effective_resistance
 
+from conftest import all_resistances
 from test_datasets import write_canonical
 
 
@@ -94,6 +95,13 @@ class TestStats:
         assert main(["stats", "--dataset", str(d)]) == 2
         assert "features.csv has 3 rows for 4 nodes" in capsys.readouterr().err
 
+    def test_empty_collection_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "coll"
+        write_canonical(d, [], np.zeros((0, 1)), graph_ids=[])
+        assert main(["stats", "--dataset", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert f"{d / 'graph_id.csv'} lists no graphs" in err
+
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["stats", "--dataset", str(tmp_path / "nope")]) == 2
         assert "input error" in capsys.readouterr().err
@@ -156,7 +164,8 @@ class TestRewire:
             keep = slice(0, g.num_nodes)
             want = cayley_graph(q).adjacency().toarray()[keep, keep] @ a
         else:
-            want = np.where(a > 0, effective_resistance(g).matrix, 0.0)
+            want = np.where(a > 0, all_resistances(effective_resistance(g)),
+                            0.0)
         k = np.load(out / "kernel.npy")
         assert k.dtype == np.float64 and np.array_equal(k, want)
 
@@ -170,7 +179,7 @@ class TestRewire:
         g = load_dataset(large_node_dataset)
         r = effective_resistance(g)
         assert r.kernel._head_nodes.size > 0
-        want = np.where(g.adjacency().toarray() > 0, r.matrix, 0.0)
+        want = np.where(g.adjacency().toarray() > 0, all_resistances(r), 0.0)
         k = np.load(out / "kernel.npy")
         assert k.dtype == np.float64 and np.array_equal(k, want)
 

@@ -5,7 +5,7 @@ import pytest
 
 from rewirebench import (InputError, build_graph, load_canonical,
                          load_dataset, load_tudataset)
-from rewirebench.datasets import _read_int_pairs
+from rewirebench.datasets import _read_int_pairs, _read_ints, _read_matrix
 
 
 def write_canonical(root, edges, features, labels=None, graph_ids=None,
@@ -135,6 +135,19 @@ class TestCanonical:
                         graph_ids=[0, 0, 1, 1])
         graphs, labels = load_canonical(str(d))
         assert len(graphs) == 2 and labels is None
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_empty_collection_refused(self, tmp_path, labeled):
+        # no graph ids, no nodes and no edges: an input error that names
+        # the file, not an empty list for stats and selection to fail on
+        d = tmp_path / "coll"
+        write_canonical(d, [], np.zeros((0, 1)), graph_ids=[],
+                        labels=[] if labeled else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError,
+                               match=r"graph_id\.csv lists no graphs"):
+                load_canonical(str(d))
 
 
     def test_split_equals_per_graph_loop(self, tmp_path, rng):
@@ -282,6 +295,14 @@ class TestTUDataset:
         with pytest.raises(InputError):
             load_tudataset(str(d))
 
+    def test_empty_collection_refused(self, tmp_path):
+        d = self.write_tud(tmp_path / "TOY")
+        for suffix in ("A", "graph_indicator", "graph_labels"):
+            (d / f"TOY_{suffix}.txt").write_text("")
+        with pytest.raises(InputError,
+                           match=r"TOY_graph_indicator\.txt lists no graphs"):
+            load_tudataset(str(d))
+
 
 class TestDispatch:
     def test_unknown_format(self):
@@ -339,3 +360,33 @@ class TestEdgeFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read edge file"):
             _read_int_pairs(str(tmp_path / "absent.tsv"))
+
+
+class TestCsvFile:
+    """features.csv and the integer files (labels, graph ids, TU files)."""
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n", "# a comment\n"])
+    def test_empty_file_gives_no_rows_without_warning(self, tmp_path, text):
+        path = tmp_path / "values.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, values = _read_matrix(str(path)), _read_ints(str(path))
+        assert rows.dtype == np.float64 and rows.shape == (0, 1)
+        assert values.dtype == np.int64 and values.shape == (0,)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "values.csv"
+        path.write_text("# header\n1,2\n\n3,4  # note\n")
+        assert _read_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text("# header\n5\n\n6\n")
+        assert _read_ints(str(path)).tolist() == [5, 6]
+
+    @pytest.mark.parametrize("reader", [_read_matrix, _read_ints])
+    def test_unreadable_refused(self, tmp_path, reader):
+        path = tmp_path / "values.csv"
+        path.write_text("1,x\n")
+        with pytest.raises(InputError, match="cannot read"):
+            reader(str(path))
+        with pytest.raises(InputError, match="cannot read"):
+            reader(str(tmp_path / "absent.csv"))

@@ -11,8 +11,8 @@ import scipy.stats
 
 from rewirebench import (Budget, BudgetExceeded, CompatibilityError,
                          GraphTask, InputError, NodeTask, Normalization,
-                         OperatorKind, RewireConfig, SearchSpace, accuracy,
-                         apply_rewiring, auroc, build_graph, gesn_embed,
+                         OperatorKind, RewireConfig, SearchSpace,
+                         apply_rewiring, build_graph, gesn_embed,
                          gesn_init, input_features, make_splits, model_select,
                          pool, predict, ridge_fit, shift_operator,
                          significance, spectral_radius, stratified_kfold)
@@ -22,7 +22,7 @@ from rewirebench.graph import disjoint_union
 from rewirebench.spectral import EXACT_SPARSE_RADIUS_ROWS
 from rewirebench.rewiring import RewiredGraph
 
-from conftest import block_union, random_graph
+from conftest import block_union, pairwise_auroc, random_graph
 
 
 def blob_node_task(n_per_class=30, seed=0):
@@ -201,9 +201,27 @@ class TestSplits:
         assert np.array_equal(got, labels[s.test])
 
 
+def accuracy(preds, labels):
+    """Accuracy as selection scores it: _lambda_scores of one-hot scores
+    that put each row's argmax on its prediction."""
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    classes = np.unique(np.concatenate([preds, labels]))
+    scores = (classes[None, :] == preds[:, None]).astype(float)
+    return evaluation._lambda_scores(scores[:, None, :], classes, labels,
+                                     "accuracy")[0]
+
+
+def auroc(scores, labels):
+    """AUROC as selection scores it: _lambda_scores of one score column."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return evaluation._lambda_scores(scores[:, None, None], None,
+                                     np.asarray(labels), "auroc")[0]
+
+
 class TestMetrics:
     def test_accuracy(self):
-        assert accuracy([0, 1, 1, 0], [0, 1, 0, 0]) == pytest.approx(0.75)
+        preds, labels = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
+        assert accuracy(preds, labels) == np.mean(preds == labels) == 0.75
 
     def test_accuracy_empty(self):
         with pytest.raises(InputError):
@@ -211,22 +229,20 @@ class TestMetrics:
 
     def test_auroc_perfect_and_inverted(self):
         y = np.array([0, 0, 1, 1])
-        assert auroc([0.1, 0.2, 0.8, 0.9], y) == pytest.approx(1.0)
-        assert auroc([0.9, 0.8, 0.2, 0.1], y) == pytest.approx(0.0)
+        for scores, want in (([0.1, 0.2, 0.8, 0.9], 1.0),
+                             ([0.9, 0.8, 0.2, 0.1], 0.0)):
+            assert auroc(scores, y) == pairwise_auroc(scores, y) == want
 
     def test_auroc_chance_with_ties(self):
         y = np.array([0, 1, 0, 1])
-        assert auroc([0.5, 0.5, 0.5, 0.5], y) == pytest.approx(0.5)
+        scores = [0.5, 0.5, 0.5, 0.5]
+        assert auroc(scores, y) == pairwise_auroc(scores, y) == 0.5
 
     def test_auroc_matches_trapezoid_oracle(self, rng):
         scores = rng.normal(size=200)
         y = (rng.random(200) < 0.3).astype(int)
         # oracle: explicit pairwise comparison count
-        pos = scores[y == 1]
-        neg = scores[y == 0]
-        wins = sum((p > m) + 0.5 * (p == m) for p in pos for m in neg)
-        want = wins / (len(pos) * len(neg))
-        assert auroc(scores, y) == pytest.approx(want)
+        assert auroc(scores, y) == pairwise_auroc(scores, y)
 
     @pytest.mark.parametrize("levels", [2, 5, 0])
     def test_auroc_equals_rankdata_reference(self, rng, levels):
@@ -251,8 +267,8 @@ class TestMetrics:
 
     @pytest.mark.parametrize("n", [1, 7, 200, 1001])
     def test_stacked_accuracy_equals_per_lambda_accuracy(self, rng, n):
-        # one argmax and one mean over the (n, L, C) block, against
-        # accuracy() of each lambda's argmax: equal bit for bit, with
+        # one argmax and one mean over the (n, L, C) block, against the
+        # mean hit rate of each lambda's argmax: equal bit for bit, with
         # all-NaN rows (argmax picks column 0) and tied maxima (first wins)
         classes = np.array([2, 5, 7, 11])
         scores = rng.normal(size=(n, 6, 4))
@@ -261,8 +277,8 @@ class TestMetrics:
         scores[rng.random((n, 6)) < 0.2, 1:] = 0.5
         labels = rng.choice(classes, n)
         got = evaluation._lambda_scores(scores, classes, labels, "accuracy")
-        want = [accuracy(classes[np.argmax(scores[:, j], axis=1)], labels)
-                for j in range(6)]
+        want = [float(np.mean(classes[np.argmax(scores[:, j], axis=1)]
+                              == labels)) for j in range(6)]
         assert all(type(v) is float for v in got)
         assert got == want
 
@@ -458,10 +474,10 @@ class TestModelSelect:
         # - one selected embedding per fold;
         # - the reservoir draws (W_in, W and b of each hidden size) and each
         #   worker's rescaled W_in and W_hat;
-        # - the fold's ridge system: the Gram matrix and its factored copy;
-        # - the operator, a copy of the adjacency: an 8-byte value and a
-        #   4-byte index per stored entry, and a 4-byte row pointer per row.
-        # Keeping every config's embedding would add up to 16 N x H arrays.
+        # - the fold's ridge system: the Gram matrix and its factored copy.
+        # The operator is the graph's adjacency, cached before the
+        # measurement, so it adds nothing. Keeping every config's embedding
+        # would add up to 16 N x H arrays.
         n, d, h, folds = 1000, 16, 64, 5
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, n)
@@ -469,7 +485,7 @@ class TestModelSelect:
         edges = [(int(u), int(v)) for u, v in ends if u != v]
         feats = rng.normal(size=(n, d)) + labels[:, None]
         task = NodeTask(graph=build_graph(edges, feats, labels=labels))
-        nnz = task.graph.adjacency().nnz   # cached before the measurement
+        task.graph.adjacency()   # cached before the measurement
         space = SearchSpace(gesn_hidden=(h,), gesn_input_scaling=(0.5, 1.0),
                             gesn_rho=(0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0,
                                       30.0), ridge_lambdas=(1e-3, 1e-1, 10.0))
@@ -485,8 +501,7 @@ class TestModelSelect:
                    + n * h + 1.6 * n * (h + 1) + 0.2 * n * h
                    + folds * n * h
                    + h * (d + h + 1) + jobs * h * (d + h)
-                   + 2 * (h + 1) ** 2
-                   + 1.5 * nnz + (n + 1) / 2)
+                   + 2 * (h + 1) ** 2)
         assert peak <= 8 * doubles, (peak / (8 * n * h), doubles / (n * h))
 
     def test_test_labels_sealed_until_scored(self):
@@ -499,8 +514,9 @@ class TestModelSelect:
 def score(preds, scores, labels, metric):
     """One fold's metric from one readout's predictions and scores."""
     if metric == "auroc":
-        return auroc(scores[:, 1 if scores.shape[1] > 1 else 0], labels)
-    return accuracy(preds, labels)
+        return pairwise_auroc(scores[:, 1 if scores.shape[1] > 1 else 0],
+                              labels)
+    return float(np.mean(preds == labels))
 
 
 def reference_selection(task, model, space, seed, table=None):
@@ -597,6 +613,20 @@ class TestGESNGrid:
                               GESN_SPACE, seed=2)
         for jobs in (1, 2):
             assert_same_grid(gesn_grid(task, rconfig, jobs), want)
+
+    def test_baseline_node_operator_is_the_adjacency(self, monkeypatch):
+        # with no rewiring operator, one graph is embedded on its cached
+        # adjacency itself, as a collection's blocks are, not on a copy
+        task = blob_node_task(n_per_class=10)
+        seen = []
+        real = evaluation.gesn_embed
+
+        def spy(m, x, params):
+            seen.append(m)
+            return real(m, x, params)
+        monkeypatch.setattr(evaluation, "gesn_embed", spy)
+        gesn_grid(task, RewireConfig())
+        assert seen and all(m is task.graph.adjacency() for m in seen)
 
     @pytest.mark.parametrize("method", ["baseline", "sdrf"])
     def test_graph_task_equals_per_graph_draws(self, method):

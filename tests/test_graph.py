@@ -4,14 +4,15 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from rewirebench import (InputError, Normalization, OperatorKind,
-                         balanced_forman, build_graph, dataset_stats,
-                         edge_homophily, shift_operator)
+                         build_graph, dataset_stats, edge_homophily,
+                         shift_operator)
 from rewirebench import graph as graph_module
 from rewirebench.graph import connected_components, diameter, disjoint_union
 
-from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
-                      brute_components, brute_diameter, brute_hop_distances,
-                      brute_triangles, brute_square_profile)
+from conftest import (complete_graph, curvature_counts, cycle_graph,
+                      path_graph, random_graph, brute_components,
+                      brute_diameter, brute_hop_distances, brute_triangles,
+                      brute_square_profile)
 
 
 class TestBuildGraph:
@@ -109,49 +110,46 @@ class TestShiftOperator:
 
 
 class TestLocalCounts:
-    """The triangle and 4-cycle counts that balanced_forman reports."""
+    """The triangle and 4-cycle counts of the batch curvature counter, with
+    gamma as counted (0 where the edge is on no 4-cycle)."""
 
     @staticmethod
-    def _squares(g, edge):
-        c = balanced_forman(g, edge)
-        return c.squares_uv, c.squares_vu, c.gamma_max
+    def _counts(g, edge):
+        _, tri, sq_uv, sq_vu, gamma = curvature_counts(g, [edge[0]],
+                                                       [edge[1]])
+        return tri[0], (sq_uv[0], sq_vu[0], gamma[0])
 
     def test_triangle_k3(self):
-        assert balanced_forman(complete_graph(3), (0, 1)).triangles == 1
+        assert self._counts(complete_graph(3), (0, 1))[0] == 1
 
     def test_triangle_c4(self):
-        assert balanced_forman(cycle_graph(4), (0, 1)).triangles == 0
+        assert self._counts(cycle_graph(4), (0, 1))[0] == 0
 
     def test_triangle_k4(self):
-        assert balanced_forman(complete_graph(4), (0, 1)).triangles == 2
-
-    def test_triangle_missing_edge(self):
-        with pytest.raises(InputError):
-            balanced_forman(cycle_graph(4), (0, 2))
+        assert self._counts(complete_graph(4), (0, 1))[0] == 2
 
     def test_squares_c4(self):
-        assert self._squares(cycle_graph(4), (0, 1)) == (1, 1, 1.0)
+        assert self._counts(cycle_graph(4), (0, 1))[1] == (1, 1, 1)
 
     def test_squares_c5(self):
-        assert self._squares(cycle_graph(5), (0, 1)) == (0, 0, 1.0)
+        assert self._counts(cycle_graph(5), (0, 1))[1] == (0, 0, 0)
 
     def test_squares_k3(self):
-        assert self._squares(complete_graph(3), (0, 1)) == (0, 0, 1.0)
+        assert self._counts(complete_graph(3), (0, 1))[1] == (0, 0, 0)
 
     def test_counts_match_bruteforce(self, rng):
         for p in (0.2, 0.5, 0.8):
             for _ in range(10):
                 g = random_graph(10, p, rng)
                 a = g.adjacency().toarray()
-                for e in g.edges:
-                    for u, v in (e, e[::-1]):
-                        u, v = int(u), int(v)
-                        assert balanced_forman(g, (u, v)).triangles == (
-                            brute_triangles(a, u, v))
-                        suv, svu, gm = self._squares(g, (u, v))
-                        bs_uv, bs_vu, bg = brute_square_profile(a, u, v)
-                        assert (suv, svu) == (bs_uv, bs_vu)
-                        assert gm == (bg if bg > 0 else 1.0)
+                # every edge in both orientations, in one batch
+                us = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+                vs = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+                _, tri, sq_uv, sq_vu, gamma = curvature_counts(g, us, vs)
+                for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+                    assert tri[i] == brute_triangles(a, u, v)
+                    assert (sq_uv[i], sq_vu[i], gamma[i]) == (
+                        brute_square_profile(a, u, v))
 
 
 class TestStats:

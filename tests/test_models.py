@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rewirebench import models
-from rewirebench import (InputError, ReadoutParams, augment, gesn_embed,
-                         gesn_init, input_features, one_hot, pool, predict,
-                         ridge_fit, ridge_solve, sgc_embed, spectral_radius)
+from rewirebench import evaluation, models
+from rewirebench import (Budget, InputError, ReadoutParams, SearchSpace,
+                         augment, build_graph, gesn_embed, gesn_init,
+                         input_features, one_hot, pool, predict, ridge_fit,
+                         ridge_solve, spectral_radius)
 from rewirebench.graph import OperatorKind, shift_operator
 
 from conftest import path_graph, random_graph
@@ -25,18 +26,28 @@ class TestInputFeatures:
         assert np.all(out == 1.0)
 
 
+def sgc_hops(m, x, hops):
+    """{k: M^k X} for each k in hops, as `run --model sgc` makes them:
+    evaluation._sgc_embeddings with m as a rewiring's operator."""
+    space = SearchSpace(sgc_hops=tuple(hops))
+    return {cfg["hops"]: h for cfg, h in evaluation._sgc_embeddings(
+        build_graph([], x), m, space, Budget(None))}
+
+
 class TestSGC:
     def test_zero_hops_identity(self, rng):
+        # propagation starts from X itself: the first hop is M X bit for bit
         x = rng.normal(size=(5, 3))
         m = rng.normal(size=(5, 5))
-        assert np.array_equal(sgc_embed(m, x, 0), x)
+        assert np.array_equal(sgc_hops(m, x, [1])[1], m @ x)
 
     def test_matches_matrix_power(self, rng):
         m = rng.normal(size=(6, 6))
         x = rng.normal(size=(6, 2))
+        got = sgc_hops(m, x, (1, 2, 3, 5))
         for hops in (1, 2, 3, 5):
             want = np.linalg.matrix_power(m, hops) @ x
-            assert np.allclose(sgc_embed(m, x, hops), want)
+            assert np.allclose(got[hops], want)
 
     def test_path_counts_on_adjacency(self):
         # A^2 applied to an indicator counts walks of length 2
@@ -44,19 +55,15 @@ class TestSGC:
         a = g.adjacency().toarray().astype(float)
         e0 = np.zeros((3, 1))
         e0[0] = 1.0
-        out = sgc_embed(a, e0, 2)
+        out = sgc_hops(a, e0, [2])[2]
         assert np.allclose(out.ravel(), [1.0, 0.0, 1.0])
 
     def test_sparse_operator(self, rng):
         g = random_graph(8, 0.4, rng)
         op = shift_operator(g, OperatorKind.ADJACENCY)
         x = rng.normal(size=(8, 2))
-        dense = sgc_embed(op.toarray(), x, 3)
-        assert np.allclose(sgc_embed(op, x, 3), dense)
-
-    def test_negative_hops(self):
-        with pytest.raises(InputError):
-            sgc_embed(np.eye(2), np.ones((2, 1)), -1)
+        dense = sgc_hops(op.toarray(), x, [3])[3]
+        assert np.allclose(sgc_hops(op, x, [3])[3], dense)
 
 
 class TestReservoir:

@@ -10,18 +10,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rewirebench import (InputError, RewireConfig, apply_rewiring,
-                         build_graph, cheeger_bruteforce,
-                         effective_resistance, heat_kernel,
-                         laplacian_pseudoinverse, pagerank_kernel,
-                         shift_operator, spectral_gap, spectral_radius)
+                         build_graph, effective_resistance, heat_kernel,
+                         pagerank_kernel, shift_operator, spectral_gap,
+                         spectral_radius)
 
 from rewirebench import spectral
 from rewirebench.graph import connected_components
 from rewirebench.spectral import (DENSE_GAP_ROWS, EXACT_SPARSE_RADIUS_ROWS,
                                   SCHUR_BLOCK_ENTRIES)
 
-from conftest import (block_union, complete_graph, cycle_graph, path_graph,
-                      random_graph, sparse_random_graph)
+from conftest import (all_resistances, block_union, cheeger_bruteforce,
+                      complete_graph, cycle_graph, laplacian_pseudoinverse,
+                      path_graph, random_graph, sparse_random_graph)
 
 
 def series_kernel(t_dense, coeffs):
@@ -430,31 +430,27 @@ class TestPseudoinverseAndResistance:
         assert np.allclose(lp @ np.ones(8), 0.0, atol=1e-9)
 
     def test_single_edge(self):
-        assert effective_resistance(path_graph(2)).matrix[0, 1] == pytest.approx(1.0)
+        res = all_resistances(effective_resistance(path_graph(2)))
+        assert res[0, 1] == pytest.approx(1.0)
 
     def test_path_series(self):
         for k in (3, 4, 6):
-            res = effective_resistance(path_graph(k)).matrix
+            res = all_resistances(effective_resistance(path_graph(k)))
             assert res[0, k - 1] == pytest.approx(k - 1.0, abs=1e-9)
 
     def test_k3_parallel(self):
-        res = effective_resistance(complete_graph(3)).matrix
+        res = all_resistances(effective_resistance(complete_graph(3)))
         assert res[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_cross_component_infinite(self):
         g = build_graph([(0, 1), (2, 3)], np.zeros((4, 1)))
-        res = effective_resistance(g).matrix
+        res = all_resistances(effective_resistance(g))
         assert np.isinf(res[0, 2]) and np.isfinite(res[0, 1])
-
-    def test_commute_time_footnote(self):
-        g = path_graph(3)
-        r = effective_resistance(g)
-        assert np.allclose(r.commute_time(), r.matrix * g.degrees.sum())
 
     def test_triangle_inequality(self, rng):
         for _ in range(10):
             g = random_graph(12, 0.35, rng, connected=True)
-            res = effective_resistance(g).matrix
+            res = all_resistances(effective_resistance(g))
             n = g.num_nodes
             for u in range(n):
                 for v in range(n):
@@ -843,7 +839,7 @@ class TestResistanceOracle:
         assert connected_components(g).max() > 0
         want = self._oracle(g)
         r = effective_resistance(g)
-        res = r.matrix
+        res = all_resistances(r)
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(res), finite)
         assert np.abs(res[finite] - want[finite]).max() <= 1e-12
@@ -856,7 +852,7 @@ class TestResistanceOracle:
     def test_pagerank_graphs(self, graph):
         g = PAGERANK_GRAPHS[graph]
         want = self._oracle(g)
-        res = effective_resistance(g).matrix
+        res = all_resistances(effective_resistance(g))
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(res), finite)
         assert np.abs(res[finite] - want[finite]).max() <= 1e-12
@@ -892,7 +888,7 @@ class TestResistanceBlocks:
         assert g.num_nodes ** 2 > SCHUR_BLOCK_ENTRIES
         assert r.kernel._head_nodes.size > 0
         want = TestResistanceOracle._oracle(g)
-        res = r.matrix
+        res = all_resistances(r)
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(res), finite)
         assert np.abs(res[finite] - want[finite]).max() <= 1e-12
@@ -1003,6 +999,6 @@ class TestCheeger:
         for _ in range(15):
             g = random_graph(9, 0.4, rng, connected=True)
             h = cheeger_bruteforce(g)
-            res = effective_resistance(g).matrix
+            res = all_resistances(effective_resistance(g))
             max_edge_res = max(res[u, v] for u, v in g.edges)
             assert max_edge_res <= 1.0 / h ** 2 + 1e-9
